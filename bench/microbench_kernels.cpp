@@ -114,14 +114,11 @@ BENCHMARK(BM_DecodePipeline)
 
 // End-to-end serve pipeline, the twin of BM_DecodePipeline on the other
 // side of the wire: a client drains one whole stored file from a running
-// PeerServer over loopback TCP per iteration.  The backend axis compares
-// the epoll reactor's zero-copy scatter-gather path (backend=1: 21
-// framing bytes staged, payloads referenced in the MessageStore and
-// gathered by sendmsg) against the blocking threads path (backend=0,
-// which encodes and copies every frame).  Unpaced and unauthenticated, so
-// the number measures the serve path itself.
+// PeerServer over loopback TCP per iteration, through the reactor's
+// zero-copy scatter-gather path (21 framing bytes staged, payloads
+// referenced in the MessageStore and gathered by sendmsg).  Unpaced and
+// unauthenticated, so the number measures the serve path itself.
 void BM_ServePipeline(benchmark::State& state) {
-  const bool epoll = state.range(0) != 0;
   constexpr std::size_t kMessages = 256;
   constexpr std::size_t kPayload = 4096;
   sim::SplitMix64 rng(9);
@@ -139,8 +136,6 @@ void BM_ServePipeline(benchmark::State& state) {
   }
   net::PeerServer::Config config;
   config.require_auth = false;
-  config.backend =
-      epoll ? net::NetBackend::epoll : net::NetBackend::threads;
   net::PeerServer server(config, std::move(store));
   if (!server.start()) {
     state.SkipWithError("server start failed");
@@ -170,15 +165,11 @@ void BM_ServePipeline(benchmark::State& state) {
       break;
     }
   }
-  state.SetLabel(net::to_string(server.backend()));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(stream_bytes));
   server.stop();
 }
-BENCHMARK(BM_ServePipeline)
-    ->ArgsProduct({{0, 1}})
-    ->ArgNames({"backend"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServePipeline)->Unit(benchmark::kMillisecond);
 
 void BM_ScalarMul(benchmark::State& state) {
   const auto field = static_cast<gf::FieldId>(state.range(0));

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "net/peer_server.hpp"  // default_net_backend
-
 #ifdef __linux__
 #include <sys/epoll.h>
 #endif
@@ -83,22 +81,14 @@ bool DiscoveryNode::start() {
   outbound_ = std::make_unique<util::ThreadPool>(4);
   running_ = true;
   join_mesh();  // best-effort: unreachable seeds leave a single-node ring
-
-  // Same serving-core resolution as PeerServer, so FAIRSHARE_NET_BACKEND=
-  // threads pins the CI matrix onto the blocking fallback here too.
-  use_loop_ = net::default_net_backend() == net::NetBackend::epoll;
-  if (use_loop_ && loop_start()) return true;
-  use_loop_ = false;
-  return fallback_start();
+  if (loop_start()) return true;
+  stop();  // no event loop (a platform without epoll): undo the bring-up
+  return false;
 }
 
 void DiscoveryNode::stop() {
   if (!running_.exchange(false)) return;
-  if (use_loop_)
-    loop_stop();
-  else
-    fallback_stop();
-  inbound_.reset();   // joins fallback session handlers
+  loop_stop();
   outbound_.reset();  // joins in-flight gossip/replicate jobs
   listener_.close();
 }
@@ -566,7 +556,7 @@ void DiscoveryNode::loop_stop() {
 
 void DiscoveryNode::accept_ready() {
   for (;;) {
-    auto client = listener_.accept(/*timeout_ms=*/0);
+    auto client = listener_.accept();
     if (!client || !running_) return;
     client->set_nonblocking(true);
     const int fd = client->native_handle();
@@ -702,73 +692,5 @@ void DiscoveryNode::pump(const std::shared_ptr<Conn>&) {}
 void DiscoveryNode::close_conn(const std::shared_ptr<Conn>&) {}
 
 #endif
-
-// ------------------------------------------- portable blocking fallback
-
-bool DiscoveryNode::fallback_start() {
-  inbound_ = std::make_unique<util::ThreadPool>(8);
-  accept_thread_ = std::thread([this] { fallback_accept_loop(); });
-  return true;
-}
-
-void DiscoveryNode::fallback_stop() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-}
-
-void DiscoveryNode::fallback_accept_loop() {
-  const auto period = [](std::uint32_t ms) {
-    return std::chrono::milliseconds(ms > 0 ? ms : 1'000'000);
-  };
-  auto next_gossip = Clock::now() + period(config_.gossip_period_ms);
-  auto next_reannounce = Clock::now() + period(config_.reannounce_period_ms);
-  auto next_sweep =
-      Clock::now() + std::chrono::milliseconds(
-                         std::max<std::uint32_t>(config_.provider_ttl_ms / 2,
-                                                 100));
-  while (running_) {
-    const auto now = Clock::now();
-    if (config_.gossip_period_ms > 0 && now >= next_gossip) {
-      next_gossip = now + period(config_.gossip_period_ms);
-      if (!gossip_inflight_.exchange(true)) {
-        outbound_->submit([this] {
-          if (running_) gossip_round();
-          gossip_inflight_ = false;
-        });
-      }
-    }
-    if (config_.reannounce_period_ms > 0 && now >= next_reannounce) {
-      next_reannounce = now + period(config_.reannounce_period_ms);
-      outbound_->submit([this] { reannounce_all(); });
-    }
-    if (now >= next_sweep) {
-      next_sweep = now + std::chrono::milliseconds(std::max<std::uint32_t>(
-                             config_.provider_ttl_ms / 2, 100));
-      sweep_expired();
-    }
-    auto client = listener_.accept(/*timeout_ms=*/50);
-    if (!client) continue;
-    client->set_recv_timeout(100);
-    client->set_send_timeout(config_.io_timeout_ms);
-    std::unique_ptr<net::Transport> transport =
-        std::make_unique<net::Socket>(std::move(*client));
-    if (config_.transport_wrapper)
-      transport = config_.transport_wrapper(std::move(transport));
-    std::shared_ptr<net::Transport> shared = std::move(transport);
-    inbound_->submit([this, shared] {
-      auto idle_deadline = Clock::now() + std::chrono::seconds(5);
-      while (running_ && Clock::now() < idle_deadline) {
-        auto frame = net::recv_frame(*shared, kMaxFrame);
-        if (!frame) {
-          if (shared->timed_out()) continue;  // clean poll timeout
-          break;
-        }
-        const auto resp = handle_frame(*frame);
-        if (!resp || !net::send_frame(*shared, *resp)) break;
-        idle_deadline = Clock::now() + std::chrono::seconds(5);
-      }
-      shared->close();
-    });
-  }
-}
 
 }  // namespace fairshare::disco

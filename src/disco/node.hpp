@@ -29,9 +29,7 @@
 // the timer wheel), plus the periodic gossip / re-announce / TTL-sweep
 // timers; a small util::ThreadPool performs the blocking *outbound* dials
 // (gossip rounds, replica pushes, re-announces) so the loop thread never
-// blocks on a connect.  Platforms without epoll fall back to a blocking
-// accept thread handling one connection per pool worker — same frames,
-// same state machine.
+// blocks on a connect.  Without epoll there is no loop, and start() fails.
 //
 // The node implements net::DiscoveryHook, so a PeerServer wires to it by
 // simply placing it (shared) in Config::discovery.
@@ -99,7 +97,7 @@ class DiscoveryNode : public net::DiscoveryHook {
   DiscoveryNode& operator=(const DiscoveryNode&) = delete;
 
   /// Bind, join through the configured seeds, start serving.  False when
-  /// the port cannot be bound.
+  /// the port cannot be bound or the event loop cannot come up.
   bool start();
   void stop();
 
@@ -135,9 +133,8 @@ class DiscoveryNode : public net::DiscoveryHook {
   /// Consecutive failed outbound dials before a member is declared dead.
   static constexpr int kDialFailureLimit = 2;
 
-  // Shared request logic (loop thread and blocking fallback): a full
-  // request frame in, the response frame out (nullopt closes the
-  // connection).
+  // Request logic: a full request frame in, the response frame out
+  // (nullopt closes the connection).
   std::optional<std::vector<std::byte>> handle_frame(
       std::span<const std::byte> frame);
   std::vector<std::byte> handle_lookup(const wire::LookupRequest& msg);
@@ -172,23 +169,16 @@ class DiscoveryNode : public net::DiscoveryHook {
   void accept_ready();
   void pump(const std::shared_ptr<Conn>& c);
   void close_conn(const std::shared_ptr<Conn>& c);
-  // Portable blocking fallback.
-  bool fallback_start();
-  void fallback_stop();
-  void fallback_accept_loop();
 
   NodeConfig config_;
   wire::Member self_;
   std::uint64_t origin_ = 0;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  bool use_loop_ = false;
 
   net::Listener listener_;
   std::unique_ptr<net::EventLoop> loop_;
   std::thread loop_thread_;
-  std::thread accept_thread_;  // fallback only
-  std::unique_ptr<util::ThreadPool> inbound_;  // fallback only
   std::unique_ptr<util::ThreadPool> outbound_;
   std::atomic<bool> gossip_inflight_{false};
 

@@ -106,10 +106,14 @@ bool FaultyTransport::consume_frame_budget() {
   if (reset_) return false;
   if (frames_used_ >= plan_.reset_after_frames) {
     reset_ = true;
+    {
+      // Count before closing: the peer sees the reset as soon as the
+      // socket closes, and whoever it tells must find it in stats().
+      std::lock_guard<std::mutex> lock(shared_->mutex);
+      ++shared_->stats.connections_reset;
+      if (shared_->m_reset) shared_->m_reset->add(1);
+    }
     inner_->close();  // the RST analog: both directions die at once
-    std::lock_guard<std::mutex> lock(shared_->mutex);
-    ++shared_->stats.connections_reset;
-    if (shared_->m_reset) shared_->m_reset->add(1);
     return false;
   }
   ++frames_used_;

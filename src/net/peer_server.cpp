@@ -1,39 +1,15 @@
 #include "net/peer_server.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "alloc/policies.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/sha256.hpp"
-#include "net/event_loop.hpp"
 #include "obs/export.hpp"
 #include "obs/signal_dump.hpp"
 #include "obs/trace.hpp"
-#include "p2p/wire.hpp"
 
 namespace fairshare::net {
-
-const char* to_string(NetBackend backend) {
-  return backend == NetBackend::epoll ? "epoll" : "threads";
-}
-
-NetBackend default_net_backend() {
-  if (const char* env = std::getenv("FAIRSHARE_NET_BACKEND")) {
-    if (std::strcmp(env, "threads") == 0) return NetBackend::threads;
-    if (std::strcmp(env, "epoll") == 0)
-      return epoll_available() ? NetBackend::epoll : NetBackend::threads;
-    // Unrecognised values fall through to the build default.
-  }
-#if defined(FAIRSHARE_NET_BACKEND_THREADS)
-  return NetBackend::threads;
-#else
-  return epoll_available() ? NetBackend::epoll : NetBackend::threads;
-#endif
-}
 
 crypto::ChaCha20 PeerServer::seeded_rng(std::uint64_t seed,
                                         std::uint64_t salt) {
@@ -152,131 +128,36 @@ std::vector<PeerServer::AllocationShare> PeerServer::allocation_snapshot()
   return out;
 }
 
-NetBackend PeerServer::backend() const {
-  if (started_) return backend_;
-  const NetBackend want = config_.backend.value_or(default_net_backend());
-  return (want == NetBackend::epoll && !epoll_available())
-             ? NetBackend::threads
-             : want;
-}
-
-std::size_t PeerServer::effective_max_sessions() const {
-  return backend_ == NetBackend::threads
-             ? std::min(config_.max_sessions, kThreadsSessionCap)
-             : config_.max_sessions;
-}
-
 bool PeerServer::start() {
-  backend_ = backend();
-  started_ = true;
   if (!config_.stats_json_path.empty()) {
     obs::enable_sigusr1_trigger();
     dump_generation_seen_ = obs::sigusr1_generation();
   }
+  running_ = true;
+  if (!reactor_start()) {
+    running_ = false;
+    return false;
+  }
   // Announce every stored file to discovery once the port is known (the
   // hook owns the TTL refresh from there).
-  const auto announce_stored = [this] {
-    if (!config_.discovery) return;
+  if (config_.discovery) {
     ServeEndpoint self;
     self.host = config_.advertise_host;
     self.port = port_;
     self.peer_id = config_.peer_id;
     for (const std::uint64_t file_id : store_.file_ids())
       config_.discovery->announce_file(file_id, self);
-  };
-  if (backend_ == NetBackend::epoll) {
-    running_ = true;
-    if (reactor_start()) {
-      announce_stored();
-      return true;
-    }
-    // The reactor could not come up (fd limits, failed bind): fall back
-    // to the portable path rather than refusing to serve.
-    running_ = false;
-    backend_ = NetBackend::threads;
   }
-  auto listener = Listener::bind_local(config_.port);
-  if (!listener) return false;
-  listener_ = std::move(*listener);
-  port_ = listener_.port();
-  running_ = true;
-  // Pool capacity is effective_max_sessions workers plus the
-  // (never-participating) caller slot.  The pool spawns lazily, so this
-  // is a ceiling on concurrent sessions, not an upfront thread cost; the
-  // kThreadsSessionCap clamp additionally keeps the 1024-session default
-  // from meaning a thousand-thread burst under full load.
-  const std::size_t workers =
-      std::max<std::size_t>(effective_max_sessions(), 1) + 1;
-  pool_ = std::make_unique<util::ThreadPool>(workers);
-  std::size_t serving = workers + 1;  // + accept loop (capacity, not spawned)
-  if (config_.rate_kbps > 0.0) {
-    pacing_thread_ = std::thread([this] { pacing_loop(); });
-    ++serving;
-  }
-  serving_threads_ = serving;
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  announce_stored();
   return true;
 }
 
 void PeerServer::stop() {
   const bool was_running = running_.exchange(false);
-  {
-    std::lock_guard<std::mutex> lock(pacing_mutex_);
-  }
-  pacing_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  pool_.reset();  // joins every in-flight session handler
-  if (pacing_thread_.joinable()) pacing_thread_.join();
-  reactor_stop();  // joins the loops (no-op for the threads backend)
-  listener_.close();
+  reactor_stop();  // closes every session, joins the loops
   serving_threads_ = 0;
   // At-exit dump, once, after every session has finished counting.
   if (was_running && !config_.stats_json_path.empty())
     obs::dump_json(*registry_, config_.stats_json_path);
-}
-
-void PeerServer::accept_loop() {
-  while (running_) {
-    // A SIGUSR1 since the last look means "dump now"; the handler only
-    // bumps a generation, all IO happens here on a normal thread.
-    if (!config_.stats_json_path.empty()) {
-      const std::uint64_t gen = obs::sigusr1_generation();
-      if (gen != dump_generation_seen_) {
-        dump_generation_seen_ = gen;
-        obs::dump_json(*registry_, config_.stats_json_path);
-      }
-    }
-    auto client = listener_.accept(/*timeout_ms=*/50);
-    if (!client) continue;
-    if (active_sessions_.load() >= effective_max_sessions()) {
-      ++sessions_rejected_;
-      m_sessions_rejected_->add(1);
-      continue;  // Socket destructor closes the connection
-    }
-    const std::size_t now_active = ++active_sessions_;
-    m_active_sessions_->add(1.0);
-    std::size_t peak = peak_sessions_.load();
-    while (now_active > peak &&
-           !peak_sessions_.compare_exchange_weak(peak, now_active)) {
-    }
-    m_peak_sessions_->set(static_cast<double>(peak_sessions_.load()));
-    const std::uint64_t salt = ++session_counter_;
-    client->set_recv_timeout(config_.recv_timeout_ms);
-    client->set_send_timeout(config_.handshake_timeout_ms);
-    std::unique_ptr<Transport> transport =
-        std::make_unique<Socket>(std::move(*client));
-    if (config_.transport_wrapper)
-      transport = config_.transport_wrapper(std::move(transport));
-    // std::function needs a copyable closure; hand the transport over
-    // shared.
-    std::shared_ptr<Transport> shared = std::move(transport);
-    pool_->submit([this, shared, salt] {
-      handle_session(*shared, salt);
-      --active_sessions_;
-      m_active_sessions_->add(-1.0);
-    });
-  }
 }
 
 void PeerServer::pacing_tick_locked() {
@@ -347,169 +228,6 @@ void PeerServer::pacing_tick_locked() {
     st->budget_bytes = std::min(st->budget_bytes, burst_cap);
   }
   m_quantum_ns_->record(obs::monotonic_ns() - tick_t0);
-}
-
-void PeerServer::pacing_loop() {
-  const auto quantum = std::chrono::milliseconds(config_.pacing_quantum_ms);
-  auto next = std::chrono::steady_clock::now() + quantum;
-
-  std::unique_lock<std::mutex> lock(pacing_mutex_);
-  while (running_) {
-    pacing_cv_.wait_until(lock, next, [&] { return !running_.load(); });
-    if (!running_) break;
-    next += quantum;
-    pacing_tick_locked();
-    pacing_cv_.notify_all();
-  }
-  lock.unlock();
-  pacing_cv_.notify_all();  // release sessions still waiting on budget
-}
-
-std::optional<std::vector<std::byte>> PeerServer::recv_frame_by(
-    Transport& client, std::chrono::steady_clock::time_point deadline) {
-  while (running_) {
-    auto frame = recv_frame(client, kMaxClientFrame);
-    if (frame) return frame;
-    if (!client.timed_out()) return std::nullopt;  // closed or stalled
-    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-void PeerServer::handle_session(Transport& client, std::uint64_t salt) {
-  obs::TraceSpan span(&registry_->spans(), "server.session");
-  const auto handshake_deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.handshake_timeout_ms);
-
-  crypto::SessionKey session_key{};
-  std::uint64_t authed_user = 0;
-  bool have_authed_user = false;
-  if (config_.require_auth) {
-    if (!identity_) return;
-    const auto hello_frame = recv_frame_by(client, handshake_deadline);
-    if (!hello_frame) return;
-    const auto hello = p2p::wire::decode_auth_hello(*hello_frame);
-    if (!hello) return;
-    const auto user = users_.find(hello->user_id);
-    if (user == users_.end()) {
-      ++auth_rejections_;
-      m_auth_rejections_->add(1);
-      return;
-    }
-    crypto::ChaCha20 rng = seeded_rng(config_.rng_seed, salt);
-    crypto::AuthResponder responder(config_.peer_id, *identity_, user->second,
-                                    rng);
-    const auto challenge = responder.on_hello(*hello);
-    if (!send_frame(client, p2p::wire::encode(challenge))) return;
-    const auto response_frame = recv_frame_by(client, handshake_deadline);
-    if (!response_frame) return;
-    const auto response = p2p::wire::decode_auth_response(*response_frame);
-    if (!response || !responder.on_response(*response)) {
-      ++auth_rejections_;
-      m_auth_rejections_->add(1);
-      return;
-    }
-    session_key = responder.session_key();
-    authed_user = hello->user_id;
-    have_authed_user = true;
-  }
-  (void)session_key;  // available for per-frame HMAC tagging if desired
-
-  const auto request_frame = recv_frame_by(client, handshake_deadline);
-  if (!request_frame) return;
-  const auto request = p2p::wire::decode_file_request(*request_frame);
-  if (!request) return;
-  // The allocation key is the *authenticated* identity when there is one;
-  // an unauthenticated server has only the request's claim to go by.
-  const std::uint64_t user_id =
-      have_authed_user ? authed_user : request->user_id;
-
-  // The advertised cap is untrusted wire input: a corrupt (or hostile)
-  // request carrying a denormal, negative, or non-finite rate must not be
-  // able to park this session in a near-infinite pacing sleep — it would
-  // stall stop() behind the thread-pool join.  Sub-1-kbps caps mean "no
-  // cap"; the per-frame sleep below is bounded as a second line of
-  // defence.
-  double client_cap = request->max_rate_kbps;
-  if (!std::isfinite(client_cap) || client_cap < 1.0) client_cap = 0.0;
-
-  const bool paced = config_.rate_kbps > 0.0;
-  std::shared_ptr<SessionState> st;
-  {
-    std::lock_guard<std::mutex> lock(pacing_mutex_);
-    const auto slot = user_slot_locked(user_id);
-    if (!slot) return;  // ledger full: cannot account for this user
-    st = std::make_shared<SessionState>();
-    st->user_id = user_id;
-    st->user_slot = *slot;
-    st->cap_kbps = client_cap;
-    st->streaming = true;
-    sessions_.emplace(salt, st);
-  }
-
-  // Transmission "4": stream the verbatim store.  Under pacing the session
-  // spends the token budget the scheduler grants its user each quantum;
-  // unpaced it honours at most the client's own advertised cap.
-  const double solo_rate = paced ? 0.0 : client_cap;
-  bool completed = true;
-  const std::size_t count = store_.count(request->file_id);
-  for (std::size_t i = 0; i < count && running_; ++i) {
-    const coding::EncodedMessage& msg = store_.at(request->file_id, i);
-    const auto frame = p2p::wire::encode(msg);
-    if (paced) {
-      std::unique_lock<std::mutex> lock(pacing_mutex_);
-      pacing_cv_.wait(lock, [&] {
-        return !running_.load() || st->budget_bytes > 0.0;
-      });
-      if (!running_) {
-        completed = false;
-        break;
-      }
-      // Debt model: any positive budget admits one frame; the overdraft is
-      // repaid out of future grants, so frames larger than one quantum's
-      // grant still flow at the allocated average rate.
-      st->budget_bytes -= static_cast<double>(frame.size());
-      st->quantum_bytes += static_cast<double>(frame.size());
-      user_bytes_[st->user_slot] += frame.size();
-      m_user_bytes_[st->user_slot]->add(frame.size());
-    } else {
-      std::lock_guard<std::mutex> lock(pacing_mutex_);
-      user_bytes_[st->user_slot] += frame.size();
-      m_user_bytes_[st->user_slot]->add(frame.size());
-    }
-    if (!send_frame(client, frame)) {  // client left
-      completed = false;
-      break;
-    }
-    ++messages_sent_;
-    m_messages_sent_->add(1);
-    if (solo_rate > 0.0) {
-      const double ms = std::min(
-          static_cast<double>(msg.wire_size()) * 8.0 / solo_rate,  // kb / kbps
-          1000.0);  // bound one frame's sleep so stop() stays prompt
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(static_cast<long>(ms * 1000.0)));
-    }
-    // Transmission "5": the user says stop as soon as it can decode.
-    if (client.readable(0)) {
-      const auto stop_frame = recv_frame(client, kMaxClientFrame);
-      if (!stop_frame) {
-        completed = false;
-        break;
-      }
-      if (p2p::wire::decode_stop_transmission(*stop_frame)) break;
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(pacing_mutex_);
-    sessions_.erase(salt);
-  }
-  if (completed) {
-    ++sessions_completed_;
-    m_sessions_completed_->add(1);
-  }
 }
 
 }  // namespace fairshare::net

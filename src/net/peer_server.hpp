@@ -7,38 +7,29 @@
 // work — they read frames out of their store and pace them to the
 // configured upload rate.
 //
-// Sessions run concurrently under one of two serving backends:
+// The serving core is event-driven: N net::EventLoop reactors
+// (Config::num_loops, SO_REUSEPORT-sharded listeners) own every session
+// fd; each session is a non-blocking state machine (hello -> response ->
+// request -> streaming -> done) driven by readiness callbacks, and the
+// Eq. (2) re-allocation runs as a periodic entry on loop 0's timer wheel.
+// Serving threads are O(loops), not O(sessions), so max_sessions can be
+// raised into the hundreds without a thread per connection.
 //
-//  * NetBackend::epoll (the default where available) — an event-driven
-//    core: N net::EventLoop reactors (Config::num_loops, SO_REUSEPORT-
-//    sharded listeners) own every session fd; each session is a
-//    non-blocking state machine (hello -> response -> request ->
-//    streaming -> done) driven by readiness callbacks, and the Eq. (2)
-//    re-allocation runs as a periodic entry on loop 0's timer wheel.
-//    Serving threads are O(loops), not O(sessions), so max_sessions can
-//    be raised into the hundreds without a thread per connection.
-//  * NetBackend::threads — the original blocking path: the accept loop
-//    hands each connection to a util::ThreadPool worker and a pacing
-//    thread re-divides rate_kbps every quantum.  Kept as the portable
-//    fallback and for A/B runs (FAIRSHARE_NET_BACKEND=threads).
-//
-// Both backends drive the same pluggable alloc::AllocationPolicy — by
-// default the paper's Equation (2) contribution-proportional rule, keyed
-// by authenticated user id and fed by the bytes each user was actually
-// served — through one shared pacing tick, so the live server reproduces
-// the allocation dynamics the simulator models under either backend.
+// The pacing tick drives a pluggable alloc::AllocationPolicy — by default
+// the paper's Equation (2) contribution-proportional rule, keyed by
+// authenticated user id and fed by the bytes each user was actually
+// served — so the live server reproduces the allocation dynamics the
+// simulator models.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,24 +40,13 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "p2p/store.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fairshare::net {
 
-/// Which serving core a PeerServer runs.
-enum class NetBackend {
-  threads,  ///< blocking IO, one ThreadPool worker per session
-  epoll,    ///< non-blocking reactor(s); threads are O(loops)
-};
-
-const char* to_string(NetBackend backend);
-
-/// The backend a server uses when Config::backend is unset: the
-/// FAIRSHARE_NET_BACKEND environment variable ("threads"/"epoll") wins,
-/// then the compile-time FAIRSHARE_NET_BACKEND_THREADS pin (cmake
-/// -DFAIRSHARE_NET_BACKEND=threads), then epoll wherever it is
-/// available, else threads.
-NetBackend default_net_backend();
+/// The serving core.  There is only the epoll reactor; the enum and
+/// Config::backend stay because the end-to-end benchmark (perfbench/)
+/// still sets the field.
+enum class NetBackend { epoll };
 
 class PeerServer {
  public:
@@ -76,26 +56,20 @@ class PeerServer {
     bool require_auth = true;
     std::uint64_t peer_id = 0;
     std::uint64_t rng_seed = 1;  ///< nonce/session-key stream seed
-    /// Serving core; unset = default_net_backend().  A request for epoll
-    /// where the platform has none falls back to threads.
-    std::optional<NetBackend> backend;
-    /// Event loops (and SO_REUSEPORT listener shards) for the epoll
-    /// backend; ignored by the threads backend.
+    NetBackend backend = NetBackend::epoll;  ///< ignored: one core
+    /// Event loops (and SO_REUSEPORT listener shards).
     std::size_t num_loops = 1;
-    /// Concurrent sessions; extras are dropped at accept.  The epoll
-    /// backend serves this many from O(num_loops) threads; the threads
-    /// backend clamps its effective bound to kThreadsSessionCap so the
-    /// pool stays sane.
+    /// Concurrent sessions, served from O(num_loops) threads; extras are
+    /// dropped at accept.
     std::size_t max_sessions = 1024;
     std::size_t max_users = 64;     ///< distinct users the ledger can track
     int pacing_quantum_ms = 20;     ///< scheduler re-allocation period
-    int recv_timeout_ms = 100;      ///< session recv poll (shutdown latency)
     int handshake_timeout_ms = 5000;  ///< auth + request must finish by then
     /// Accept-path hook: every accepted connection's Transport is passed
     /// through this before the session runs, so chaos tests can inject
     /// server-side faults (e.g. a FaultInjector::wrap closure) without the
     /// server knowing.  Null = serve the raw socket.  Must be thread-safe:
-    /// called from the accept loop while sessions run concurrently.
+    /// every event loop accepts, and calls it, concurrently.
     std::function<std::unique_ptr<Transport>(std::unique_ptr<Transport>)>
         transport_wrapper;
     /// Registry this server reports into (sessions, per-user bytes, pacing
@@ -152,19 +126,16 @@ class PeerServer {
   /// cumulative term) — e.g. replaying contributions recorded elsewhere.
   void seed_contribution(std::uint64_t user_id, double amount);
 
-  /// Bind and spawn the accept loop + pacing scheduler.  False if the port
-  /// cannot be bound.
+  /// Bind the listener shards and start the event loops (the pacing
+  /// scheduler rides loop 0).  False if the port cannot be bound or the
+  /// loops cannot come up — always, on a platform without epoll.
   bool start();
-  /// Stop accepting, wake paced sessions, join every in-flight session.
+  /// Stop accepting, close every session, join the loops.
   void stop();
 
   std::uint16_t port() const { return port_; }
-  /// The backend actually serving (resolved at start(); before start(),
-  /// what would resolve now).
-  NetBackend backend() const;
-  /// Threads dedicated to serving: accept + pacing + pool workers under
-  /// the threads backend, num_loops under epoll — the scaling claim
-  /// "threads are O(loops), not O(sessions)" made measurable.
+  /// Threads dedicated to serving: num_loops while running — the scaling
+  /// claim "threads are O(loops), not O(sessions)" made measurable.
   std::size_t serving_threads() const { return serving_threads_; }
   std::size_t sessions_completed() const { return sessions_completed_; }
   std::size_t auth_rejections() const { return auth_rejections_; }
@@ -196,38 +167,25 @@ class PeerServer {
     bool streaming = false;      ///< counts as "requesting" in Eq. (2)
   };
 
-  /// The epoll backend's world (loops, listeners, reactor sessions);
-  /// defined in peer_server_epoll.cpp.  Nested so it reaches the pacing
-  /// state and instruments directly.
+  /// The reactor's world (loops, listeners, sessions); defined in
+  /// peer_server_epoll.cpp.  Nested so it reaches the pacing state and
+  /// instruments directly.
   struct ReactorState;
 
-  /// Threads-backend session bound: a pool this size plus one is spawned
-  /// whole at start(), so the configured 1024-session default must not
-  /// translate into a thousand idle threads.
-  static constexpr std::size_t kThreadsSessionCap = 256;
   /// Largest frame accepted from a client (handshake frames and requests
   /// are small; coded messages flow the other way).
   static constexpr std::size_t kMaxClientFrame = 1 << 16;
 
-  void accept_loop();
-  void pacing_loop();
   /// One Eq. (2) re-allocation: feedback -> allocate -> refill budgets.
-  /// Requires pacing_mutex_; shared verbatim by the pacing thread and the
-  /// reactor's timer-wheel entry.
+  /// Requires pacing_mutex_; run by loop 0's timer wheel.
   void pacing_tick_locked();
-  void handle_session(Transport& client, std::uint64_t salt);
-  /// recv_frame that retries clean timeouts until `deadline` or shutdown.
-  std::optional<std::vector<std::byte>> recv_frame_by(
-      Transport& client, std::chrono::steady_clock::time_point deadline);
   /// Slot index for a user id, assigning one if unseen; nullopt when all
   /// Config::max_users slots are taken.  Requires pacing_mutex_.
   std::optional<std::size_t> user_slot_locked(std::uint64_t user_id);
-  /// max_sessions as the running backend enforces it.
-  std::size_t effective_max_sessions() const;
   /// Deterministic per-session nonce/key stream.
   static crypto::ChaCha20 seeded_rng(std::uint64_t seed, std::uint64_t salt);
-  // Epoll backend bring-up/teardown (peer_server_epoll.cpp; the non-Linux
-  // build stubs them out and start() falls back to threads).
+  // Reactor bring-up/teardown (peer_server_epoll.cpp; the non-Linux build
+  // stubs them out, so start() fails there).
   bool reactor_start();
   void reactor_stop();
 
@@ -235,13 +193,7 @@ class PeerServer {
   p2p::MessageStore store_;
   std::optional<crypto::RsaKeyPair> identity_;
   std::map<std::uint64_t, crypto::RsaPublicKey> users_;
-  Listener listener_;
   std::uint16_t port_ = 0;
-  NetBackend backend_ = NetBackend::threads;  // resolved at start()
-  bool started_ = false;
-  std::thread accept_thread_;
-  std::thread pacing_thread_;
-  std::unique_ptr<util::ThreadPool> pool_;
   // shared_ptr (not unique_ptr) so the deleter is captured where the type
   // is complete (peer_server_epoll.cpp) and every other TU can destroy it.
   std::shared_ptr<ReactorState> reactor_;
@@ -252,7 +204,6 @@ class PeerServer {
   // Pacing state: one mutex guards the session registry, every
   // SessionState, and the per-user tables below.
   mutable std::mutex pacing_mutex_;
-  std::condition_variable pacing_cv_;
   std::unordered_map<std::uint64_t, std::shared_ptr<SessionState>> sessions_;
   std::map<std::uint64_t, std::size_t> user_slots_;
   std::vector<std::uint64_t> slot_users_;
@@ -292,7 +243,7 @@ class PeerServer {
   obs::Histogram* m_quantum_ns_;
   std::vector<obs::Counter*> m_user_bytes_;    // by slot; pacing_mutex_
   std::vector<obs::Gauge*> m_user_rate_;       // by slot; pacing_mutex_
-  std::uint64_t dump_generation_seen_ = 0;     // accept loop only
+  std::uint64_t dump_generation_seen_ = 0;     // loop 0 only
 };
 
 }  // namespace fairshare::net

@@ -1,4 +1,4 @@
-// PeerServer's epoll serving core (NetBackend::epoll).
+// PeerServer's epoll serving core.
 //
 // N net::EventLoop reactors own every session fd; each accepted
 // connection becomes a Session state machine (hello -> response ->
@@ -13,9 +13,9 @@
 //    21 framing bytes into an arena-recycled head buffer, the payload
 //    referenced in the immutable MessageStore and gathered onto the wire
 //    by sendmsg — so serving never copies a payload;
-//  * the Eq. (2) pacing tick is a periodic timer on loop 0 — the same
-//    pacing_tick_locked() the threads backend runs — which then posts a
-//    pump to every loop so sessions spend their fresh budgets;
+//  * the Eq. (2) pacing tick is a periodic timer on loop 0 running
+//    pacing_tick_locked(), which then posts a pump to every loop so
+//    sessions spend their fresh budgets;
 //  * fault-injected delays (FaultyTransport) surface as retry_after()
 //    deadlines: the fd leaves the interest set and a timer-wheel entry
 //    owns the wakeup, so a delayed frame never busy-spins the loop;
@@ -23,8 +23,8 @@
 //    client's advertised cap) are plain timer-wheel entries too.
 //
 // Everything mutable on a session is loop-thread-only except the shared
-// pacing state (SessionState, the per-user tables), which stays under
-// pacing_mutex_ exactly as in the threads backend.
+// pacing state (SessionState, the per-user tables), which lives under
+// pacing_mutex_ because the pacing tick on loop 0 reads and refills it.
 #include "net/peer_server.hpp"
 
 #ifdef __linux__
@@ -37,6 +37,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -148,7 +149,7 @@ struct PeerServer::ReactorState {
 
 void PeerServer::ReactorState::accept_ready(PerLoop& pl) {
   for (;;) {
-    auto client = pl.listener.accept(/*timeout_ms=*/0);
+    auto client = pl.listener.accept();
     if (!client) return;
     if (!srv->running_) return;
     if (srv->active_sessions_.load() >= srv->config_.max_sessions) {
@@ -325,8 +326,8 @@ bool PeerServer::ReactorState::handle_frame(
         return false;
       }
       // Untrusted wire input: a denormal/negative/non-finite cap must not
-      // poison the pacing arithmetic (same sanitising as the threads
-      // backend).  Sub-1-kbps caps mean "no cap".
+      // poison the pacing arithmetic or park the session in a near-endless
+      // solo wait.  Sub-1-kbps caps mean "no cap".
       double client_cap = request->max_rate_kbps;
       if (!std::isfinite(client_cap) || client_cap < 1.0) client_cap = 0.0;
       const std::uint64_t user_id =
@@ -363,7 +364,7 @@ bool PeerServer::ReactorState::handle_frame(
     }
     case Session::Phase::streaming: {
       // Transmission "5": the user says stop as soon as it can decode.
-      // Anything else inbound is ignored, as on the blocking path.
+      // Anything else inbound is ignored.
       if (p2p::wire::decode_stop_transmission(frame)) {
         finish(s, true);
         return false;
@@ -393,7 +394,8 @@ bool PeerServer::ReactorState::pump_stream(
     if (s->paced) {
       std::lock_guard<std::mutex> lock(srv->pacing_mutex_);
       // Debt model: any positive budget admits one frame; the overdraft
-      // is repaid out of future grants (identical to the threads path).
+      // is repaid out of future grants, so frames larger than one
+      // quantum's grant still flow at the allocated average rate.
       if (s->st->budget_bytes <= 0.0) break;  // next pacing tick resumes us
     }
     const coding::EncodedMessage& msg =
@@ -594,7 +596,6 @@ bool PeerServer::reactor_start() {
           std::lock_guard<std::mutex> lock(pacing_mutex_);
           pacing_tick_locked();
         }
-        pacing_cv_.notify_all();  // nobody waits here, but stay symmetric
         for (auto& plp : r->loops) {
           auto* pl = plp.get();
           pl->loop->post([r, pl] { r->pump_streaming(*pl); });
@@ -650,7 +651,7 @@ void PeerServer::reactor_stop() {
 
 namespace fairshare::net {
 
-// No epoll on this platform: start() falls back to the threads backend.
+// No epoll on this platform: start() fails.
 bool PeerServer::reactor_start() { return false; }
 void PeerServer::reactor_stop() { reactor_.reset(); }
 

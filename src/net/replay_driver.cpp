@@ -10,6 +10,7 @@
 
 #include "coding/encoder.hpp"
 #include "net/download_client.hpp"
+#include "net/peer_server.hpp"
 #include "p2p/wire.hpp"
 #include "sim/rng.hpp"
 
@@ -60,7 +61,6 @@ sim::ReplayReport replay_live(const sim::WorkloadTrace& input,
   server_config.require_auth = false;
   server_config.peer_id = 1;
   server_config.rng_seed = config.rng_seed;
-  server_config.backend = config.backend;
   server_config.max_users = std::max<std::size_t>(ids.size() + 1, 8);
   server_config.pacing_quantum_ms = config.pacing_quantum_ms;
   server_config.registry = config.registry;

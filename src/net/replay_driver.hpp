@@ -16,12 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
+#include "coding/message.hpp"
 #include "coding/params.hpp"
-#include "net/peer_server.hpp"
+#include "obs/metrics.hpp"
 #include "sim/replay.hpp"
 
 namespace fairshare::net {
@@ -40,8 +40,6 @@ struct LiveReplayConfig {
   double rate_kbps = 4000.0;
   /// Wall seconds one trace slot stands for.
   double slot_seconds = 0.05;
-  /// Serving backend; unset = default_net_backend().
-  std::optional<NetBackend> backend;
   /// Server re-allocation period.  Replay transfers are short, and a fresh
   /// session waits up to one quantum for its first budget grant — at the
   /// stock 20 ms that wait alone skews single-file events, so replay runs

@@ -306,9 +306,7 @@ std::optional<Listener> Listener::bind_local(std::uint16_t port,
   return listener;
 }
 
-std::optional<Socket> Listener::accept(int timeout_ms) {
-  pollfd pfd{fd_, POLLIN, 0};
-  if (::poll(&pfd, 1, timeout_ms) <= 0) return std::nullopt;
+std::optional<Socket> Listener::accept() {
   const int fd = ::accept(fd_, nullptr, nullptr);
   if (fd < 0) return std::nullopt;
   const int one = 1;

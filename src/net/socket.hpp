@@ -123,10 +123,10 @@ class Listener {
   /// Toggle O_NONBLOCK (a reactor accepts until EAGAIN).
   bool set_nonblocking(bool on);
 
-  /// Accept one connection; nullopt on timeout (timeout_ms) or error.
-  /// With timeout_ms == 0 on a non-blocking listener this is the
-  /// reactor's drain call: it never sleeps.
-  std::optional<Socket> accept(int timeout_ms);
+  /// Accept one connection; nullopt on error.  A blocking listener waits
+  /// for a client; a non-blocking one returns nullopt once nothing is
+  /// pending (EAGAIN), which is how a reactor drains it.
+  std::optional<Socket> accept();
 
   void close();
 

@@ -146,6 +146,20 @@ bool get_digest(Reader& r, crypto::Sha256Digest& d) {
   return r.get_bytes(d);
 }
 
+/// Whether an encoder could have written this geometry.  Both encoders set
+/// k = coding::chunks_for_bytes(original_bytes, params), with m >= 1 and m
+/// even on GF(2^4) (two symbols to a byte).  Below 2^56 bytes and 2^56
+/// symbols — far past any file or message an encoder can hold in memory —
+/// its size_t arithmetic (8 * bytes + m * bits) cannot wrap.
+bool encoder_geometry(const coding::FileInfo& info) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 56;
+  const std::uint64_t m = info.params.m;
+  if (info.k == 0 || m == 0 || m >= kLimit || info.original_bytes >= kLimit)
+    return false;
+  if (info.params.field == gf::FieldId::gf2_4 && m % 2 != 0) return false;
+  return info.k == coding::chunks_for_bytes(info.original_bytes, info.params);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- encode
@@ -352,6 +366,7 @@ std::optional<coding::FileInfo> decode_file_info(
   if (!gf::field_from_bits(bits, info.params.field)) return std::nullopt;
   info.params.m = r.get_u64();
   info.k = r.get_u64();
+  if (!r.ok() || !encoder_geometry(info)) return std::nullopt;
   if (!r.get_bytes(info.content_digest)) return std::nullopt;
   const std::uint32_t digests = r.get_u32();
   // Each entry is 8 + 16 bytes; bound before reserving.

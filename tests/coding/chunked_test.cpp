@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "coding/chunked.hpp"
@@ -204,11 +206,15 @@ TEST(Chunked, MatchesDenseDecoderBitExactly) {
 
 struct GeometryCase {
   gf::FieldId field;
+  // Zero, not padding: the byte dump gtest prints for this parameter is
+  // the test's name, which must not pick up stack garbage.
+  std::array<std::uint8_t, 7> zero_pad{};
   std::size_t m;
   std::size_t data_bytes;
   std::uint32_t class_size;
   std::uint32_t overlap;
 };
+static_assert(std::has_unique_object_representations_v<GeometryCase>);
 
 class ChunkedGeometryTest : public ::testing::TestWithParam<GeometryCase> {};
 
@@ -243,17 +249,23 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, ChunkedGeometryTest,
     ::testing::Values(
         // k = 100 with a short (width-4+) last class.
-        GeometryCase{gf::FieldId::gf2_8, 64, 6400, 16, 4},
+        GeometryCase{.field = gf::FieldId::gf2_8, .m = 64, .data_bytes = 6400,
+                     .class_size = 16, .overlap = 4},
         // k = 50 not divisible by the stride, padded final chunk.
-        GeometryCase{gf::FieldId::gf2_32, 64, 12700, 16, 4},
+        GeometryCase{.field = gf::FieldId::gf2_32, .m = 64, .data_bytes = 12700,
+                     .class_size = 16, .overlap = 4},
         // Disjoint classes: no donations, quotas alone must suffice.
-        GeometryCase{gf::FieldId::gf2_16, 64, 12800, 20, 0},
+        GeometryCase{.field = gf::FieldId::gf2_16, .m = 64, .data_bytes = 12800,
+                     .class_size = 20, .overlap = 0},
         // Overlap wider than the stride: chunks shared by 4 classes.
-        GeometryCase{gf::FieldId::gf2_8, 32, 1900, 16, 12},
+        GeometryCase{.field = gf::FieldId::gf2_8, .m = 32, .data_bytes = 1900,
+                     .class_size = 16, .overlap = 12},
         // Single class: degenerates to the dense decoder's behaviour.
-        GeometryCase{gf::FieldId::gf2_8, 64, 640, 16, 4},
+        GeometryCase{.field = gf::FieldId::gf2_8, .m = 64, .data_bytes = 640,
+                     .class_size = 16, .overlap = 4},
         // Nibble-packed field, tiny classes.
-        GeometryCase{gf::FieldId::gf2_4, 128, 4000, 8, 2}));
+        GeometryCase{.field = gf::FieldId::gf2_4, .m = 128, .data_bytes = 4000,
+                     .class_size = 8, .overlap = 2}));
 
 // ------------------------------------------------------------ recoding
 

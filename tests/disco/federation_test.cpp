@@ -4,8 +4,7 @@
 // the Eq. (2) payoff — contribution earned at server A buys allocation
 // share at server B through the gossiped ledger.
 //
-// Runs under whichever serving backend FAIRSHARE_NET_BACKEND selects; the
-// CI federation matrix job executes it under both epoll and threads.
+// Every server and discovery node serves from its epoll event loop.
 #include <gtest/gtest.h>
 
 #include <atomic>

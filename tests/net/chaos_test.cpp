@@ -10,11 +10,9 @@
 // variance (success/failure and the counter partition must hold for every
 // seed).
 //
-// The servers run whatever backend is the build/env default — the epoll
-// reactor where available — so the chaos seeds also exercise the
-// non-blocking FaultyTransport discipline, where injected delays become
-// timer-wheel releases instead of sleeps; FAIRSHARE_NET_BACKEND=threads
-// re-runs the identical seeds against the blocking path.
+// Client-side plans run FaultyTransport's blocking discipline (delays
+// are sleeps); the server-side hook runs on the epoll reactor, where the
+// non-blocking discipline turns delays into timer-wheel releases.
 #include <gtest/gtest.h>
 
 #include <array>

@@ -3,11 +3,9 @@
 // uplink between them by Equation (2) — per-user rates proportional to the
 // contribution ledgers, measured over real TCP.
 //
-// The server runs the build/env default backend (the epoll reactor where
-// available), so these are also the reactor's handshake/pacing/stop
-// integration tests; FAIRSHARE_NET_BACKEND=threads covers the blocking
-// twin, and tests/net/session_soak_test.cpp pushes the same assertions
-// to 512-way concurrency.
+// These are also the reactor's handshake/pacing/stop integration tests;
+// tests/net/session_soak_test.cpp pushes the same assertions to 512-way
+// concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -3,7 +3,6 @@
 // and RetryPolicy's backoff arithmetic (injected inputs, no sleeping).
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -13,72 +12,11 @@
 #include "net/retry.hpp"
 #include "net/transport.hpp"
 #include "p2p/wire.hpp"
+#include "pipe_transport.hpp"
 #include "sim/rng.hpp"
 
 namespace fairshare::net {
 namespace {
-
-// ------------------------------------------------------- in-memory pipe
-// Single-threaded Transport: bytes written by one end are immediately
-// readable by the other.  Reading past the buffered bytes reports a clean
-// timeout (like a socket with SO_RCVTIMEO and a quiet peer), or EOF after
-// close — enough to drive every FaultyTransport path deterministically.
-struct PipeState {
-  std::deque<std::byte> to_a, to_b;
-  bool closed = false;
-};
-
-class PipeEnd final : public Transport {
- public:
-  PipeEnd(std::shared_ptr<PipeState> state, bool is_a)
-      : state_(std::move(state)), is_a_(is_a) {}
-
-  bool write_all(std::span<const std::byte> data) override {
-    if (state_->closed) return false;
-    auto& out = is_a_ ? state_->to_b : state_->to_a;
-    out.insert(out.end(), data.begin(), data.end());
-    return true;
-  }
-
-  bool read_exact(std::span<std::byte> out) override {
-    timed_out_ = false;
-    auto& in = is_a_ ? state_->to_a : state_->to_b;
-    if (in.size() < out.size()) {
-      // Nothing buffered and the pipe lives: a clean timeout.  Anything
-      // else (EOF, partial frame) is a hard error, like Socket.
-      timed_out_ = !state_->closed && in.empty();
-      return false;
-    }
-    for (auto& b : out) {
-      b = in.front();
-      in.pop_front();
-    }
-    return true;
-  }
-
-  bool set_recv_timeout(int) override { return true; }
-  bool set_send_timeout(int) override { return true; }
-  bool timed_out() const override { return timed_out_; }
-  void clear_timed_out() override { timed_out_ = false; }
-  bool readable(int) override {
-    return !(is_a_ ? state_->to_a : state_->to_b).empty();
-  }
-  void close() override { state_->closed = true; }
-  bool valid() const override { return !state_->closed; }
-
- private:
-  std::shared_ptr<PipeState> state_;
-  bool is_a_;
-  bool timed_out_ = false;
-};
-
-struct Pipe {
-  std::shared_ptr<PipeState> state = std::make_shared<PipeState>();
-  PipeEnd a{state, true};
-  std::unique_ptr<Transport> b_owned() {
-    return std::make_unique<PipeEnd>(state, false);
-  }
-};
 
 std::vector<std::byte> frame_of(std::uint8_t tag, std::size_t len = 8) {
   return std::vector<std::byte>(len, std::byte{tag});

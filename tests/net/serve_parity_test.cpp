@@ -1,10 +1,11 @@
-// Reactor-vs-threads serve parity: the byte stream a client receives from
-// the epoll backend's zero-copy scatter-gather path (try_write_frame_ext,
-// arena heads, payload referenced in the MessageStore) must be identical
-// to the copying path of the threads backend — frame for frame, byte for
-// byte.  Also under a seeded server-side FaultyTransport: the fault
-// schedule is a pure function of the seed and the frame sequence, so even
-// the corrupted/duplicated/dropped streams must agree across backends.
+// Serve parity: the byte stream a client receives from the reactor's
+// zero-copy scatter-gather path (try_write_frame_ext, arena heads,
+// payload referenced in the MessageStore) must be exactly the copying
+// encoder's output, frame for frame.  Also under a seeded server-side
+// FaultyTransport: the fault schedule is a pure function of the seed and
+// the frame sequence, so even the corrupted/duplicated/dropped stream
+// must equal a reference that writes the same frames through the
+// transport's blocking path over an in-memory pipe.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,12 +19,15 @@
 #include "net/socket.hpp"
 #include "p2p/store.hpp"
 #include "p2p/wire.hpp"
+#include "pipe_transport.hpp"
 #include "sim/rng.hpp"
 
 namespace fairshare::net {
 namespace {
 
 constexpr std::uint64_t kFileId = 42;
+
+using Frames = std::vector<std::vector<std::byte>>;
 
 std::vector<std::byte> blob(std::size_t n, std::uint64_t seed) {
   sim::SplitMix64 rng(seed);
@@ -32,8 +36,8 @@ std::vector<std::byte> blob(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-/// One screened message pool both servers serve verbatim, so any byte
-/// difference between backends is the serve path's fault.
+/// One screened message pool the server serves verbatim, so any byte
+/// difference from the reference is the serve path's fault.
 std::vector<coding::EncodedMessage> make_pool() {
   coding::SecretKey secret{};
   secret[0] = 21;
@@ -49,33 +53,21 @@ p2p::MessageStore store_of(const std::vector<coding::EncodedMessage>& pool) {
   return store;
 }
 
-/// Request the file and drain the whole stream until the server closes,
-/// returning the raw frames in arrival order.
-std::vector<std::vector<std::byte>> drain_stream(std::uint16_t port) {
-  auto client = Socket::connect_to("127.0.0.1", port);
-  EXPECT_TRUE(client.has_value());
-  if (!client) return {};
+std::vector<std::byte> request_frame() {
   p2p::wire::FileRequest request;
   request.user_id = 7;
   request.file_id = kFileId;
   request.max_rate_kbps = 0.0;
-  EXPECT_TRUE(send_frame(*client, p2p::wire::encode(request)));
-  client->set_recv_timeout(2000);
-  std::vector<std::vector<std::byte>> frames;
-  for (;;) {
-    auto frame = recv_frame(*client, 1u << 20);
-    if (!frame) break;
-    frames.push_back(std::move(*frame));
-  }
-  return frames;
+  return p2p::wire::encode(request);
 }
 
-std::vector<std::vector<std::byte>> serve_once(
-    NetBackend backend, const std::vector<coding::EncodedMessage>& pool,
-    const std::optional<FaultPlan>& plan, FaultStats* stats_out = nullptr) {
+/// Request the file from a live server and drain the whole stream until
+/// the server closes, returning the raw frames in arrival order.
+Frames serve_once(const std::vector<coding::EncodedMessage>& pool,
+                  const std::optional<FaultPlan>& plan,
+                  FaultStats* stats_out = nullptr) {
   PeerServer::Config config;
   config.require_auth = false;
-  config.backend = backend;
   std::shared_ptr<FaultInjector> injector;
   if (plan) {
     injector = std::make_shared<FaultInjector>(*plan);
@@ -85,33 +77,58 @@ std::vector<std::vector<std::byte>> serve_once(
   }
   PeerServer server(config, store_of(pool));
   EXPECT_TRUE(server.start());
-  EXPECT_EQ(server.backend(), backend);
-  auto frames = drain_stream(server.port());
+  Frames frames;
+  if (auto client = Socket::connect_to("127.0.0.1", server.port())) {
+    EXPECT_TRUE(send_frame(*client, request_frame()));
+    client->set_recv_timeout(2000);
+    while (auto frame = recv_frame(*client, 1u << 20))
+      frames.push_back(std::move(*frame));
+  } else {
+    ADD_FAILURE() << "connect failed";
+  }
   server.stop();
   if (stats_out && injector) *stats_out = injector->stats();
   return frames;
 }
 
-TEST(ServeParity, ReactorMatchesThreadsByteForByte) {
-  const auto pool = make_pool();
-  const auto reactor = serve_once(NetBackend::epoll, pool, std::nullopt);
-  const auto threads = serve_once(NetBackend::threads, pool, std::nullopt);
-
-  // Clean wire: both backends deliver the verbatim store, and the zero-
-  // copy frames are byte-identical to the copying encoder's output.
-  ASSERT_EQ(reactor.size(), pool.size());
-  ASSERT_EQ(threads.size(), pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    EXPECT_EQ(reactor[i], p2p::wire::encode(pool[i])) << "frame " << i;
-    EXPECT_EQ(reactor[i], threads[i]) << "frame " << i;
-  }
+/// The same session without a server: read the request through the
+/// plan's FaultyTransport, write every encoded message through its
+/// blocking path, and collect what reaches the far end of the pipe.
+Frames blocking_reference(const std::vector<coding::EncodedMessage>& pool,
+                          const FaultPlan& plan, FaultStats* stats_out) {
+  Pipe pipe;
+  FaultyTransport server_side(pipe.b_owned(), plan);
+  EXPECT_TRUE(send_frame(pipe.a, request_frame()));
+  const auto frame = recv_frame(server_side, 1u << 16);
+  const auto request =
+      frame ? p2p::wire::decode_file_request(*frame) : std::nullopt;
+  if (request && request->file_id == kFileId)
+    for (const auto& msg : pool)
+      if (!send_frame(server_side, p2p::wire::encode(msg))) break;
+  server_side.close();
+  *stats_out = server_side.stats();
+  Frames frames;
+  while (auto out = recv_frame(pipe.a, 1u << 20))
+    frames.push_back(std::move(*out));
+  return frames;
 }
 
-TEST(ServeParity, FaultedStreamsAgreeAcrossBackends) {
-  // Same plan seed on both backends => same per-frame fault draws (the
-  // request is frame 1; the stream follows in order) => the received
-  // streams must match even though frames are mangled, duplicated, and
-  // dropped in transit.  This pins the FaultyTransport materialisation of
+TEST(ServeParity, CleanStreamIsTheEncodedStore) {
+  const auto pool = make_pool();
+  const Frames frames = serve_once(pool, std::nullopt);
+
+  // Clean wire: the verbatim store arrives in order, and the zero-copy
+  // frames are byte-identical to the copying encoder's output.
+  ASSERT_EQ(frames.size(), pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    EXPECT_EQ(frames[i], p2p::wire::encode(pool[i])) << "frame " << i;
+}
+
+TEST(ServeParity, FaultedStreamsMatchBlockingReference) {
+  // Same plan seed => same per-frame fault draws (the request is frame 1;
+  // the stream follows in order) => the received stream must match the
+  // reference even though frames are mangled, duplicated, and dropped in
+  // transit.  This pins the FaultyTransport materialisation of
   // try_write_frame_ext to one budget charge and one draw per frame.
   const auto pool = make_pool();
   FaultStats total;
@@ -124,19 +141,22 @@ TEST(ServeParity, FaultedStreamsAgreeAcrossBackends) {
     plan.drop_rate = 0.10;
     plan.delay_rate = 0.10;
     plan.delay_ms = 1;
-    FaultStats rs, ts;
-    const auto reactor = serve_once(NetBackend::epoll, pool, plan, &rs);
-    const auto threads = serve_once(NetBackend::threads, pool, plan, &ts);
-    ASSERT_EQ(reactor.size(), threads.size()) << "seed " << seed;
+    FaultStats served, expected;
+    const Frames reactor = serve_once(pool, plan, &served);
+    const Frames reference = blocking_reference(pool, plan, &expected);
+    ASSERT_EQ(reactor.size(), reference.size()) << "seed " << seed;
     for (std::size_t i = 0; i < reactor.size(); ++i)
-      ASSERT_EQ(reactor[i], threads[i]) << "seed " << seed << " frame " << i;
+      ASSERT_EQ(reactor[i], reference[i])
+          << "seed " << seed << " frame " << i;
     // Identical schedules on identical traffic: the stats must agree too.
-    EXPECT_EQ(rs.frames_dropped, ts.frames_dropped) << "seed " << seed;
-    EXPECT_EQ(rs.frames_corrupted, ts.frames_corrupted) << "seed " << seed;
-    EXPECT_EQ(rs.frames_duplicated, ts.frames_duplicated) << "seed " << seed;
-    total.frames_dropped += rs.frames_dropped;
-    total.frames_corrupted += rs.frames_corrupted;
-    total.frames_duplicated += rs.frames_duplicated;
+    EXPECT_EQ(served.frames_dropped, expected.frames_dropped) << seed;
+    EXPECT_EQ(served.frames_corrupted, expected.frames_corrupted) << seed;
+    EXPECT_EQ(served.frames_duplicated, expected.frames_duplicated) << seed;
+    EXPECT_EQ(served.frames_delayed, expected.frames_delayed) << seed;
+    EXPECT_EQ(served.connections_reset, expected.connections_reset) << seed;
+    total.frames_dropped += served.frames_dropped;
+    total.frames_corrupted += served.frames_corrupted;
+    total.frames_duplicated += served.frames_duplicated;
     frames_seen += reactor.size();
   }
   // The sweep must actually exercise the faulted scatter-gather path.

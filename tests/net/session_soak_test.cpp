@@ -1,7 +1,7 @@
-// Soak: 512 concurrent paced sessions against ONE PeerServer on the epoll
-// backend.  The point of the reactor refactor made measurable: the server
-// carries hundreds of sessions on O(num_loops) threads, and Equation (2)
-// still splits the uplink by contribution ledger at that scale.
+// Soak: 512 concurrent paced sessions against ONE PeerServer.  The point
+// of the reactor made measurable: the server carries hundreds of sessions
+// on O(num_loops) threads, and Equation (2) still splits the uplink by
+// contribution ledger at that scale.
 //
 // Auth is off (each handshake costs an RSA sign/verify; 512 of them would
 // dominate the test without exercising anything the auth tests don't),
@@ -81,8 +81,6 @@ TEST(SessionSoak, FiveHundredSessionsPacedByEq2OnLoopThreads) {
   server.seed_contribution(1, 3e6);
   server.seed_contribution(2, 1e6);
   ASSERT_TRUE(server.start());
-  if (server.backend() != NetBackend::epoll)
-    GTEST_SKIP() << "epoll backend unavailable; soak targets the reactor";
 
   // The headline claim: serving threads scale with loops, not sessions.
   EXPECT_EQ(server.serving_threads(), config.num_loops);
@@ -167,7 +165,7 @@ TEST(SessionSoak, FiveHundredSessionsPacedByEq2OnLoopThreads) {
 #else
 
 TEST(SessionSoak, SkippedWithoutEpoll) {
-  GTEST_SKIP() << "soak test targets the Linux epoll backend";
+  GTEST_SKIP() << "PeerServer needs Linux epoll";
 }
 
 #endif  // __linux__

@@ -1,6 +1,8 @@
 // TCP framing layer over loopback.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <optional>
 #include <thread>
 
 #include "net/socket.hpp"
@@ -26,7 +28,7 @@ TEST(Socket, FrameRoundTripOverLoopback) {
     payload[i] = std::byte{static_cast<std::uint8_t>(i * 31)};
 
   std::thread server([&] {
-    auto conn = listener->accept(2000);
+    auto conn = listener->accept();
     ASSERT_TRUE(conn.has_value());
     const auto got = recv_frame(*conn, payload.size());
     ASSERT_TRUE(got.has_value());
@@ -57,7 +59,7 @@ TEST(Socket, ScatterGatherFrameMatchesCopyingFrame) {
   ASSERT_TRUE(listener.has_value());
   auto client = Socket::connect_to("127.0.0.1", listener->port());
   ASSERT_TRUE(client.has_value());
-  auto conn = listener->accept(2000);
+  auto conn = listener->accept();
   ASSERT_TRUE(conn.has_value());
   conn->set_nonblocking(true);
 
@@ -102,7 +104,7 @@ TEST(Socket, OversizedFrameRejected) {
   auto listener = Listener::bind_local(0);
   ASSERT_TRUE(listener.has_value());
   std::thread server([&] {
-    auto conn = listener->accept(2000);
+    auto conn = listener->accept();
     ASSERT_TRUE(conn.has_value());
     const std::vector<std::byte> big(1000, std::byte{1});
     (void)send_frame(*conn, big);
@@ -117,7 +119,7 @@ TEST(Socket, RecvOnClosedConnectionFails) {
   auto listener = Listener::bind_local(0);
   ASSERT_TRUE(listener.has_value());
   std::thread server([&] {
-    auto conn = listener->accept(2000);
+    auto conn = listener->accept();
     // close immediately
   });
   auto client = Socket::connect_to("127.0.0.1", listener->port());
@@ -126,10 +128,22 @@ TEST(Socket, RecvOnClosedConnectionFails) {
   EXPECT_FALSE(recv_frame(*client, 1024).has_value());
 }
 
-TEST(Listener, AcceptTimesOutWithoutClient) {
+TEST(Listener, NonBlockingAcceptWithoutClientReturnsAtOnce) {
+  // The reactor's drain contract: accept until EAGAIN, never sleep.
   auto listener = Listener::bind_local(0);
   ASSERT_TRUE(listener.has_value());
-  EXPECT_FALSE(listener->accept(/*timeout_ms=*/20).has_value());
+  ASSERT_TRUE(listener->set_nonblocking(true));
+  EXPECT_FALSE(listener->accept().has_value());
+  // A pending client is accepted, then the queue is empty again.
+  auto client = Socket::connect_to("127.0.0.1", listener->port());
+  ASSERT_TRUE(client.has_value());
+  std::optional<Socket> conn;
+  for (int i = 0; i < 1000 && !conn; ++i) {
+    conn = listener->accept();
+    if (!conn) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(conn.has_value());
+  EXPECT_FALSE(listener->accept().has_value());
 }
 
 }  // namespace

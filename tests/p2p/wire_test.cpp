@@ -233,6 +233,52 @@ TEST(Wire, UnknownCodecAndInvalidScheduleRejected) {
   EXPECT_FALSE(decode_file_info(encode(degenerate)).has_value());
 }
 
+TEST(Wire, FileInfoGeometryNoEncoderWritesIsRejected) {
+  // Every encoder sets k = chunks_for_bytes(original_bytes, params); a
+  // frame that breaks that must not reach a decoder constructor, which
+  // would size its state by the hostile k or m.
+  const auto decodes = [](const coding::FileInfo& info) {
+    return decode_file_info(encode(info)).has_value();
+  };
+  ASSERT_TRUE(decodes(sample_info()));  // 123456 B in 8 KiB chunks: k = 16
+
+  auto bad = sample_info();
+  bad.k = 0;
+  EXPECT_FALSE(decodes(bad)) << "k = 0";
+  bad = sample_info();
+  bad.params.m = 0;
+  EXPECT_FALSE(decodes(bad)) << "m = 0 (no division by zero)";
+  bad = sample_info();
+  bad.k = std::uint64_t{1} << 40;
+  EXPECT_FALSE(decodes(bad)) << "k = 2^40";
+  bad = sample_info();
+  bad.k = 8;
+  bad.params.m = std::uint64_t{1} << 61;
+  EXPECT_FALSE(decodes(bad)) << "k = 8, m = 2^61";
+  bad = sample_info();
+  bad.k = 17;
+  EXPECT_FALSE(decodes(bad)) << "k one past chunks_for_bytes";
+  bad = sample_info();
+  bad.original_bytes = 0;
+  EXPECT_FALSE(decodes(bad)) << "an empty file has no chunks";
+
+  // GF(2^4) packs two symbols per byte: m must be even.
+  auto nibbles = sample_info();
+  nibbles.params = {gf::FieldId::gf2_4, 100};  // 50-byte chunks
+  nibbles.original_bytes = 1000;
+  nibbles.k = 20;
+  EXPECT_TRUE(decodes(nibbles));
+  nibbles.params.m = 101;
+  EXPECT_FALSE(decodes(nibbles)) << "odd m on GF(2^4)";
+
+  // m * 32 bits wraps to 32 in 64-bit arithmetic; a k computed from the
+  // wrapped chunk size must not pass.
+  auto wide = sample_info();
+  wide.params = {gf::FieldId::gf2_32, (std::uint64_t{1} << 62) + 1};
+  wide.k = (wide.original_bytes + 3) / 4;
+  EXPECT_FALSE(decodes(wide)) << "k from a wrapped chunk size";
+}
+
 TEST(Wire, ChunkedFileInfoTruncationsRejectedOrDense) {
   // The full truncation sweep for a chunked frame, acknowledging the one
   // deliberate exception: cutting the whole trailer yields a valid dense

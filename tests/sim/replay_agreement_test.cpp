@@ -3,9 +3,6 @@
 // over TCP (net::replay_live) must tell the same story — per-user goodput
 // and Equation (2) shares within the ±15% tolerance of replay_agrees().
 //
-// Runs under both serving backends via the `replay` ctest label matrix
-// (FAIRSHARE_NET_BACKEND=threads|epoll), like the rest of the net suite.
-//
 // Parameters are deliberately small and validated: 3 users over a
 // 12-slot (0.6 s) horizon, 20000-byte files at 8 Mbit/s wire rate keep a
 // full sim+live round under a couple of seconds while leaving each user

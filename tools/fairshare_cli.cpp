@@ -24,9 +24,8 @@
 // caps prints the build version, detected CPU features (including the
 // GFNI/AVX-512 bits the wide-field kernels key on), any active
 // FAIRSHARE_KERNEL_CAP tier cap, the row-kernel variant each field
-// dispatched to, and the net serving backend a PeerServer would pick here
-// (epoll availability included), so perf reports are attributable to a
-// code path.
+// dispatched to, and whether epoll (which PeerServer requires) is
+// available, so perf reports are attributable to a code path.
 //
 // stats pretty-prints a registry dump written by the obs JSON exporter
 // (e.g. PeerServer::Config::stats_json_path).  With --pid it first sends
@@ -922,8 +921,6 @@ int cmd_caps() {
                 gf::field_view(id).kernel);
   std::printf("epoll          : %s\n",
               net::epoll_available() ? "available" : "unavailable");
-  std::printf("net backend    : %s (FAIRSHARE_NET_BACKEND overrides)\n",
-              net::to_string(net::default_net_backend()));
   std::printf("codecs         : dense chunked (chunked default geometry: "
               "class-size=%u overlap=%u)\n",
               coding::ChunkedSchedule{}.class_size,
