@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "coding/batch_decoder.hpp"
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "common.hpp"
 #include "sim/rng.hpp"
@@ -51,7 +51,7 @@ int main() {
 
     // Progressive: total time and "tail" (work after the last arrival).
     auto t0 = std::chrono::steady_clock::now();
-    coding::FileDecoder progressive(secret, encoder.info());
+    coding::CodecDecoder progressive(secret, encoder.info());
     for (std::size_t i = 0; i + 1 < messages.size(); ++i)
       progressive.add(messages[i]);
     const auto t_last = std::chrono::steady_clock::now();

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "coding/fountain.hpp"
 #include "common.hpp"
@@ -49,7 +49,7 @@ int main() {
     const std::size_t k = encoder.k();
     const auto messages = encoder.generate(k);
     auto t0 = std::chrono::steady_clock::now();
-    coding::FileDecoder rlnc(secret, encoder.info());
+    coding::CodecDecoder rlnc(secret, encoder.info());
     for (const auto& msg : messages) rlnc.add(msg);
     const double rlnc_s = seconds_since(t0);
     if (!rlnc.complete() || rlnc.reconstruct() != data) return 1;

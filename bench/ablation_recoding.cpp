@@ -11,7 +11,7 @@
 #include <set>
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "coding/recoding.hpp"
 #include "common.hpp"
@@ -62,7 +62,7 @@ Trial run_trial(std::size_t n_peers, std::size_t store_frac_num,
 
   Trial t;
   {
-    coding::FileDecoder dec(secret, encoder.info());
+    coding::CodecDecoder dec(secret, encoder.info());
     std::vector<std::size_t> cursor(n_peers, 0);
     bool progress = true;
     while (!dec.complete() && progress) {
@@ -78,7 +78,7 @@ Trial run_trial(std::size_t n_peers, std::size_t store_frac_num,
   }
   {
     coding::Recoder recoder(kParams);
-    coding::FileDecoder dec(secret, encoder.info(), false);
+    coding::CodecDecoder dec(secret, encoder.info(), false);
     while (!dec.complete() && t.recoded_sent < 10 * k) {
       for (std::size_t p = 0; p < n_peers && !dec.complete(); ++p) {
         dec.add_recoded(recoder.recode(stores[p], rng));

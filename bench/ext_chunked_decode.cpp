@@ -6,12 +6,13 @@
 // eliminates against thousands of pivots.  The overlapping-class codec
 // (coding/chunked.hpp) bounds every elimination to one class of
 // `class_size` chunks, so decode cost grows linearly with file size.
-// This bench measures both codecs' decode throughput and reception
-// overhead (messages consumed beyond k) at 10 MB / 100 MB / 1 GB, plus an
-// opt-in 10 GB point (FAIRSHARE_BENCH_10G=1).
+// This bench measures both codecs' decode throughput (one decoder,
+// coding/codec.hpp, under either FileInfo) and reception overhead
+// (messages consumed beyond k) at 10 MB / 100 MB / 1 GB, plus an opt-in
+// 10 GB point (FAIRSHARE_BENCH_10G=1).
 //
 // Decode work only: instead of running the O(k^2 * m) dense *encode* to
-// produce a measurable stream, both decoders are fed synthetic messages —
+// produce a measurable stream, the decoder is fed synthetic messages —
 // sequential ids whose coefficient rows come from the real secret-keyed
 // ChaCha generator, over one shared payload buffer — with digest checks
 // relaxed.  Elimination cost depends only on the coefficient rows, never
@@ -27,8 +28,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "coding/chunked.hpp"
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/params.hpp"
 #include "sim/rng.hpp"
 
@@ -63,61 +63,33 @@ std::vector<std::byte> payload_buffer() {
   return payload;
 }
 
-void BM_DenseDecode(benchmark::State& state) {
+// One decoder runs both codecs; only the FileInfo differs.  Unscreened
+// sequential ids decode either codec at ~k consumed (the chunked quota
+// schedule makes in-order delivery complete there too); the 3-period cap
+// only guards against a pathological rng draw.
+void run_decode(benchmark::State& state, coding::CodecKind codec) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0)) << 20;
-  const coding::FileInfo info =
-      synthetic_info(bytes, coding::CodecKind::dense);
+  const coding::FileInfo info = synthetic_info(bytes, codec);
   coding::EncodedMessage msg;
   msg.file_id = info.file_id;
   msg.payload = payload_buffer();
 
   std::size_t consumed = 0;
+  std::size_t classes = 0;
   for (auto _ : state) {
-    coding::FileDecoder decoder(bench_secret(), info,
-                                /*require_digests=*/false);
+    coding::CodecDecoder decoder(bench_secret(), info,
+                                 /*require_digests=*/false);
     consumed = 0;
-    for (std::uint64_t id = 0; !decoder.complete(); ++id) {
-      msg.message_id = id;
-      decoder.add(msg);
-      ++consumed;
-    }
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
-                          static_cast<std::int64_t>(state.iterations()));
-  state.counters["k"] = static_cast<double>(info.k);
-  state.counters["consumed"] = static_cast<double>(consumed);
-  state.counters["overhead_pct"] =
-      100.0 * static_cast<double>(consumed - info.k) /
-      static_cast<double>(info.k);
-  state.counters["classes"] = 1.0;
-}
-
-void BM_ChunkedDecode(benchmark::State& state) {
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0)) << 20;
-  const coding::FileInfo info =
-      synthetic_info(bytes, coding::CodecKind::chunked);
-  const coding::chunked::ClassMap map(info.k, info.schedule);
-  coding::EncodedMessage msg;
-  msg.file_id = info.file_id;
-  msg.payload = payload_buffer();
-
-  std::size_t consumed = 0;
-  for (auto _ : state) {
-    coding::chunked::Decoder decoder(bench_secret(), info,
-                                     /*require_digests=*/false);
-    consumed = 0;
-    // Unscreened sequential ids: the quota schedule makes in-order
-    // delivery complete at ~k consumed; the 3-period cap only guards
-    // against a pathological rng draw.
     for (std::uint64_t id = 0; !decoder.complete(); ++id) {
       if (id >= 3 * static_cast<std::uint64_t>(info.k)) {
-        state.SkipWithError("chunked decode did not converge in 3 periods");
+        state.SkipWithError("decode did not converge in 3 periods");
         return;
       }
       msg.message_id = id;
       decoder.add(msg);
       ++consumed;
     }
+    classes = decoder.class_map().classes();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
                           static_cast<std::int64_t>(state.iterations()));
@@ -126,7 +98,15 @@ void BM_ChunkedDecode(benchmark::State& state) {
   state.counters["overhead_pct"] =
       100.0 * static_cast<double>(consumed - info.k) /
       static_cast<double>(info.k);
-  state.counters["classes"] = static_cast<double>(map.classes());
+  state.counters["classes"] = static_cast<double>(classes);
+}
+
+void BM_DenseDecode(benchmark::State& state) {
+  run_decode(state, coding::CodecKind::dense);
+}
+
+void BM_ChunkedDecode(benchmark::State& state) {
+  run_decode(state, coding::CodecKind::chunked);
 }
 
 void configure(benchmark::internal::Benchmark* b, bool huge_points) {

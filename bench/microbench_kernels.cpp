@@ -7,7 +7,7 @@
 // scalar kernels (gf::scalar_field_view), simd=1 uses whatever
 // gf::field_view dispatched for this host; each row's label records the
 // kernel variant actually measured.  BM_DecodePipeline exercises the real
-// coding::FileDecoder, whose kernels come from the process-wide dispatch —
+// coding::CodecDecoder, whose kernels come from the process-wide dispatch —
 // run the binary again under FAIRSHARE_FORCE_SCALAR_KERNELS=1 for the
 // scalar pipeline numbers (tools/bench_to_json.py merges the two runs into
 // the committed BENCH_kernels.json baseline).
@@ -15,7 +15,7 @@
 
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "common.hpp"
 #include "crypto/chacha20.hpp"
@@ -77,7 +77,7 @@ BENCHMARK(BM_RowScale)
     ->ArgNames({"field", "m", "simd"});
 
 // Full elimination pipeline at Table II parameters: decode 1 MB from k
-// fresh coded messages through the real coding::FileDecoder (coefficient
+// fresh coded messages through the real coding::CodecDecoder (coefficient
 // regeneration, digest checks, progressive Gaussian elimination).  The
 // paper's example point is (q = 2^32, m = 2^15); we sweep all four fields
 // at m = 2^15.  Kernels come from the process-wide dispatch — the label
@@ -97,7 +97,7 @@ void BM_DecodePipeline(benchmark::State& state) {
   const auto messages = encoder.generate(encoder.k());
 
   for (auto _ : state) {
-    coding::FileDecoder decoder(secret, encoder.info());
+    coding::CodecDecoder decoder(secret, encoder.info());
     for (const auto& msg : messages) decoder.add(msg);
     if (!decoder.complete()) state.SkipWithError("decode incomplete");
     benchmark::DoNotOptimize(decoder.rank());

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "common.hpp"
 #include "linalg/progressive.hpp"
@@ -46,7 +46,7 @@ CellResult run_cell(gf::FieldId field, std::size_t m,
   const double encode_s = seconds_since(t0);
 
   t0 = std::chrono::steady_clock::now();
-  coding::FileDecoder decoder(secret, encoder.info());
+  coding::CodecDecoder decoder(secret, encoder.info());
   for (const auto& msg : messages) decoder.add(msg);
   const double decode_s = seconds_since(t0);
   if (!decoder.complete() || decoder.reconstruct() != data) {

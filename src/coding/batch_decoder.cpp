@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "coding/chunked.hpp"
 #include "linalg/matrix.hpp"
 
 namespace fairshare::coding {
@@ -16,17 +15,8 @@ BatchDecoder::BatchDecoder(const SecretKey& secret, const FileInfo& info,
       coeffs_(secret, info.file_id, info.params, info.k) {}
 
 AddResult BatchDecoder::add(const EncodedMessage& message) {
-  if (message.file_id != info_.file_id) return AddResult::wrong_file;
-  if (message.payload.size() != info_.params.message_bytes())
-    return AddResult::bad_size;
-  if (require_digests_ || !info_.message_digests.empty()) {
-    const auto it = info_.message_digests.find(message.message_id);
-    if (it == info_.message_digests.end()) {
-      if (require_digests_) return AddResult::bad_digest;
-    } else if (message.digest() != it->second) {
-      return AddResult::bad_digest;
-    }
-  }
+  const AddResult verdict = authenticate(info_, require_digests_, message);
+  if (verdict != AddResult::accepted) return verdict;
   const bool duplicate = std::any_of(
       messages_.begin(), messages_.end(), [&](const EncodedMessage& m) {
         return m.message_id == message.message_id;
@@ -57,8 +47,8 @@ std::optional<std::vector<std::byte>> BatchDecoder::decode() {
     // add() already authenticated the buffer, so the inner decoder runs
     // with the relaxed digest policy (known ids are still verified, but
     // ids past the FileInfo snapshot are not rejected outright).
-    chunked::Decoder decoder(secret_, info_, /*require_digests=*/false);
-    decoder.add_many(messages_, /*pool=*/nullptr);
+    CodecDecoder decoder(secret_, info_, /*require_digests=*/false);
+    for (const EncodedMessage& msg : messages_) decoder.add(msg);
     if (!decoder.complete()) {
       // Some class is short on rows; age out the oldest buffered message
       // so retries make progress, mirroring the singular-matrix path.

@@ -4,7 +4,7 @@
 // this by the inverse of the appropriate square sub-matrix of the
 // coefficient matrix".  This decoder does exactly that — collect k
 // messages, invert the k x k coefficient sub-matrix (O(k^3)), multiply it
-// into the payload matrix (O(m k^2)) — in contrast to FileDecoder's
+// into the payload matrix (O(m k^2)) — in contrast to CodecDecoder's
 // progressive elimination, which folds messages in as they arrive and
 // stops at rank k without a separate inversion pass.
 //
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "coding/coefficients.hpp"
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/message.hpp"
 #include "obs/metrics.hpp"
 
@@ -29,9 +29,10 @@ class BatchDecoder {
   BatchDecoder(const SecretKey& secret, const FileInfo& info,
                bool require_digests = true);
 
-  /// Buffer a message (authenticated like FileDecoder).  Returns the same
-  /// AddResult vocabulary; `accepted` here means "buffered", since linear
-  /// independence is only discovered at decode time.
+  /// Buffer a message (checked by the same authenticate() as
+  /// CodecDecoder).  Returns the same AddResult vocabulary; `accepted` here
+  /// means "buffered", since linear independence is only discovered at
+  /// decode time.
   AddResult add(const EncodedMessage& message);
 
   std::size_t buffered() const { return messages_.size(); }
@@ -43,7 +44,7 @@ class BatchDecoder {
   ///
   /// Chunked files (FileInfo::codec == CodecKind::chunked) have no global
   /// k x k system to invert; decode() instead feeds the buffer through a
-  /// chunked::Decoder's per-class elimination, with the same
+  /// CodecDecoder's per-class elimination, with the same
   /// nullopt-means-fetch-more contract when some class is still short.
   std::optional<std::vector<std::byte>> decode();
 

@@ -3,36 +3,34 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <deque>
 
-#include "coding/decoder.hpp"  // AddResult
-#include "linalg/parallel_ops.hpp"
-#include "obs/trace.hpp"
 #include "sim/rng.hpp"
 
 namespace fairshare::coding::chunked {
 
 // ---------------------------------------------------------------- ClassMap
 
-ClassMap::ClassMap(std::size_t k, const ChunkedSchedule& schedule)
-    : k_(k),
-      schedule_(schedule),
-      stride_(schedule.class_size - schedule.overlap) {
-  assert(k > 0 && "empty files cannot be encoded");
-  assert(schedule.valid() && "class_size >= 2 and overlap < class_size");
+ClassMap::ClassMap(const FileInfo& info)
+    : k_(info.k), schedule_(info.schedule) {
+  assert(k_ > 0 && "empty files cannot be encoded");
+  assert((info.codec == CodecKind::dense || schedule_.valid()) &&
+         "class_size >= 2 and overlap < class_size");
 
-  if (k <= schedule.class_size) {
-    // One class covers everything; the schedule degenerates to the dense
-    // codec's geometry (but rows are still screened against width k).
-    stride_ = k;
-    widths_.assign(1, k);
+  if (info.codec == CodecKind::dense || k_ <= schedule_.class_size) {
+    // One class covers everything: the dense codec's geometry, which a
+    // chunked file this small degenerates to.  Its width is k itself,
+    // never narrowed through the 32-bit class_size.
+    stride_ = k_;
+    widths_.assign(1, k_);
   } else {
-    const std::size_t n = (k - schedule.class_size + stride_ - 1) / stride_ + 1;
-    widths_.assign(n, schedule.class_size);
-    widths_[n - 1] = k - (n - 1) * stride_;
+    stride_ = schedule_.class_size - schedule_.overlap;
+    const std::size_t n =
+        (k_ - schedule_.class_size + stride_ - 1) / stride_ + 1;
+    widths_.assign(n, schedule_.class_size);
+    widths_[n - 1] = k_ - (n - 1) * stride_;
     // ceil() placement guarantees overlap < w_last <= class_size, so the
     // last class always has a positive quota below.
-    assert(widths_[n - 1] > schedule.overlap);
+    assert(widths_[n - 1] > schedule_.overlap);
   }
   max_width_ = *std::max_element(widths_.begin(), widths_.end());
 
@@ -90,27 +88,45 @@ std::vector<std::size_t> ClassMap::classes_containing(std::size_t j) const {
 
 // ----------------------------------------------------------------- Encoder
 
+namespace {
+
+// The public half of FileInfo: everything but the digest table, which
+// grows as messages are generated.
+FileInfo describe(std::uint64_t file_id, std::span<const std::byte> data,
+                  const CodingParams& params, CodecKind codec,
+                  const ChunkedSchedule& schedule) {
+  FileInfo info;
+  info.file_id = file_id;
+  info.original_bytes = data.size();
+  info.params = params;
+  info.k = chunks_for_bytes(data.size(), params);
+  info.codec = codec;
+  info.schedule = schedule;
+  info.content_digest = crypto::Md5::hash(data);
+  return info;
+}
+
+}  // namespace
+
 Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
                  std::span<const std::byte> data, const CodingParams& params,
                  const ChunkedSchedule& schedule)
-    : secret_(secret),
-      params_(params),
-      map_(chunks_for_bytes(data.size(), params), schedule),
+    : Encoder(secret, file_id, data, params, CodecKind::chunked, schedule) {}
+
+Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
+                 std::span<const std::byte> data, const CodingParams& params,
+                 CodecKind codec, const ChunkedSchedule& schedule)
+    : info_(describe(file_id, data, params, codec, schedule)),
+      map_(info_),
       chunk_bytes_(params.message_bytes()),
       coeffs_(secret, file_id, params, map_.max_width()) {
   assert((params.field != gf::FieldId::gf2_4 || params.m % 2 == 0) &&
          "GF(2^4) requires even m for byte-aligned chunks");
 
+  // The packed wire representation is plain little-endian bytes, so the
+  // chunk layout is a copy + pad.
   chunks_.assign(map_.k() * chunk_bytes_, std::byte{0});
   std::memcpy(chunks_.data(), data.data(), data.size());
-
-  info_.file_id = file_id;
-  info_.original_bytes = data.size();
-  info_.params = params;
-  info_.k = map_.k();
-  info_.codec = CodecKind::chunked;
-  info_.schedule = schedule;
-  info_.content_digest = crypto::Md5::hash(data);
 
   batch_rank_.reserve(map_.classes());
   for (std::size_t c = 0; c < map_.classes(); ++c)
@@ -118,7 +134,8 @@ Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
 }
 
 EncodedMessage Encoder::next_message() {
-  const auto& f = gf::field_view(params_.field);
+  const CodingParams& params = info_.params;
+  const auto& f = gf::field_view(params.field);
   for (;;) {
     const std::uint64_t candidate = next_id_++;
     const std::size_t cls = map_.class_of(candidate);
@@ -127,7 +144,7 @@ EncodedMessage Encoder::next_message() {
     const std::span<const std::uint64_t> row(symbols.data(), w);
     if (!batch_rank_[cls].add_row(row)) continue;  // dependent; skip this id
     if (batch_rank_[cls].full())
-      batch_rank_[cls] = linalg::IncrementalRank(params_.field, w);
+      batch_rank_[cls] = linalg::IncrementalRank(params.field, w);
 
     EncodedMessage msg;
     msg.file_id = info_.file_id;
@@ -138,7 +155,7 @@ EncodedMessage Encoder::next_message() {
       if (symbols[j] != 0)
         f.axpy(msg.payload.data(),
                chunks_.data() + (start + j) * chunk_bytes_, symbols[j],
-               params_.m);
+               params.m);
     }
     info_.message_digests.emplace(candidate, msg.digest());
     ++generated_;
@@ -150,300 +167,6 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
   std::vector<EncodedMessage> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) out.push_back(next_message());
-  return out;
-}
-
-// ----------------------------------------------------------------- Decoder
-
-Decoder::Decoder(const SecretKey& secret, const FileInfo& info,
-                 bool require_digests)
-    : info_(info),
-      require_digests_(require_digests),
-      map_(info.k, info.schedule),
-      coeffs_(secret, info.file_id, info.params, map_.max_width()) {
-  assert(info.codec == CodecKind::chunked);
-  classes_.reserve(map_.classes());
-  for (std::size_t c = 0; c < map_.classes(); ++c)
-    classes_.push_back(ClassState{
-        linalg::ProgressiveSolver(info.params.field, map_.width(c),
-                                  info.params.m),
-        false});
-}
-
-void Decoder::set_thread_pool(util::ThreadPool* pool) {
-  for (ClassState& st : classes_) st.solver.set_thread_pool(pool);
-}
-
-std::size_t Decoder::rank() const {
-  std::size_t sum = 0;
-  for (const ClassState& st : classes_) sum += st.solver.rank();
-  return sum;
-}
-
-bool Decoder::eliminate(std::size_t cls,
-                        std::span<const std::uint64_t> symbols,
-                        const std::byte* payload) {
-  ClassState& st = classes_[cls];
-  const std::uint64_t t0 = eliminate_ns_ ? obs::monotonic_ns() : 0;
-  const bool innovative = st.solver.add_row(symbols, payload);
-  if (eliminate_ns_) {
-    eliminate_ns_->record(obs::monotonic_ns() - t0);
-    class_rank_[cls]->set(static_cast<double>(st.solver.rank()));
-  }
-  return innovative;
-}
-
-void Decoder::mark_complete(std::size_t cls) {
-  assert(!classes_[cls].complete);
-  classes_[cls].complete = true;
-  ++classes_complete_;
-  if (classes_complete_total_) classes_complete_total_->add(1);
-}
-
-void Decoder::run_cascade(std::vector<std::size_t> ready) {
-  std::deque<std::size_t> queue;
-  for (std::size_t cls : ready) {
-    if (!classes_[cls].complete && classes_[cls].solver.complete()) {
-      mark_complete(cls);
-      queue.push_back(cls);
-    }
-  }
-  while (!queue.empty()) {
-    const std::size_t c = queue.front();
-    queue.pop_front();
-    const std::size_t start = map_.start(c);
-    const std::size_t w = map_.width(c);
-    for (std::size_t j = start; j < start + w; ++j) {
-      for (std::size_t d : map_.classes_containing(j)) {
-        if (d == c || classes_[d].complete) continue;
-        // Donate chunk j as the unit row e_{j - start(d)}.  The donor's
-        // chunk pointer stays valid because completed classes never see
-        // another add_row (add()/add_many skip them).
-        std::vector<std::uint64_t> unit(map_.width(d), 0);
-        unit[j - map_.start(d)] = 1;
-        eliminate(d, unit, classes_[c].solver.chunk(j - start));
-        if (classes_[d].solver.complete()) {
-          mark_complete(d);
-          queue.push_back(d);
-        }
-      }
-    }
-  }
-  if (rank_gauge_) rank_gauge_->set(static_cast<double>(rank()));
-}
-
-AddResult Decoder::add(const EncodedMessage& message) {
-  if (complete()) return AddResult::already_complete;
-  if (message.file_id != info_.file_id) return AddResult::wrong_file;
-  if (message.payload.size() != info_.params.message_bytes())
-    return AddResult::bad_size;
-
-  if (require_digests_ || !info_.message_digests.empty()) {
-    const auto it = info_.message_digests.find(message.message_id);
-    if (it == info_.message_digests.end()) {
-      if (require_digests_) {
-        ++rejected_auth_;
-        return AddResult::bad_digest;
-      }
-    } else if (message.digest() != it->second) {
-      ++rejected_auth_;
-      return AddResult::bad_digest;
-    }
-  }
-
-  const std::size_t cls = map_.class_of(message.message_id);
-  if (classes_[cls].complete) {
-    ++non_innovative_;
-    return AddResult::non_innovative;
-  }
-  const std::vector<std::uint64_t> symbols =
-      coeffs_.row_symbols(message.message_id);
-  const bool innovative =
-      eliminate(cls, std::span(symbols).first(map_.width(cls)),
-                message.payload.data());
-  if (classes_[cls].solver.complete()) run_cascade({cls});
-  if (rank_gauge_) rank_gauge_->set(static_cast<double>(rank()));
-  if (!innovative) {
-    ++non_innovative_;
-    return AddResult::non_innovative;
-  }
-  ++accepted_;
-  return AddResult::accepted;
-}
-
-AddResult Decoder::add_recoded(const RecodedMessage& message) {
-  if (complete()) return AddResult::already_complete;
-  if (message.file_id != info_.file_id) return AddResult::wrong_file;
-  if (message.payload.size() != info_.params.message_bytes())
-    return AddResult::bad_size;
-  if (message.combination.empty()) {
-    ++rejected_auth_;
-    return AddResult::bad_digest;
-  }
-  const std::size_t cls = map_.class_of(message.combination.front().first);
-  for (const auto& [mid, alpha] : message.combination) {
-    (void)alpha;
-    if (map_.class_of(mid) != cls) {  // cross-class: malformed under chunked
-      ++rejected_auth_;
-      return AddResult::bad_digest;
-    }
-  }
-  if (classes_[cls].complete) {
-    ++non_innovative_;
-    return AddResult::non_innovative;
-  }
-
-  // Effective row: sum_i alpha_i * beta_{id_i} over the class window
-  // (addition in GF(2^p) is xor).
-  const auto& f = gf::field_view(info_.params.field);
-  const std::size_t w = map_.width(cls);
-  std::vector<std::uint64_t> row(w, 0);
-  for (const auto& [mid, alpha] : message.combination) {
-    const std::vector<std::uint64_t> beta = coeffs_.row_symbols(mid);
-    for (std::size_t j = 0; j < w; ++j) row[j] ^= f.mul(alpha, beta[j]);
-  }
-
-  const bool innovative = eliminate(cls, row, message.payload.data());
-  if (classes_[cls].solver.complete()) run_cascade({cls});
-  if (rank_gauge_) rank_gauge_->set(static_cast<double>(rank()));
-  if (!innovative) {
-    ++non_innovative_;
-    return AddResult::non_innovative;
-  }
-  ++accepted_;
-  return AddResult::accepted;
-}
-
-void Decoder::add_many(std::span<const EncodedMessage> messages,
-                       util::ThreadPool* pool) {
-  // Route messages to their class; structurally invalid ones (wrong file,
-  // wrong payload size) are dropped exactly as a per-message add() would
-  // reject them, without touching counters.
-  std::vector<std::vector<std::size_t>> by_class(map_.classes());
-  const std::size_t payload_bytes = info_.params.message_bytes();
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    const EncodedMessage& msg = messages[i];
-    if (msg.file_id != info_.file_id || msg.payload.size() != payload_bytes)
-      continue;
-    by_class[map_.class_of(msg.message_id)].push_back(i);
-  }
-
-  struct Tally {
-    std::size_t accepted = 0;
-    std::size_t rejected_auth = 0;
-    std::size_t non_innovative = 0;
-  };
-  // Authentication + elimination for one class's share of the batch.
-  // Touches only that class's solver and thread-safe instruments, so
-  // distinct classes can run on distinct pool workers.
-  const auto process_class = [&](std::size_t cls, Tally& tally) {
-    for (std::size_t i : by_class[cls]) {
-      const EncodedMessage& msg = messages[i];
-      if (require_digests_ || !info_.message_digests.empty()) {
-        const auto it = info_.message_digests.find(msg.message_id);
-        if (it == info_.message_digests.end()) {
-          if (require_digests_) {
-            ++tally.rejected_auth;
-            continue;
-          }
-        } else if (msg.digest() != it->second) {
-          ++tally.rejected_auth;
-          continue;
-        }
-      }
-      if (classes_[cls].complete || classes_[cls].solver.complete()) {
-        ++tally.non_innovative;
-        continue;
-      }
-      const std::vector<std::uint64_t> symbols =
-          coeffs_.row_symbols(msg.message_id);
-      if (eliminate(cls, std::span(symbols).first(map_.width(cls)),
-                    msg.payload.data()))
-        ++tally.accepted;
-      else
-        ++tally.non_innovative;
-    }
-  };
-
-  // Classes whose share of the batch carries at least kMinChunkSymbols
-  // symbols of payload work go to the pool; smaller shares run inline so
-  // fan-out overhead never exceeds the elimination it parallelizes.
-  std::vector<std::size_t> pooled;
-  std::vector<std::size_t> inline_classes;
-  for (std::size_t c = 0; c < by_class.size(); ++c) {
-    if (by_class[c].empty()) continue;
-    const std::size_t work = by_class[c].size() * info_.params.m;
-    if (pool != nullptr && pool->size() > 1 &&
-        work >= linalg::kMinChunkSymbols)
-      pooled.push_back(c);
-    else
-      inline_classes.push_back(c);
-  }
-
-  std::vector<Tally> tallies(pooled.size());
-  if (!pooled.empty()) {
-    pool->parallel_for(pooled.size(), [&](std::size_t i) {
-      process_class(pooled[i], tallies[i]);
-    });
-  }
-  Tally inline_tally;
-  for (std::size_t c : inline_classes) process_class(c, inline_tally);
-
-  for (const Tally& t : tallies) {
-    accepted_ += t.accepted;
-    rejected_auth_ += t.rejected_auth;
-    non_innovative_ += t.non_innovative;
-  }
-  accepted_ += inline_tally.accepted;
-  rejected_auth_ += inline_tally.rejected_auth;
-  non_innovative_ += inline_tally.non_innovative;
-
-  // Donations mutate neighbouring solvers, so the cascade waits for the
-  // barrier and runs serially over every class the batch completed.
-  std::vector<std::size_t> ready;
-  for (std::size_t c = 0; c < classes_.size(); ++c)
-    if (!classes_[c].complete && classes_[c].solver.complete())
-      ready.push_back(c);
-  run_cascade(std::move(ready));
-  if (rank_gauge_) rank_gauge_->set(static_cast<double>(rank()));
-}
-
-void Decoder::enable_metrics(obs::MetricsRegistry& registry,
-                             std::uint64_t user_id) {
-  const std::string file = std::to_string(info_.file_id);
-  const std::string user = std::to_string(user_id);
-  const obs::LabelList labels = {
-      {"file", file}, {"user", user}, {"codec", "chunked"}};
-  rank_gauge_ = &registry.gauge("fairshare_decoder_rank", labels);
-  eliminate_ns_ =
-      &registry.histogram("fairshare_decoder_eliminate_ns", labels);
-  classes_complete_total_ = &registry.counter(
-      "fairshare_chunked_classes_complete_total", {{"file", file},
-                                                   {"user", user}});
-  class_rank_.resize(map_.classes());
-  for (std::size_t c = 0; c < map_.classes(); ++c) {
-    class_rank_[c] = &registry.gauge(
-        "fairshare_chunked_class_rank",
-        {{"file", file}, {"user", user}, {"class", std::to_string(c)}});
-    class_rank_[c]->set(static_cast<double>(classes_[c].solver.rank()));
-  }
-  rank_gauge_->set(static_cast<double>(rank()));
-  classes_complete_total_->add(classes_complete_);
-}
-
-std::vector<std::byte> Decoder::reconstruct() const {
-  assert(complete());
-  const std::size_t chunk_bytes = info_.params.message_bytes();
-  std::vector<std::byte> out(map_.k() * chunk_bytes);
-  // Every class is complete, so overlap chunks are written more than once
-  // with identical bytes; walking classes avoids a per-chunk class lookup.
-  for (std::size_t c = 0; c < map_.classes(); ++c) {
-    const std::size_t start = map_.start(c);
-    for (std::size_t j = 0; j < map_.width(c); ++j)
-      std::memcpy(out.data() + (start + j) * chunk_bytes,
-                  classes_[c].solver.chunk(j), chunk_bytes);
-  }
-  out.resize(info_.original_bytes);
   return out;
 }
 

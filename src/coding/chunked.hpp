@@ -1,18 +1,25 @@
-// Overlapping-class RLNC codec: near-linear decode for large files.
+// Overlapping-class RLNC: the one encoder, and the class geometry that the
+// one decoder (codec.hpp) runs on.
 //
-// Dense RLNC (encoder.hpp / decoder.hpp) pays O(k^2 * m) field operations
-// to decode a file of k chunks, which caps practical file sizes around the
-// point where k^2 swamps the SIMD kernels (a 1 GB file at the paper's
-// m = 32768, q = 2^32 has k = 8192 and decodes in minutes, not seconds).
-// Following the overlapping-class construction of Heidarzadeh-Banihashemi
-// (arXiv:0905.2796) and expander chunked codes (arXiv:1307.5664), this
-// codec draws every coded message over one small *class* of `class_size`
-// consecutive chunks; adjacent classes share `overlap` chunks.  Decoding
-// runs an independent progressive elimination per class — O(class_size^2)
-// rows of m symbols each, so total work is O(k * class_size * m): linear
-// in file size for fixed class geometry — and completed classes donate
-// their decoded overlap chunks to incomplete neighbours as unit rows, a
-// back-substitution cascade that rescues classes short on direct messages.
+// The paper's dense code (Section III-A) draws every coefficient row over
+// all k chunks, so decoding costs O(k^2 * m) field operations, which caps
+// practical file sizes around the point where k^2 swamps the SIMD kernels
+// (a 1 GB file at the paper's m = 32768, q = 2^32 has k = 8192 and decodes
+// densely in minutes, not seconds).  Following the overlapping-class
+// construction of Silva, Zeng & Kschischang (arXiv:0905.2796) and expander
+// chunked codes (arXiv:1307.5664), a chunked file draws every coded message
+// over one small *class* of `class_size` consecutive chunks; adjacent
+// classes share `overlap` chunks.  Decoding runs an independent progressive
+// elimination per class — O(class_size^2) rows of m symbols each, so total
+// work is O(k * class_size * m): linear in file size for fixed class
+// geometry — and completed classes donate their decoded overlap chunks to
+// incomplete neighbours as unit rows, a back-substitution cascade that
+// rescues classes short on direct messages.
+//
+// The dense code is this construction's one-class case: a dense FileInfo
+// maps to a single class of width k (ClassMap), so one class screens,
+// encodes and eliminates exactly as the paper describes, and FileEncoder
+// (encoder.hpp) is this encoder under that geometry.
 //
 // Reception overhead stays low because the class *schedule* is quota
 // weighted: within every period of k message ids, class c is visited
@@ -38,23 +45,19 @@
 #include "coding/message.hpp"
 #include "coding/recoding.hpp"
 #include "linalg/progressive.hpp"
-#include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
-namespace fairshare::coding {
-
-// AddResult (decoder.hpp) is shared by both codecs so call sites switch on
-// one enum regardless of codec kind.
-enum class AddResult;
-
-namespace chunked {
+namespace fairshare::coding::chunked {
 
 /// Pure geometry + schedule: which chunks belong to class c, and which
-/// class a message id encodes over.  Deterministic from (k, schedule), so
-/// encoder, decoder, recoders and peers all derive the same map.
+/// class a message id encodes over.  Deterministic from the FileInfo's
+/// (k, codec, schedule), so encoder, decoder, recoders and peers all
+/// derive the same map.
 class ClassMap {
  public:
-  ClassMap(std::size_t k, const ChunkedSchedule& schedule);
+  /// A dense file is one class of width k.  A chunked file is one class
+  /// when k <= schedule.class_size, else overlapping windows of
+  /// schedule.class_size chunks.
+  explicit ClassMap(const FileInfo& info);
 
   std::size_t k() const { return k_; }
   std::size_t classes() const { return widths_.size(); }
@@ -91,143 +94,62 @@ class ClassMap {
   std::vector<std::uint32_t> table_;  // period-k id -> class schedule
 };
 
-/// Drop-in sibling of FileEncoder producing class-local messages.  Message
-/// i covers only the chunks of class_of(i); rows are screened for linear
-/// independence per class in batches of the class width, skipping
-/// dependent ids just like the dense encoder so ids stay plain data.
+/// Produces the stream of coded messages a peer uploads during the
+/// initialization phase (Section III-A, Figure 2).  Message i is
+/// Y_i = sum_j beta_ij X_j over the chunks of class_of(i), with beta rows
+/// derived from the secret key (coefficients.hpp).  Following the paper,
+/// rows are screened for linear independence per class in batches of the
+/// class width — "the encoding peer can guarantee that exactly k messages
+/// will suffice to decode a file by simply testing generated rows for
+/// linear independence before encoding" — by *skipping* message ids whose
+/// row is dependent within the current batch (ids must stay plain data
+/// the decoder can reuse, so rows are never re-rolled).
 class Encoder {
  public:
+  /// Chunked-codec encoder: FileInfo::codec = chunked, schedule filled in.
   Encoder(const SecretKey& secret, std::uint64_t file_id,
           std::span<const std::byte> data, const CodingParams& params,
           const ChunkedSchedule& schedule);
 
-  /// Metadata for decoding (codec = CodecKind::chunked, schedule filled
-  /// in); message_digests covers every message generated so far.
+  /// Metadata for decoding; message_digests covers every message generated
+  /// so far (grow it by generating messages, then hand it to users).
   const FileInfo& info() const { return info_; }
   const ClassMap& class_map() const { return map_; }
 
   std::size_t k() const { return map_.k(); }
-  const CodingParams& params() const { return params_; }
+  const CodingParams& params() const { return info_.params; }
 
-  /// Next screened message; deterministic like FileEncoder::next_message.
+  /// Generate the next screened message.  Deterministic: the sequence of
+  /// message ids depends only on (secret, file_id, params, data length,
+  /// codec, schedule).
   EncodedMessage next_message();
+
+  /// Generate the next `count` messages.  The paper uploads n*k messages
+  /// total, k per peer.
   std::vector<EncodedMessage> generate(std::size_t count);
 
+  /// Message ids examined so far (accepted + skipped); the skip rate is
+  /// ~1/q per batch and is asserted tiny in tests.
   std::uint64_t ids_examined() const { return next_id_; }
   std::uint64_t messages_generated() const { return generated_; }
 
+ protected:
+  /// Lays `data` out as k chunks of m packed symbols (zero-padded; for
+  /// GF(2^4) m must be even so chunks stay byte-aligned) under the class
+  /// geometry of `codec` and `schedule`.
+  Encoder(const SecretKey& secret, std::uint64_t file_id,
+          std::span<const std::byte> data, const CodingParams& params,
+          CodecKind codec, const ChunkedSchedule& schedule);
+
  private:
-  SecretKey secret_;
-  CodingParams params_;
+  FileInfo info_;
   ClassMap map_;
   std::size_t chunk_bytes_;
   std::vector<std::byte> chunks_;  // k rows of m packed symbols
   CoefficientGenerator coeffs_;    // sized to max class width, truncated
-  FileInfo info_;
   std::vector<linalg::IncrementalRank> batch_rank_;  // one per class
   std::uint64_t next_id_ = 0;
   std::uint64_t generated_ = 0;
-};
-
-/// Per-class progressive decoder with cross-class back-substitution.
-///
-/// Each class owns a linalg::ProgressiveSolver over its window; incoming
-/// messages are authenticated (same digest policy as FileDecoder) and
-/// folded into their class's solver.  The moment a class completes, its
-/// decoded chunks inside every overlap region are donated to incomplete
-/// neighbouring classes as unit rows — effectively free back-substitution
-/// that propagates breadth-first until no more classes flip.
-class Decoder {
- public:
-  Decoder(const SecretKey& secret, const FileInfo& info,
-          bool require_digests = true);
-
-  AddResult add(const EncodedMessage& message);
-
-  /// Fold in a class-local recoded packet (every source id must map to
-  /// one class; see recode_class_local).  A combination spanning classes
-  /// cannot enter any class-local solver and is rejected as bad_digest —
-  /// under the chunked protocol it is malformed, and like all recoded
-  /// packets it carries no owner digest to vouch for it.
-  AddResult add_recoded(const RecodedMessage& message);
-
-  /// Decode a whole batch, fanning per-class elimination out over `pool`.
-  /// Classes are independent linear systems, so each pool job eliminates
-  /// one class's share of the batch serially; classes whose share is under
-  /// linalg::kMinChunkSymbols symbols of payload work run inline on the
-  /// caller instead of oversplitting the pool.  The donation cascade runs
-  /// once, serially, after the barrier.  The decode outcome (completion,
-  /// rank, reconstructed bytes) is identical to calling add() per message;
-  /// acceptance tallies can differ, because deferring the cascade lets
-  /// coded rows land as innovative that an earlier donation would have
-  /// made redundant under serial add().
-  void add_many(std::span<const EncodedMessage> messages,
-                util::ThreadPool* pool);
-
-  /// Parallelize payload row operations *within* each class's solver (see
-  /// ProgressiveSolver::set_thread_pool).  Orthogonal to add_many's
-  /// across-class fan-out; do not combine both with one pool (nested
-  /// parallel_for is unsupported).
-  void set_thread_pool(util::ThreadPool* pool);
-
-  /// Chunked-path observability (PR 4 registry pattern):
-  ///  * fairshare_decoder_rank{file,user,codec="chunked"} — total rank;
-  ///  * fairshare_decoder_eliminate_ns{file,user,codec="chunked"} — the
-  ///    decode-time histogram, split from dense by the codec label;
-  ///  * fairshare_chunked_class_rank{file,user,class} — per-class gauges;
-  ///  * fairshare_chunked_classes_complete_total{file,user} — cascade
-  ///    progress counter.
-  void enable_metrics(obs::MetricsRegistry& registry, std::uint64_t user_id);
-
-  void add_digest(std::uint64_t message_id, const crypto::Md5Digest& digest) {
-    info_.message_digests[message_id] = digest;
-  }
-
-  bool complete() const { return classes_complete_ == map_.classes(); }
-  /// Sum of per-class solver ranks; reaches sum-of-widths (>= k, the
-  /// overlap counted once per class) when complete.
-  std::size_t rank() const;
-  std::size_t k() const { return info_.k; }
-  std::size_t classes_complete() const { return classes_complete_; }
-  const ClassMap& class_map() const { return map_; }
-
-  std::size_t accepted() const { return accepted_; }
-  std::size_t rejected_auth() const { return rejected_auth_; }
-  std::size_t non_innovative() const { return non_innovative_; }
-
-  /// Reconstructed file (original_bytes long).  Precondition: complete().
-  std::vector<std::byte> reconstruct() const;
-
- private:
-  struct ClassState {
-    linalg::ProgressiveSolver solver;
-    bool complete = false;  // set once; donation runs at that moment
-  };
-
-  /// One timed add_row into class `cls`'s solver (plus its class-rank
-  /// gauge); returns true when the row was innovative.  Cascading and the
-  /// global rank gauge are the caller's job — add()/add_recoded cascade
-  /// immediately, add_many defers until after its barrier.
-  bool eliminate(std::size_t cls, std::span<const std::uint64_t> symbols,
-                 const std::byte* payload);
-  /// Donate decoded overlap chunks of every class in `ready` to incomplete
-  /// neighbours, breadth-first, flipping classes as they fill.
-  void run_cascade(std::vector<std::size_t> ready);
-  void mark_complete(std::size_t cls);
-
-  FileInfo info_;
-  bool require_digests_;
-  ClassMap map_;
-  CoefficientGenerator coeffs_;  // sized to max class width, truncated
-  std::vector<ClassState> classes_;
-  std::size_t classes_complete_ = 0;
-  std::size_t accepted_ = 0;
-  std::size_t rejected_auth_ = 0;
-  std::size_t non_innovative_ = 0;
-  obs::Gauge* rank_gauge_ = nullptr;  // null = metrics disabled
-  obs::Histogram* eliminate_ns_ = nullptr;
-  std::vector<obs::Gauge*> class_rank_;
-  obs::Counter* classes_complete_total_ = nullptr;
 };
 
 /// Peer-side class-local recoding: combine verbatim-stored messages *of
@@ -241,5 +163,4 @@ RecodedMessage recode_class_local(const ClassMap& map, std::size_t cls,
                                   const CodingParams& params,
                                   sim::SplitMix64& rng);
 
-}  // namespace chunked
-}  // namespace fairshare::coding
+}  // namespace fairshare::coding::chunked

@@ -40,7 +40,7 @@ ChunkedDecoder::ChunkedDecoder(const SecretKey& secret,
   decoders_.reserve(info.units.size());
   for (const auto& unit : info.units)
     decoders_.push_back(
-        std::make_unique<FileDecoder>(secret, unit, require_digests));
+        std::make_unique<CodecDecoder>(secret, unit, require_digests));
 }
 
 AddResult ChunkedDecoder::add(const EncodedMessage& message) {

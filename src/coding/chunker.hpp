@@ -18,7 +18,7 @@
 #include <span>
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 
 namespace fairshare::coding {
@@ -78,7 +78,7 @@ class ChunkedDecoder {
 
  private:
   ChunkedFileInfo info_;
-  std::vector<std::unique_ptr<FileDecoder>> decoders_;
+  std::vector<std::unique_ptr<CodecDecoder>> decoders_;
 };
 
 }  // namespace fairshare::coding

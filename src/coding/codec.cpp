@@ -1,80 +1,197 @@
 #include "coding/codec.hpp"
 
+#include <cassert>
+#include <cstring>
+#include <deque>
+#include <string>
+
+#include "obs/trace.hpp"
+
 namespace fairshare::coding {
 
-namespace {
-
-std::variant<FileDecoder, chunked::Decoder> make_impl(
-    const SecretKey& secret, const FileInfo& info, bool require_digests) {
-  if (info.codec == CodecKind::chunked)
-    return std::variant<FileDecoder, chunked::Decoder>(
-        std::in_place_type<chunked::Decoder>, secret, info, require_digests);
-  return std::variant<FileDecoder, chunked::Decoder>(
-      std::in_place_type<FileDecoder>, secret, info, require_digests);
+AddResult authenticate(const FileInfo& info, bool require_digests,
+                       const EncodedMessage& message) {
+  if (message.file_id != info.file_id) return AddResult::wrong_file;
+  if (message.payload.size() != info.params.message_bytes())
+    return AddResult::bad_size;
+  const auto it = info.message_digests.find(message.message_id);
+  if (it == info.message_digests.end())
+    return require_digests ? AddResult::bad_digest : AddResult::accepted;
+  return message.digest() == it->second ? AddResult::accepted
+                                        : AddResult::bad_digest;
 }
-
-}  // namespace
 
 CodecDecoder::CodecDecoder(const SecretKey& secret, const FileInfo& info,
                            bool require_digests)
-    : kind_(info.codec), impl_(make_impl(secret, info, require_digests)) {}
+    : info_(info),
+      require_digests_(require_digests),
+      map_(info),
+      coeffs_(secret, info.file_id, info.params, map_.max_width()) {
+  classes_.reserve(map_.classes());
+  for (std::size_t c = 0; c < map_.classes(); ++c)
+    classes_.push_back(ClassState{
+        linalg::ProgressiveSolver(info.params.field, map_.width(c),
+                                  info.params.m),
+        false});
+}
+
+std::size_t CodecDecoder::rank() const {
+  std::size_t sum = 0;
+  for (const ClassState& st : classes_) sum += st.solver.rank();
+  return sum;
+}
+
+bool CodecDecoder::eliminate(std::size_t cls,
+                             std::span<const std::uint64_t> symbols,
+                             const std::byte* payload) {
+  ClassState& st = classes_[cls];
+  const std::uint64_t t0 = eliminate_ns_ ? obs::monotonic_ns() : 0;
+  const bool innovative = st.solver.add_row(symbols, payload);
+  if (eliminate_ns_) {
+    eliminate_ns_->record(obs::monotonic_ns() - t0);
+    if (!class_rank_.empty())
+      class_rank_[cls]->set(static_cast<double>(st.solver.rank()));
+  }
+  return innovative;
+}
+
+void CodecDecoder::mark_complete(std::size_t cls) {
+  assert(!classes_[cls].complete);
+  classes_[cls].complete = true;
+  ++classes_complete_;
+  if (classes_complete_total_) classes_complete_total_->add(1);
+}
+
+void CodecDecoder::run_cascade(std::size_t ready) {
+  mark_complete(ready);
+  std::deque<std::size_t> queue{ready};
+  while (!queue.empty()) {
+    const std::size_t c = queue.front();
+    queue.pop_front();
+    const std::size_t start = map_.start(c);
+    const std::size_t w = map_.width(c);
+    for (std::size_t j = start; j < start + w; ++j) {
+      for (std::size_t d : map_.classes_containing(j)) {
+        if (d == c || classes_[d].complete) continue;
+        // Donate chunk j as the unit row e_{j - start(d)}.  The donor's
+        // chunk pointer stays valid because completed classes never see
+        // another add_row (add() and add_recoded() skip them).
+        std::vector<std::uint64_t> unit(map_.width(d), 0);
+        unit[j - map_.start(d)] = 1;
+        eliminate(d, unit, classes_[c].solver.chunk(j - start));
+        if (classes_[d].solver.complete()) {
+          mark_complete(d);
+          queue.push_back(d);
+        }
+      }
+    }
+  }
+}
+
+AddResult CodecDecoder::absorb(std::size_t cls,
+                               std::span<const std::uint64_t> symbols,
+                               const std::byte* payload) {
+  const bool innovative = eliminate(cls, symbols, payload);
+  if (classes_[cls].solver.complete()) run_cascade(cls);
+  if (rank_gauge_) rank_gauge_->set(static_cast<double>(rank()));
+  if (!innovative) {
+    ++non_innovative_;
+    return AddResult::non_innovative;
+  }
+  ++accepted_;
+  return AddResult::accepted;
+}
 
 AddResult CodecDecoder::add(const EncodedMessage& message) {
-  return std::visit([&](auto& d) { return d.add(message); }, impl_);
+  if (complete()) return AddResult::already_complete;
+  const AddResult verdict = authenticate(info_, require_digests_, message);
+  if (verdict == AddResult::bad_digest) ++rejected_auth_;
+  if (verdict != AddResult::accepted) return verdict;
+
+  const std::size_t cls = map_.class_of(message.message_id);
+  if (classes_[cls].complete) {
+    ++non_innovative_;
+    return AddResult::non_innovative;
+  }
+  const std::vector<std::uint64_t> symbols =
+      coeffs_.row_symbols(message.message_id);
+  return absorb(cls, std::span(symbols).first(map_.width(cls)),
+                message.payload.data());
 }
 
 AddResult CodecDecoder::add_recoded(const RecodedMessage& message) {
-  return std::visit([&](auto& d) { return d.add_recoded(message); }, impl_);
-}
+  if (complete()) return AddResult::already_complete;
+  if (message.file_id != info_.file_id) return AddResult::wrong_file;
+  if (message.payload.size() != info_.params.message_bytes())
+    return AddResult::bad_size;
+  if (message.combination.empty()) {
+    ++rejected_auth_;
+    return AddResult::bad_digest;
+  }
+  const std::size_t cls = map_.class_of(message.combination.front().first);
+  for (const auto& [mid, alpha] : message.combination) {
+    (void)alpha;
+    if (map_.class_of(mid) != cls) {  // cross-class: malformed
+      ++rejected_auth_;
+      return AddResult::bad_digest;
+    }
+  }
+  if (classes_[cls].complete) {
+    ++non_innovative_;
+    return AddResult::non_innovative;
+  }
 
-void CodecDecoder::add_digest(std::uint64_t message_id,
-                              const crypto::Md5Digest& digest) {
-  std::visit([&](auto& d) { d.add_digest(message_id, digest); }, impl_);
-}
-
-void CodecDecoder::set_thread_pool(util::ThreadPool* pool) {
-  std::visit([&](auto& d) { d.set_thread_pool(pool); }, impl_);
+  // Effective row: sum_i alpha_i * beta_{id_i} over the class window
+  // (addition in GF(2^p) is xor).  Only the secret holder can expand it.
+  const auto& f = gf::field_view(info_.params.field);
+  const std::size_t w = map_.width(cls);
+  std::vector<std::uint64_t> row(w, 0);
+  for (const auto& [mid, alpha] : message.combination) {
+    const std::vector<std::uint64_t> beta = coeffs_.row_symbols(mid);
+    for (std::size_t j = 0; j < w; ++j) row[j] ^= f.mul(alpha, beta[j]);
+  }
+  return absorb(cls, row, message.payload.data());
 }
 
 void CodecDecoder::enable_metrics(obs::MetricsRegistry& registry,
                                   std::uint64_t user_id) {
-  std::visit([&](auto& d) { d.enable_metrics(registry, user_id); }, impl_);
-}
+  const std::string file = std::to_string(info_.file_id);
+  const std::string user = std::to_string(user_id);
+  const obs::LabelList labels = {
+      {"file", file}, {"user", user}, {"codec", to_string(info_.codec)}};
+  rank_gauge_ = &registry.gauge("fairshare_decoder_rank", labels);
+  eliminate_ns_ =
+      &registry.histogram("fairshare_decoder_eliminate_ns", labels);
+  rank_gauge_->set(static_cast<double>(rank()));
+  if (info_.codec != CodecKind::chunked) return;
 
-bool CodecDecoder::complete() const {
-  return std::visit([](const auto& d) { return d.complete(); }, impl_);
-}
-
-std::size_t CodecDecoder::rank() const {
-  return std::visit([](const auto& d) { return d.rank(); }, impl_);
-}
-
-std::size_t CodecDecoder::k() const {
-  return std::visit([](const auto& d) { return d.k(); }, impl_);
-}
-
-std::size_t CodecDecoder::accepted() const {
-  return std::visit([](const auto& d) { return d.accepted(); }, impl_);
-}
-
-std::size_t CodecDecoder::rejected_auth() const {
-  return std::visit([](const auto& d) { return d.rejected_auth(); }, impl_);
-}
-
-std::size_t CodecDecoder::non_innovative() const {
-  return std::visit([](const auto& d) { return d.non_innovative(); }, impl_);
+  classes_complete_total_ = &registry.counter(
+      "fairshare_chunked_classes_complete_total", {{"file", file},
+                                                   {"user", user}});
+  classes_complete_total_->add(classes_complete_);
+  class_rank_.resize(map_.classes());
+  for (std::size_t c = 0; c < map_.classes(); ++c) {
+    class_rank_[c] = &registry.gauge(
+        "fairshare_chunked_class_rank",
+        {{"file", file}, {"user", user}, {"class", std::to_string(c)}});
+    class_rank_[c]->set(static_cast<double>(classes_[c].solver.rank()));
+  }
 }
 
 std::vector<std::byte> CodecDecoder::reconstruct() const {
-  return std::visit([](const auto& d) { return d.reconstruct(); }, impl_);
-}
-
-chunked::Decoder* CodecDecoder::chunked_decoder() {
-  return std::get_if<chunked::Decoder>(&impl_);
-}
-
-const chunked::Decoder* CodecDecoder::chunked_decoder() const {
-  return std::get_if<chunked::Decoder>(&impl_);
+  assert(complete());
+  const std::size_t chunk_bytes = info_.params.message_bytes();
+  std::vector<std::byte> out(map_.k() * chunk_bytes);
+  // Every class is complete, so overlap chunks are written more than once
+  // with identical bytes; walking classes avoids a per-chunk class lookup.
+  for (std::size_t c = 0; c < map_.classes(); ++c) {
+    const std::size_t start = map_.start(c);
+    for (std::size_t j = 0; j < map_.width(c); ++j)
+      std::memcpy(out.data() + (start + j) * chunk_bytes,
+                  classes_[c].solver.chunk(j), chunk_bytes);
+  }
+  out.resize(info_.original_bytes);
+  return out;
 }
 
 }  // namespace fairshare::coding

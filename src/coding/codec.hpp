@@ -1,58 +1,152 @@
-// Codec dispatch: one decoder facade over the dense (decoder.hpp) and
-// overlapping-class (chunked.hpp) codecs, selected by FileInfo::codec.
+// File decoder: collects coded messages from any mix of peers, regenerates
+// their secret coefficient rows, and reconstructs the file the moment
+// every chunk is pinned down (Section III-B).
 //
-// Download paths (net/download_client, coding/batch_decoder, the CLI)
-// construct one of these from whatever FileInfo the serving peer
-// advertises, so a single client binary interoperates with files encoded
-// either way — including metadata written before the codec field existed,
-// which decodes as dense (p2p/wire.cpp's versioned trailer).
+// One decoder serves both codecs.  It runs a progressive elimination per
+// class of the file's chunked::ClassMap, so a dense file (one class of
+// width k) is the paper's decoder exactly, and a chunked file adds the
+// cross-class donation cascade (chunked.hpp).  Download paths
+// (net/download_client, coding/batch_decoder, the CLI) construct one from
+// whatever FileInfo the serving peer advertises, so a single client binary
+// interoperates with files encoded either way — including metadata written
+// before the codec field existed, which decodes as dense (p2p/wire.cpp's
+// versioned trailer).
+//
+// Authentication: when the FileInfo carries per-message MD5 digests, every
+// incoming message is checked before it touches a solver, so a malicious
+// peer "injecting fake messages into the network" (Section III-C) is
+// rejected rather than corrupting the decode.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <variant>
+#include <span>
 #include <vector>
 
 #include "coding/chunked.hpp"
-#include "coding/decoder.hpp"
+#include "coding/coefficients.hpp"
+#include "coding/message.hpp"
+#include "coding/recoding.hpp"
+#include "linalg/progressive.hpp"
+#include "obs/metrics.hpp"
 
 namespace fairshare::coding {
 
+/// Outcome of feeding one message to a decoder.
+enum class AddResult {
+  accepted,        ///< innovative; rank increased
+  non_innovative,  ///< authentic but linearly dependent on prior messages
+  bad_digest,      ///< failed MD5 authentication (or unknown message id)
+  wrong_file,      ///< file_id mismatch
+  bad_size,        ///< payload length does not match m
+  already_complete ///< decode finished; message ignored
+};
+
+/// The checks a message passes before it may touch any decoder state: the
+/// file id, the payload size, then the digest policy.  With
+/// `require_digests`, a message whose id has no digest in `info` is
+/// rejected (the paper's download-time authentication); without it, only
+/// ids the table knows are verified.  Returns `accepted` when the message
+/// may proceed, else wrong_file, bad_size or bad_digest.  Reads only its
+/// arguments, so sessions may call it concurrently.
+AddResult authenticate(const FileInfo& info, bool require_digests,
+                       const EncodedMessage& message);
+
+/// Per-class progressive decoder with cross-class back-substitution.
+///
+/// Each class owns a linalg::ProgressiveSolver over its window; incoming
+/// messages are authenticated and folded into their class's solver.  The
+/// moment a class completes, its decoded chunks inside every overlap region
+/// are donated to incomplete neighbouring classes as unit rows — effectively
+/// free back-substitution that propagates breadth-first until no more
+/// classes flip.
 class CodecDecoder {
  public:
+  /// `require_digests`: when true (default), messages whose id has no
+  /// digest in `info` are rejected.  Set false only for experiments that
+  /// model a user who did not carry the digest table.
   CodecDecoder(const SecretKey& secret, const FileInfo& info,
                bool require_digests = true);
 
-  CodecKind kind() const { return kind_; }
-
   AddResult add(const EncodedMessage& message);
+
+  /// Fold in a peer-recoded packet (recoding.hpp).  Every source id must
+  /// map to one class (see chunked::recode_class_local; a dense file has
+  /// only one).  A combination that is empty or spans classes cannot enter
+  /// any class-local solver and is rejected as bad_digest.  NOTE: no
+  /// per-message digest check is possible — the owner never hashed this
+  /// combination — which is precisely why the paper's design forwards
+  /// verbatim; callers must verify the final content digest instead.
   AddResult add_recoded(const RecodedMessage& message);
 
-  void add_digest(std::uint64_t message_id, const crypto::Md5Digest& digest);
-  void set_thread_pool(util::ThreadPool* pool);
-  /// Instruments carry a codec label ("dense"/"chunked"), so both codecs'
-  /// series coexist in one registry; the chunked codec additionally
-  /// reports per-class gauges (see chunked::Decoder::enable_metrics).
+  /// Report decode progress into `registry`:
+  ///  * fairshare_decoder_rank{file,user,codec} — total rank;
+  ///  * fairshare_decoder_eliminate_ns{file,user,codec} — one sample per
+  ///    row a solver eliminated;
+  /// and, for chunked files only,
+  ///  * fairshare_chunked_class_rank{file,user,class} — per-class gauges;
+  ///  * fairshare_chunked_classes_complete_total{file,user} — cascade
+  ///    progress counter.
+  /// The codec label ("dense"/"chunked") keeps both codecs' series apart in
+  /// one registry.  Off by default so the bare decode pipeline carries
+  /// zero instrumentation cost.
   void enable_metrics(obs::MetricsRegistry& registry, std::uint64_t user_id);
 
-  bool complete() const;
+  /// Register the digest of a message generated after the FileInfo
+  /// snapshot was taken (e.g. fetched live from the owning peer while it
+  /// encodes fresh messages on demand).
+  void add_digest(std::uint64_t message_id, const crypto::Md5Digest& digest) {
+    info_.message_digests[message_id] = digest;
+  }
+
+  bool complete() const { return classes_complete_ == map_.classes(); }
+  /// Sum of per-class solver ranks; reaches sum-of-widths (k for a dense
+  /// file, >= k for a chunked one, the overlap counted once per class)
+  /// when complete.
   std::size_t rank() const;
-  std::size_t k() const;
+  std::size_t k() const { return info_.k; }
+  std::size_t classes_complete() const { return classes_complete_; }
+  const chunked::ClassMap& class_map() const { return map_; }
 
-  std::size_t accepted() const;
-  std::size_t rejected_auth() const;
-  std::size_t non_innovative() const;
+  std::size_t accepted() const { return accepted_; }
+  std::size_t rejected_auth() const { return rejected_auth_; }
+  std::size_t non_innovative() const { return non_innovative_; }
 
-  /// Reconstructed file bytes.  Precondition: complete().
+  /// Reconstructed file (original_bytes long).  Precondition: complete().
   std::vector<std::byte> reconstruct() const;
 
-  /// The chunked decoder, or nullptr when decoding dense (for class-level
-  /// introspection: classes complete, schedule, add_many batching).
-  chunked::Decoder* chunked_decoder();
-  const chunked::Decoder* chunked_decoder() const;
-
  private:
-  CodecKind kind_;
-  std::variant<FileDecoder, chunked::Decoder> impl_;
+  struct ClassState {
+    linalg::ProgressiveSolver solver;
+    bool complete = false;  // set once; donation runs at that moment
+  };
+
+  /// One timed add_row into class `cls`'s solver (plus its class-rank
+  /// gauge); returns true when the row was innovative.
+  bool eliminate(std::size_t cls, std::span<const std::uint64_t> symbols,
+                 const std::byte* payload);
+  /// Eliminate one coded row into class `cls`, run the cascade if that
+  /// completed the class, and count the outcome.
+  AddResult absorb(std::size_t cls, std::span<const std::uint64_t> symbols,
+                   const std::byte* payload);
+  /// Mark class `ready` complete, then donate decoded overlap chunks to
+  /// incomplete neighbours, breadth-first, flipping classes as they fill.
+  void run_cascade(std::size_t ready);
+  void mark_complete(std::size_t cls);
+
+  FileInfo info_;
+  bool require_digests_;
+  chunked::ClassMap map_;
+  CoefficientGenerator coeffs_;  // sized to max class width, truncated
+  std::vector<ClassState> classes_;
+  std::size_t classes_complete_ = 0;
+  std::size_t accepted_ = 0;
+  std::size_t rejected_auth_ = 0;
+  std::size_t non_innovative_ = 0;
+  obs::Gauge* rank_gauge_ = nullptr;  // null = metrics disabled
+  obs::Histogram* eliminate_ns_ = nullptr;
+  std::vector<obs::Gauge*> class_rank_;  // empty unless chunked + metrics
+  obs::Counter* classes_complete_total_ = nullptr;
 };
 
 }  // namespace fairshare::coding

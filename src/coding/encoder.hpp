@@ -1,65 +1,28 @@
 // File encoder: produces the stream of coded messages a peer uploads
 // during the initialization phase (Section III-A, Figure 2).
 //
-// The encoder keeps the k file chunks in memory and generates message i as
-// Y_i = sum_j beta_ij X_j, with beta rows derived from the secret key (see
-// coefficients.hpp).  Following the paper, generated rows are screened for
-// linear independence in batches of k — "the encoding peer can guarantee
-// that exactly k messages will suffice to decode a file by simply testing
-// generated rows for linear independence before encoding" — by *skipping*
-// message ids whose row is dependent within the current batch (ids must
-// stay plain data the decoder can reuse, so rows are never re-rolled).
+// The paper's dense code is the one-class case of the overlapping-class
+// code (chunked.hpp): every coefficient row spans one class of width k, so
+// message i is Y_i = sum_j beta_ij X_j over all k chunks and screening runs
+// in batches of k.  The generated stream, its FileInfo (codec = dense, the
+// default schedule) and so its wire frames are the paper's.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "coding/coefficients.hpp"
-#include "coding/message.hpp"
-#include "linalg/progressive.hpp"
+#include "coding/chunked.hpp"
 
 namespace fairshare::coding {
 
-class FileEncoder {
+class FileEncoder : public chunked::Encoder {
  public:
   /// Prepares chunks for `data` (zero-padded to k*m symbols).  For
   /// GF(2^4), m must be even so chunks stay byte-aligned.
   FileEncoder(const SecretKey& secret, std::uint64_t file_id,
-              std::span<const std::byte> data, const CodingParams& params);
-
-  /// Metadata for decoding; message_digests covers every message generated
-  /// so far (grow it by generating messages, then hand it to users).
-  const FileInfo& info() const { return info_; }
-
-  std::size_t k() const { return k_; }
-  const CodingParams& params() const { return params_; }
-
-  /// Generate the next screened message.  Deterministic: the sequence of
-  /// message ids depends only on (secret, file_id, params, data length).
-  EncodedMessage next_message();
-
-  /// Generate the next `count` messages.  The paper uploads n*k messages
-  /// total, k per peer.
-  std::vector<EncodedMessage> generate(std::size_t count);
-
-  /// Message ids examined so far (accepted + skipped); the skip rate is
-  /// ~1/q per batch and is asserted tiny in tests.
-  std::uint64_t ids_examined() const { return next_id_; }
-  std::uint64_t messages_generated() const { return generated_; }
-
- private:
-  SecretKey secret_;
-  CodingParams params_;
-  std::size_t k_;
-  std::size_t chunk_bytes_;
-  std::vector<std::byte> chunks_;  // k rows of m packed symbols
-  CoefficientGenerator coeffs_;
-  FileInfo info_;
-  linalg::IncrementalRank batch_rank_;
-  std::uint64_t next_id_ = 0;
-  std::uint64_t generated_ = 0;
+              std::span<const std::byte> data, const CodingParams& params)
+      : chunked::Encoder(secret, file_id, data, params, CodecKind::dense,
+                         ChunkedSchedule{}) {}
 };
 
 }  // namespace fairshare::coding

@@ -52,10 +52,11 @@ struct FileInfo {
   std::uint64_t original_bytes = 0;  ///< unpadded file length
   CodingParams params;
   std::size_t k = 0;  ///< chunks (decoding needs k innovative messages)
-  /// Which codec generated the messages (selects FileDecoder vs
-  /// chunked::Decoder at the receiving end; peers forward either verbatim).
-  /// On the wire this travels as a versioned trailer whose absence means
-  /// dense, so pre-chunked metadata still decodes.
+  /// Which codec generated the messages: the class geometry
+  /// (chunked::ClassMap) the one encoder and decoder run on — one class of
+  /// width k for dense, overlapping classes for chunked.  Peers forward
+  /// either verbatim.  On the wire this travels as a versioned trailer
+  /// whose absence means dense, so pre-chunked metadata still decodes.
   CodecKind codec = CodecKind::dense;
   /// Class geometry + schedule seed; meaningful only when codec ==
   /// CodecKind::chunked.

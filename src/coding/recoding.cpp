@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "gf/row_ops.hpp"
+
 namespace fairshare::coding {
 
 RecodedMessage Recoder::recode(std::span<const EncodedMessage> stored,
@@ -22,18 +24,6 @@ RecodedMessage Recoder::recode(std::span<const EncodedMessage> stored,
     f.axpy(out.payload.data(), msg.payload.data(), alpha, params_.m);
   }
   return out;
-}
-
-std::vector<std::byte> effective_row(const CoefficientGenerator& coeffs,
-                                     const RecodedMessage& message,
-                                     const CodingParams& params) {
-  const auto& f = gf::field_view(params.field);
-  std::vector<std::byte> row(f.row_bytes(coeffs.k()), std::byte{0});
-  for (const auto& [mid, alpha] : message.combination) {
-    const std::vector<std::byte> beta = coeffs.row(mid);
-    f.axpy(row.data(), beta.data(), alpha, coeffs.k());
-  }
-  return row;
 }
 
 }  // namespace fairshare::coding

@@ -17,14 +17,14 @@
 // Secrecy is preserved: a recoded packet carries the combination vector
 // alpha over *message ids*, not the secret betas.  Its effective
 // coefficient row is sum_i alpha_i * beta_{id_i}, which only the secret
-// holder can expand.
+// holder can expand (CodecDecoder::add_recoded).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "coding/coefficients.hpp"
 #include "coding/message.hpp"
 #include "sim/rng.hpp"
 
@@ -58,12 +58,5 @@ class Recoder {
  private:
   CodingParams params_;
 };
-
-/// Decoder-side expansion: the effective coefficient row of a recoded
-/// packet, sum_i alpha_i * beta_{id_i}, packed like a normal row.
-/// Requires the secret (via the CoefficientGenerator).
-std::vector<std::byte> effective_row(const CoefficientGenerator& coeffs,
-                                     const RecodedMessage& message,
-                                     const CodingParams& params);
 
 }  // namespace fairshare::coding

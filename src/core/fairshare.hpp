@@ -22,7 +22,7 @@
 #include "alloc/policies.hpp"
 #include "alloc/policy.hpp"
 #include "coding/chunker.hpp"
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "core/scenario.hpp"
 #include "crypto/auth.hpp"

@@ -1,6 +1,7 @@
 #include "crypto/auth.hpp"
 
 #include "crypto/hmac.hpp"
+#include "crypto/sha256.hpp"
 
 namespace fairshare::crypto {
 
@@ -36,6 +37,19 @@ std::vector<std::uint8_t> response_transcript(
 }
 
 }  // namespace
+
+ChaCha20 handshake_rng(std::uint64_t seed, std::uint64_t salt) {
+  Sha256 h;
+  std::uint8_t buf[16];
+  for (int i = 0; i < 8; ++i) {
+    buf[i] = static_cast<std::uint8_t>(seed >> (8 * i));
+    buf[8 + i] = static_cast<std::uint8_t>(salt >> (8 * i));
+  }
+  h.update(std::span<const std::uint8_t>(buf, 16));
+  const Sha256Digest key = h.finish();
+  const std::array<std::uint8_t, ChaCha20::kNonceSize> nonce{};
+  return ChaCha20(std::span<const std::uint8_t, 32>(key), nonce);
+}
 
 AuthInitiator::AuthInitiator(std::uint64_t user_id, const RsaKeyPair& user_key,
                              const RsaPublicKey& peer_public_key,

@@ -103,6 +103,12 @@ class AuthResponder {
   bool established_ = false;
 };
 
+/// Deterministic nonce and session-key stream for one handshake: ChaCha20
+/// keyed by SHA-256(seed || salt), both little-endian, under a zero nonce.
+/// Clients and servers both draw their handshake randomness from it, each
+/// with its own seed and a salt unique to the connection attempt.
+ChaCha20 handshake_rng(std::uint64_t seed, std::uint64_t salt);
+
 /// HMAC tag over a session message (payload framing helper shared by both
 /// sides once the handshake completes).
 Sha256Digest session_tag(const SessionKey& key,

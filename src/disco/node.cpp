@@ -78,7 +78,7 @@ bool DiscoveryNode::start() {
     update_mesh_gauges_locked();
   }
 
-  outbound_ = std::make_unique<util::ThreadPool>(4);
+  outbound_ = std::make_unique<util::ThreadPool>(3);
   running_ = true;
   join_mesh();  // best-effort: unreachable seeds leave a single-node ring
   if (loop_start()) return true;

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "linalg/parallel_ops.hpp"
-
 namespace fairshare::linalg {
 
 // -------------------------------------------------------- IncrementalRank
@@ -77,8 +75,7 @@ bool ProgressiveSolver::add_row(const std::byte* coeffs,
     if (c == 0 || !used_[col]) continue;
     const std::byte* base = slot_row(col);
     f.axpy(scratch_.data(), base, c, k_);
-    parallel_axpy(f, scratch_.data() + payload_offset_,
-                  base + payload_offset_, c, m_, pool_);
+    f.axpy(scratch_.data() + payload_offset_, base + payload_offset_, c, m_);
   }
 
   // Locate this row's pivot.
@@ -93,7 +90,7 @@ bool ProgressiveSolver::add_row(const std::byte* coeffs,
 
   const std::uint64_t inv = f.inv(f.get(scratch_.data(), pivot));
   f.scale(scratch_.data(), inv, k_);
-  parallel_scale(f, scratch_.data() + payload_offset_, inv, m_, pool_);
+  f.scale(scratch_.data() + payload_offset_, inv, m_);
 
   // Back-eliminate the new pivot column from all stored rows so the basis
   // stays in *reduced* echelon form (payloads become plain chunks at rank k).
@@ -103,8 +100,7 @@ bool ProgressiveSolver::add_row(const std::byte* coeffs,
     const std::uint64_t c = f.get(r, pivot);
     if (c == 0) continue;
     f.axpy(r, scratch_.data(), c, k_);
-    parallel_axpy(f, r + payload_offset_, scratch_.data() + payload_offset_,
-                  c, m_, pool_);
+    f.axpy(r + payload_offset_, scratch_.data() + payload_offset_, c, m_);
   }
 
   std::memcpy(slot_row(pivot), scratch_.data(), row_bytes_);

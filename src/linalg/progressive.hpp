@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "gf/row_ops.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fairshare::linalg {
 
@@ -77,11 +76,6 @@ class ProgressiveSolver {
   std::size_t k() const { return k_; }
   std::size_t payload_symbols() const { return m_; }
 
-  /// Fan payload row operations out over `pool` (nullptr = serial, the
-  /// default).  The pool must outlive the solver.  Results are identical
-  /// either way; only wall-clock changes (see bench/ext_parallel_decode).
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-
  private:
   std::byte* slot_row(std::size_t pivot) {
     return rows_.data() + pivot * row_bytes_;
@@ -100,7 +94,6 @@ class ProgressiveSolver {
   std::vector<std::byte> rows_;     // k slots indexed by pivot column
   std::vector<bool> used_;          // slot occupancy
   std::vector<std::byte> scratch_;  // one packed row
-  util::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace fairshare::linalg

@@ -10,30 +10,15 @@
 #include "coding/codec.hpp"
 #include "crypto/auth.hpp"
 #include "crypto/chacha20.hpp"
-#include "crypto/sha256.hpp"
 #include "net/socket.hpp"
 #include "obs/trace.hpp"
 #include "p2p/wire.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fairshare::net {
 
 namespace {
 
 constexpr std::size_t kMaxServerFrame = 64 << 20;  // generous payload bound
-
-crypto::ChaCha20 seeded_rng(std::uint64_t seed, std::uint64_t salt) {
-  crypto::Sha256 h;
-  std::uint8_t buf[16];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<std::uint8_t>(seed >> (8 * i));
-    buf[8 + i] = static_cast<std::uint8_t>(salt >> (8 * i));
-  }
-  h.update(std::span<const std::uint8_t>(buf, 16));
-  const crypto::Sha256Digest key = h.finish();
-  const std::array<std::uint8_t, crypto::ChaCha20::kNonceSize> nonce{};
-  return crypto::ChaCha20(std::span<const std::uint8_t, 32>(key), nonce);
-}
 
 /// How one connection attempt ended.
 enum class Outcome {
@@ -150,7 +135,7 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
 
     // Figure 4(b) transmission "1": mutual authentication.
     if (options.user_key != nullptr) {
-      crypto::ChaCha20 rng = seeded_rng(options.rng_seed, salt);
+      crypto::ChaCha20 rng = crypto::handshake_rng(options.rng_seed, salt);
       crypto::AuthInitiator initiator(options.user_id, *options.user_key,
                                       peer.identity, rng);
       if (!send_frame(*transport, p2p::wire::encode(initiator.hello())))
@@ -287,27 +272,15 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
     }
   };
 
-  // One fixed pool serves every per-peer session, and each session keeps
-  // its worker across all retry attempts — re-dialing a flaky peer reuses
-  // the thread it already has instead of spawning a fresh one per attempt.
-  // An explicit latch (not the pool destructor, which discards queued
-  // tasks) guarantees every session ran before the report is aggregated.
+  // One thread per peer; each session keeps its thread across all retry
+  // attempts, so re-dialing a flaky peer reuses the thread it already has.
+  // The jthreads join when the block closes, before the report is
+  // aggregated.
   {
-    std::mutex pool_mutex;
-    std::condition_variable pool_cv;
-    std::size_t remaining = peers.size();
-    util::ThreadPool pool(std::max<std::size_t>(peers.size(), 1) + 1);
+    std::vector<std::jthread> threads;
+    threads.reserve(peers.size());
     for (std::size_t i = 0; i < peers.size(); ++i)
-      pool.submit([&, i] {
-        session(i);
-        {
-          std::lock_guard<std::mutex> lock(pool_mutex);
-          --remaining;
-        }
-        pool_cv.notify_all();
-      });
-    std::unique_lock<std::mutex> lock(pool_mutex);
-    pool_cv.wait(lock, [&] { return remaining == 0; });
+      threads.emplace_back(session, i);
   }
 
   report.seconds =

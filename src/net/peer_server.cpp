@@ -3,27 +3,11 @@
 #include <algorithm>
 
 #include "alloc/policies.hpp"
-#include "crypto/chacha20.hpp"
-#include "crypto/sha256.hpp"
 #include "obs/export.hpp"
 #include "obs/signal_dump.hpp"
 #include "obs/trace.hpp"
 
 namespace fairshare::net {
-
-crypto::ChaCha20 PeerServer::seeded_rng(std::uint64_t seed,
-                                        std::uint64_t salt) {
-  crypto::Sha256 h;
-  std::uint8_t buf[16];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<std::uint8_t>(seed >> (8 * i));
-    buf[8 + i] = static_cast<std::uint8_t>(salt >> (8 * i));
-  }
-  h.update(std::span<const std::uint8_t>(buf, 16));
-  const crypto::Sha256Digest key = h.finish();
-  const std::array<std::uint8_t, crypto::ChaCha20::kNonceSize> nonce{};
-  return crypto::ChaCha20(std::span<const std::uint8_t, 32>(key), nonce);
-}
 
 PeerServer::PeerServer(Config config, p2p::MessageStore store,
                        std::optional<crypto::RsaKeyPair> identity)

@@ -182,8 +182,6 @@ class PeerServer {
   /// Slot index for a user id, assigning one if unseen; nullopt when all
   /// Config::max_users slots are taken.  Requires pacing_mutex_.
   std::optional<std::size_t> user_slot_locked(std::uint64_t user_id);
-  /// Deterministic per-session nonce/key stream.
-  static crypto::ChaCha20 seeded_rng(std::uint64_t seed, std::uint64_t salt);
   // Reactor bring-up/teardown (peer_server_epoll.cpp; the non-Linux build
   // stubs them out, so start() fails there).
   bool reactor_start();

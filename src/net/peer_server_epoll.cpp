@@ -284,7 +284,7 @@ bool PeerServer::ReactorState::handle_frame(
         return false;
       }
       s->rng = std::make_unique<crypto::ChaCha20>(
-          PeerServer::seeded_rng(srv->config_.rng_seed, s->salt));
+          crypto::handshake_rng(srv->config_.rng_seed, s->salt));
       s->responder.emplace(srv->config_.peer_id, *srv->identity_,
                            user->second, *s->rng);
       const auto challenge = s->responder->on_hello(*hello);

@@ -72,7 +72,7 @@ struct System::Request {
   PeerId user = 0;
   std::uint64_t file_id = 0;
   double download_kbps = 0.0;
-  coding::FileDecoder decoder;
+  coding::CodecDecoder decoder;
   std::vector<Session> sessions;
   RequestStats stats;
   bool done = false;

@@ -20,7 +20,7 @@
 #include "alloc/policy.hpp"
 #include "dht/chord.hpp"
 #include "coding/chunker.hpp"
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "crypto/auth.hpp"
 #include "p2p/store.hpp"

@@ -1,11 +1,12 @@
 // The paper-literal batch decoder (invert the k x k sub-matrix), checked
-// against the progressive decoder.
+// against the progressive decoder, and its chunked-file branch.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "coding/batch_decoder.hpp"
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "sim/rng.hpp"
 
@@ -36,7 +37,7 @@ TEST_P(BatchDecoderTest, DecodesExactlyLikeProgressive) {
   const auto messages = encoder.generate(encoder.k());
 
   BatchDecoder batch(secret(1), encoder.info());
-  FileDecoder progressive(secret(1), encoder.info());
+  CodecDecoder progressive(secret(1), encoder.info());
   for (const auto& m : messages) {
     EXPECT_EQ(batch.add(m), AddResult::accepted);
     progressive.add(m);
@@ -109,6 +110,40 @@ TEST(BatchDecoder, SingularBufferRecoversWithFreshMessage) {
     }
   }
   FAIL() << "never decoded from " << fed << " buffered messages";
+}
+
+TEST(BatchDecoder, ChunkedFileDecodesThroughClassElimination) {
+  // A chunked file has no global k x k system to invert; decode() runs the
+  // buffer through CodecDecoder's per-class elimination instead.
+  const CodingParams params{gf::FieldId::gf2_32, 64};
+  const auto data = random_data(12800, 5);  // k = 50
+  ChunkedSchedule schedule;
+  schedule.class_size = 16;
+  schedule.overlap = 4;
+  chunked::Encoder encoder(secret(5), 2, data, params, schedule);
+  const std::size_t k = encoder.k();
+  const chunked::ClassMap& map = encoder.class_map();
+  ASSERT_GT(map.classes(), 2u);
+  const auto messages = encoder.generate(2 * k);
+
+  BatchDecoder batch(secret(5), encoder.info());
+  std::optional<std::vector<std::byte>> out;
+  for (const auto& m : messages) {
+    EXPECT_EQ(batch.add(m), AddResult::accepted);
+    if (batch.ready() && (out = batch.decode())) break;
+  }
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, data);
+
+  // With every class-0 message withheld, class 0 stays short however many
+  // others arrive: decode() says fetch more and ages out the oldest one.
+  BatchDecoder short_class(secret(5), encoder.info());
+  for (const auto& m : messages)
+    if (!short_class.ready() && map.class_of(m.message_id) != 0)
+      short_class.add(m);
+  ASSERT_TRUE(short_class.ready());
+  EXPECT_FALSE(short_class.decode().has_value());
+  EXPECT_EQ(short_class.buffered(), k - 1);
 }
 
 }  // namespace

@@ -1,23 +1,23 @@
 // Overlapping-class codec (coding/chunked.hpp): class-map geometry and
 // schedule invariants, bit-exact agreement with the dense codec, the
-// donation cascade under in-order / shuffled / recoded delivery, batch
-// parallelism parity, and the registry wiring for the chunked metrics.
+// donation cascade under in-order / shuffled / recoded delivery, the one
+// decoder under both codecs' FileInfo, and the registry wiring for the
+// chunked metrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstring>
 #include <map>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "coding/chunked.hpp"
 #include "coding/codec.hpp"
-#include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fairshare::coding {
 namespace {
@@ -44,12 +44,21 @@ ChunkedSchedule schedule(std::uint32_t class_size, std::uint32_t overlap,
   return s;
 }
 
+// A chunked FileInfo carrying only what ClassMap reads.
+FileInfo geometry(std::size_t k, const ChunkedSchedule& s) {
+  FileInfo info;
+  info.k = k;
+  info.codec = CodecKind::chunked;
+  info.schedule = s;
+  return info;
+}
+
 // ------------------------------------------------------------- geometry
 
 void check_map_invariants(std::size_t k, const ChunkedSchedule& s) {
   SCOPED_TRACE(::testing::Message() << "k=" << k << " L=" << s.class_size
                                     << " v=" << s.overlap);
-  const chunked::ClassMap map(k, s);
+  const chunked::ClassMap map(geometry(k, s));
   const std::size_t n = map.classes();
   ASSERT_GE(n, 1u);
 
@@ -115,7 +124,7 @@ TEST(ClassMap, InvariantsAcrossGeometries) {
 }
 
 TEST(ClassMap, SingleClassWhenFileIsSmall) {
-  const chunked::ClassMap map(10, schedule(16, 4));
+  const chunked::ClassMap map(geometry(10, schedule(16, 4)));
   EXPECT_EQ(map.classes(), 1u);
   EXPECT_EQ(map.width(0), 10u);
   EXPECT_EQ(map.max_width(), 10u);
@@ -125,8 +134,8 @@ TEST(ClassMap, SingleClassWhenFileIsSmall) {
 }
 
 TEST(ClassMap, SeedChangesInterleavingNotQuotas) {
-  const chunked::ClassMap a(100, schedule(16, 4, 1));
-  const chunked::ClassMap b(100, schedule(16, 4, 2));
+  const chunked::ClassMap a(geometry(100, schedule(16, 4, 1)));
+  const chunked::ClassMap b(geometry(100, schedule(16, 4, 2)));
   std::map<std::size_t, std::size_t> visits_a, visits_b;
   bool any_difference = false;
   for (std::uint64_t id = 0; id < 100; ++id) {
@@ -154,7 +163,7 @@ TEST(Chunked, InOrderExactlyKMessagesDecode) {
   ASSERT_GT(encoder.class_map().classes(), 2u);
 
   const auto messages = encoder.generate(k);  // also publishes digests
-  chunked::Decoder decoder(secret(3), encoder.info());
+  CodecDecoder decoder(secret(3), encoder.info());
   std::size_t fed = 0;
   for (const auto& msg : messages) {
     ASSERT_FALSE(decoder.complete());
@@ -183,14 +192,14 @@ TEST(Chunked, MatchesDenseDecoderBitExactly) {
 
   FileEncoder dense_enc(key, 77, data, params);
   const auto dense_messages = dense_enc.generate(dense_enc.k());
-  FileDecoder dense_dec(key, dense_enc.info());
+  CodecDecoder dense_dec(key, dense_enc.info());
   for (const auto& msg : dense_messages) dense_dec.add(msg);
   ASSERT_TRUE(dense_dec.complete());
 
   chunked::Encoder chunked_enc(key, 77, data, params, schedule(16, 4));
   ASSERT_EQ(chunked_enc.k(), dense_enc.k());
   const auto chunked_messages = chunked_enc.generate(2 * chunked_enc.k());
-  chunked::Decoder chunked_dec(key, chunked_enc.info());
+  CodecDecoder chunked_dec(key, chunked_enc.info());
   for (const auto& msg : chunked_messages) {
     if (chunked_dec.complete()) break;
     chunked_dec.add(msg);
@@ -232,7 +241,7 @@ TEST_P(ChunkedGeometryTest, ShuffledDeliveryDecodes) {
   for (std::size_t i = messages.size(); i > 1; --i)
     std::swap(messages[i - 1], messages[rng.next_below(i)]);
 
-  chunked::Decoder decoder(secret(5), encoder.info());
+  CodecDecoder decoder(secret(5), encoder.info());
   std::size_t fed = 0;
   for (const auto& msg : messages) {
     if (decoder.complete()) break;
@@ -278,7 +287,7 @@ TEST(Chunked, RecodedClassLocalPacketsDecode) {
 
   // A peer recodes inside each class; the decoder expands the packets
   // against that class's solver and the cascade finishes the file.
-  chunked::Decoder decoder(secret(6), encoder.info());
+  CodecDecoder decoder(secret(6), encoder.info());
   sim::SplitMix64 rng(99);
   std::size_t attempts = 0;
   while (!decoder.complete()) {
@@ -317,7 +326,7 @@ TEST(Chunked, CrossClassRecodedPacketRejected) {
   }
   ASSERT_EQ(cross.combination.size(), 2u);
 
-  chunked::Decoder decoder(secret(7), encoder.info());
+  CodecDecoder decoder(secret(7), encoder.info());
   EXPECT_EQ(decoder.add_recoded(cross), AddResult::bad_digest);
   RecodedMessage empty;
   empty.file_id = 44;
@@ -334,7 +343,7 @@ TEST(Chunked, TamperedAndForeignMessagesRejected) {
   const auto data = random_data(3200, 8);  // k = 50
   chunked::Encoder encoder(secret(8), 45, data, params, schedule(16, 4));
   auto messages = encoder.generate(encoder.k());
-  chunked::Decoder decoder(secret(8), encoder.info());
+  CodecDecoder decoder(secret(8), encoder.info());
 
   auto tampered = messages[0];
   tampered.payload[5] ^= std::byte{0x40};
@@ -364,74 +373,48 @@ TEST(Chunked, TamperedAndForeignMessagesRejected) {
   EXPECT_EQ(decoder.add(messages[0]), AddResult::already_complete);
 }
 
-// ------------------------------------------------------------- add_many
-
-TEST(Chunked, AddManyMatchesPerMessageAddWithAndWithoutPool) {
-  // Per-class payload work must clear linalg::kMinChunkSymbols for the
-  // pooled branch to engage: m = 1024 symbols and ~26 messages per class
-  // put every class well past the threshold.
-  const CodingParams params{gf::FieldId::gf2_8, 1024};
-  const auto data = random_data(64 * 1024, 9);  // k = 64
-  chunked::Encoder encoder(secret(9), 46, data, params, schedule(16, 4));
-  auto messages = encoder.generate(2 * encoder.k());
-  sim::SplitMix64 rng(0x5EED);
-  for (std::size_t i = messages.size(); i > 1; --i)
-    std::swap(messages[i - 1], messages[rng.next_below(i)]);
-
-  chunked::Decoder serial(secret(9), encoder.info());
-  for (const auto& msg : messages) serial.add(msg);
-
-  chunked::Decoder batch_inline(secret(9), encoder.info());
-  batch_inline.add_many(messages, /*pool=*/nullptr);
-
-  util::ThreadPool pool(4);
-  chunked::Decoder batch_pooled(secret(9), encoder.info());
-  batch_pooled.add_many(messages, &pool);
-
-  // All three reach the same decode state and bytes.  Acceptance tallies
-  // are allowed to differ between serial and batch: serial add() stops
-  // counting once the file completes (already_complete), and add_many
-  // defers the donation cascade until after its barrier, so coded rows a
-  // donation would have made redundant are absorbed as innovative.
-  for (const chunked::Decoder* d :
-       {&serial, &batch_inline, &batch_pooled}) {
-    ASSERT_TRUE(d->complete());
-    EXPECT_EQ(d->rank(), serial.rank());
-    EXPECT_GE(d->accepted(), encoder.k());
-    EXPECT_LE(d->accepted() + d->non_innovative(), messages.size());
-    EXPECT_EQ(d->reconstruct(), data);
-  }
-  // The pool changes scheduling, never results: pooled add_many must match
-  // the inline pass counter for counter.
-  EXPECT_EQ(batch_pooled.accepted(), batch_inline.accepted());
-  EXPECT_EQ(batch_pooled.non_innovative(), batch_inline.non_innovative());
-  EXPECT_EQ(batch_pooled.classes_complete(), batch_inline.classes_complete());
-}
-
 // ---------------------------------------------------------- codec switch
 
 TEST(CodecDecoder, DispatchesOnFileInfoCodec) {
+  // One decoder, two geometries.  A dense FileInfo decodes as one class of
+  // width k — here k = 100, past the default class_size of 64, so the
+  // schedule the FileInfo carries must not split it — and a chunked one
+  // as overlapping classes.
   const CodingParams params{gf::FieldId::gf2_8, 64};
-  const auto data = random_data(3200, 10);
+  const auto data = random_data(6400, 10);
   const auto key = secret(10);
 
   FileEncoder dense_enc(key, 47, data, params);
   ASSERT_EQ(dense_enc.info().codec, CodecKind::dense);
+  ASSERT_EQ(dense_enc.k(), 100u);
+  ASSERT_GT(dense_enc.k(), dense_enc.info().schedule.class_size);
   const auto dense_messages = dense_enc.generate(dense_enc.k());
   CodecDecoder dense_dec(key, dense_enc.info());
-  EXPECT_EQ(dense_dec.kind(), CodecKind::dense);
-  EXPECT_EQ(dense_dec.chunked_decoder(), nullptr);
-  for (const auto& msg : dense_messages) dense_dec.add(msg);
+  obs::MetricsRegistry registry;
+  dense_dec.enable_metrics(registry, /*user_id=*/1);
+  ASSERT_EQ(dense_dec.class_map().classes(), 1u);
+  EXPECT_EQ(dense_dec.class_map().width(0), dense_enc.k());
+  for (const auto& msg : dense_messages)
+    EXPECT_EQ(dense_dec.add(msg), AddResult::accepted);
   ASSERT_TRUE(dense_dec.complete());
+  EXPECT_EQ(dense_dec.rank(), dense_enc.k());
   EXPECT_EQ(dense_dec.reconstruct(), data);
+  // A dense decode exports only the codec="dense" decoder series.
+  const auto snap = registry.snapshot();
+  std::vector<std::string> names;
+  for (const auto& g : snap.gauges) names.push_back(g.name);
+  for (const auto& c : snap.counters) names.push_back(c.name);
+  for (const auto& h : snap.histograms) names.push_back(h.name);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"fairshare_decoder_eliminate_ns",
+                                             "fairshare_decoder_rank"}));
 
   chunked::Encoder chunked_enc(key, 47, data, params, schedule(16, 4));
   ASSERT_EQ(chunked_enc.info().codec, CodecKind::chunked);
   ASSERT_EQ(chunked_enc.info().schedule, schedule(16, 4));
   const auto chunked_messages = chunked_enc.generate(2 * chunked_enc.k());
   CodecDecoder chunked_dec(key, chunked_enc.info());
-  EXPECT_EQ(chunked_dec.kind(), CodecKind::chunked);
-  ASSERT_NE(chunked_dec.chunked_decoder(), nullptr);
+  EXPECT_GT(chunked_dec.class_map().classes(), 1u);
   for (const auto& msg : chunked_messages) {
     if (chunked_dec.complete()) break;
     chunked_dec.add(msg);
@@ -452,7 +435,7 @@ TEST(Chunked, MetricsMirrorDecoderState) {
 
   const auto messages = encoder.generate(encoder.k());
   obs::MetricsRegistry registry;
-  chunked::Decoder decoder(secret(11), encoder.info());
+  CodecDecoder decoder(secret(11), encoder.info());
   decoder.enable_metrics(registry, /*user_id=*/9);
   for (const auto& msg : messages) decoder.add(msg);
   ASSERT_TRUE(decoder.complete());

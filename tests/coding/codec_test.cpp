@@ -6,7 +6,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "sim/rng.hpp"
 
@@ -48,7 +48,7 @@ TEST_P(CodecTest, ExactlyKMessagesSuffice) {
 
   // The first k screened messages form a batch guaranteed invertible.
   const auto messages = encoder.generate(k);
-  FileDecoder decoder(secret(1), encoder.info());
+  CodecDecoder decoder(secret(1), encoder.info());
   for (std::size_t i = 0; i < k; ++i) {
     EXPECT_EQ(decoder.add(messages[i]), AddResult::accepted) << i;
   }
@@ -68,7 +68,7 @@ TEST_P(CodecTest, CrossBatchMixDecodes) {
   // requesting until rank k (non-innovative rows are simply skipped).
   auto messages = encoder.generate(3 * k);
   std::reverse(messages.begin(), messages.end());
-  FileDecoder decoder(secret(2), encoder.info());
+  CodecDecoder decoder(secret(2), encoder.info());
   std::size_t fed = 0;
   for (const auto& msg : messages) {
     if (decoder.complete()) break;
@@ -105,7 +105,7 @@ TEST(Codec, WrongSecretProducesGarbage) {
   FileEncoder encoder(secret(1), 1, data, params);
   const auto messages = encoder.generate(encoder.k());
 
-  FileDecoder decoder(secret(99), encoder.info());  // wrong key
+  CodecDecoder decoder(secret(99), encoder.info());  // wrong key
   for (const auto& m : messages) decoder.add(m);
   if (decoder.complete()) {
     EXPECT_NE(decoder.reconstruct(), data);
@@ -119,7 +119,7 @@ TEST(Codec, TamperedPayloadRejectedByDigest) {
   auto messages = encoder.generate(encoder.k());
 
   messages[0].payload[3] ^= std::byte{0xFF};
-  FileDecoder decoder(secret(1), encoder.info());
+  CodecDecoder decoder(secret(1), encoder.info());
   EXPECT_EQ(decoder.add(messages[0]), AddResult::bad_digest);
   EXPECT_EQ(decoder.rejected_auth(), 1u);
   for (std::size_t i = 1; i < messages.size(); ++i) decoder.add(messages[i]);
@@ -132,7 +132,7 @@ TEST(Codec, ForgedMessageIdRejected) {
   FileEncoder encoder(secret(1), 1, data, params);
   auto messages = encoder.generate(encoder.k());
   messages[0].message_id = 12345678;  // id never emitted by the encoder
-  FileDecoder decoder(secret(1), encoder.info());
+  CodecDecoder decoder(secret(1), encoder.info());
   EXPECT_EQ(decoder.add(messages[0]), AddResult::bad_digest);
 }
 
@@ -144,7 +144,7 @@ TEST(Codec, UnknownIdsAcceptedWhenDigestsNotRequired) {
   const auto messages = encoder.generate(encoder.k());
   FileInfo info = encoder.info();
   info.message_digests.clear();
-  FileDecoder decoder(secret(1), info, /*require_digests=*/false);
+  CodecDecoder decoder(secret(1), info, /*require_digests=*/false);
   for (const auto& m : messages) decoder.add(m);
   ASSERT_TRUE(decoder.complete());
   EXPECT_EQ(decoder.reconstruct(), data);
@@ -156,7 +156,7 @@ TEST(Codec, WrongFileIdRejected) {
   FileEncoder enc_a(secret(1), 1, data, params);
   FileEncoder enc_b(secret(1), 2, data, params);
   const auto msg_b = enc_b.generate(1)[0];
-  FileDecoder decoder(secret(1), enc_a.info());
+  CodecDecoder decoder(secret(1), enc_a.info());
   EXPECT_EQ(decoder.add(msg_b), AddResult::wrong_file);
 }
 
@@ -166,7 +166,7 @@ TEST(Codec, WrongPayloadSizeRejected) {
   FileEncoder encoder(secret(1), 1, data, params);
   auto msg = encoder.generate(1)[0];
   msg.payload.resize(msg.payload.size() - 4);
-  FileDecoder decoder(secret(1), encoder.info());
+  CodecDecoder decoder(secret(1), encoder.info());
   EXPECT_EQ(decoder.add(msg), AddResult::bad_size);
 }
 
@@ -175,7 +175,7 @@ TEST(Codec, DuplicateMessageNotInnovative) {
   const auto data = random_data(2000, 9);
   FileEncoder encoder(secret(1), 1, data, params);
   const auto messages = encoder.generate(2);
-  FileDecoder decoder(secret(1), encoder.info());
+  CodecDecoder decoder(secret(1), encoder.info());
   EXPECT_EQ(decoder.add(messages[0]), AddResult::accepted);
   EXPECT_EQ(decoder.add(messages[0]), AddResult::non_innovative);
   EXPECT_EQ(decoder.non_innovative(), 1u);
@@ -187,7 +187,7 @@ TEST(Codec, MessagesAfterCompletionIgnored) {
   FileEncoder encoder(secret(1), 1, data, params);
   const std::size_t k = encoder.k();
   const auto messages = encoder.generate(k + 1);
-  FileDecoder decoder(secret(1), encoder.info());
+  CodecDecoder decoder(secret(1), encoder.info());
   for (std::size_t i = 0; i < k; ++i) decoder.add(messages[i]);
   ASSERT_TRUE(decoder.complete());
   EXPECT_EQ(decoder.add(messages[k]), AddResult::already_complete);
@@ -214,7 +214,7 @@ TEST(Codec, Gf16ScreeningStillProducesDecodableBatches) {
   const std::size_t k = encoder.k();
   for (int batch = 0; batch < 4; ++batch) {
     const auto messages = encoder.generate(k);
-    FileDecoder decoder(secret(1), encoder.info());
+    CodecDecoder decoder(secret(1), encoder.info());
     for (const auto& m : messages)
       EXPECT_EQ(decoder.add(m), AddResult::accepted);
     ASSERT_TRUE(decoder.complete()) << "batch " << batch;
@@ -258,7 +258,7 @@ TEST(Codec, AddDigestAllowsLateMessages) {
   const std::size_t k = encoder.k();
   const FileInfo early_info = encoder.info();  // no digests yet
 
-  FileDecoder decoder(secret(1), early_info);
+  CodecDecoder decoder(secret(1), early_info);
   const auto messages = encoder.generate(k);
   // Without registration they fail authentication...
   EXPECT_EQ(decoder.add(messages[0]), AddResult::bad_digest);

@@ -1,9 +1,12 @@
 // Encoder-specific behaviors beyond the codec round trips.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "coding/encoder.hpp"
+#include "crypto/md5.hpp"
 #include "sim/rng.hpp"
 
 namespace fairshare::coding {
@@ -34,6 +37,56 @@ TEST(Encoder, MessageIdsAreDeterministic) {
   for (std::size_t i = 0; i < ma.size(); ++i) {
     EXPECT_EQ(ma[i].message_id, mb[i].message_id);
     EXPECT_EQ(ma[i].payload, mb[i].payload);
+  }
+}
+
+// The dense stream is pinned byte for byte: message ids (so the screening
+// skips) and one MD5 over the concatenated serialize() images of the
+// first 2k messages.  These values were recorded from the dense encoder
+// before it became the one-class case of chunked::Encoder.
+struct GoldenStream {
+  gf::FieldId field;
+  std::size_t m;
+  std::size_t bytes;
+  std::uint64_t data_seed;
+  std::uint64_t file_id;
+  std::size_t k;
+  /// The ids of the first 2k messages, as half-open runs [first, last).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> id_runs;
+  std::string md5;
+};
+
+TEST(Encoder, GoldenDenseStreams) {
+  SecretKey key{};
+  key[0] = 0x60;
+  key[31] = 0x1d;
+  const GoldenStream streams[] = {
+      // Odd k on the nibble-packed field; screening skips ids 125 and 126.
+      {gf::FieldId::gf2_4, 128, 4000, 41, 0x601E1, 63,
+       {{0, 125}, {127, 128}}, "e69331c6b134aea04079dfd17632b457"},
+      {gf::FieldId::gf2_8, 64, 6350, 42, 0x601D8, 100, {{0, 200}},
+       "5f27777d7fceb9fdd42c9a9c3b0c5d9d"},
+      // 1 MiB at the paper's defaults.
+      {gf::FieldId::gf2_32, 32768, 1u << 20, 43, 0x601D32, 8, {{0, 16}},
+       "4b0a50cce6e89d3285ce9b28352f2a1a"},
+  };
+  for (const GoldenStream& g : streams) {
+    SCOPED_TRACE(gf::field_name(g.field));
+    const auto data = blob(g.bytes, g.data_seed);
+    FileEncoder enc(key, g.file_id, data, CodingParams{g.field, g.m});
+    ASSERT_EQ(enc.k(), g.k);
+    std::vector<std::uint64_t> want_ids;
+    for (const auto& [first, last] : g.id_runs)
+      for (std::uint64_t id = first; id < last; ++id) want_ids.push_back(id);
+
+    std::vector<std::uint64_t> ids;
+    crypto::Md5 md5;
+    for (const EncodedMessage& msg : enc.generate(2 * g.k)) {
+      ids.push_back(msg.message_id);
+      md5.update(std::span<const std::byte>(msg.serialize()));
+    }
+    EXPECT_EQ(ids, want_ids);
+    EXPECT_EQ(crypto::to_hex(md5.finish()), g.md5);
   }
 }
 

@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "sim/rng.hpp"
 
@@ -55,7 +55,7 @@ TEST(CodecFuzz, RandomScenariosAlwaysRoundTrip) {
     }
 
     // --- decode ---------------------------------------------------------
-    FileDecoder decoder(secret, encoder.info());
+    CodecDecoder decoder(secret, encoder.info());
     std::size_t rejected = 0;
     for (const auto& msg : arrivals) {
       if (decoder.complete()) break;
@@ -85,7 +85,7 @@ TEST(CodecFuzz, AllFieldsAllSmallSizes) {
         b = std::byte{static_cast<std::uint8_t>(rng.next())};
       FileEncoder encoder(secret, bytes, data, params);
       const auto messages = encoder.generate(encoder.k());
-      FileDecoder decoder(secret, encoder.info());  // digests now known
+      CodecDecoder decoder(secret, encoder.info());  // digests now known
       for (const auto& msg : messages) decoder.add(msg);
       ASSERT_TRUE(decoder.complete())
           << gf::field_name(field) << " bytes=" << bytes;

@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "coding/merkle_auth.hpp"
 #include "sim/rng.hpp"
@@ -91,7 +91,7 @@ TEST(MerkleAuth, DecodesWithoutDigestTable) {
 
   FileInfo info = b.encoder.info();
   info.message_digests.clear();  // nothing carried per message
-  FileDecoder decoder(secret(1), info, /*require_digests=*/false);
+  CodecDecoder decoder(secret(1), info, /*require_digests=*/false);
 
   for (const auto& am : auth.attach_all(b.messages)) {
     ASSERT_TRUE(verifier.verify(am));
@@ -107,7 +107,7 @@ TEST(MerkleAuth, TampererCannotSneakPastVerifierIntoDecoder) {
   MerkleVerifier verifier(auth.root(), auth.leaf_count());
   FileInfo info = b.encoder.info();
   info.message_digests.clear();
-  FileDecoder decoder(secret(1), info, /*require_digests=*/false);
+  CodecDecoder decoder(secret(1), info, /*require_digests=*/false);
 
   auto authenticated = auth.attach_all(b.messages);
   authenticated[0].message.payload[0] ^= std::byte{0xFF};  // corrupt one

@@ -4,7 +4,7 @@
 #include <set>
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "coding/recoding.hpp"
 #include "sim/rng.hpp"
@@ -37,7 +37,7 @@ TEST(Recoding, RecodedPacketsDecodeTheFile) {
   // from recoded packets alone.
   Recoder recoder(kParams);
   sim::SplitMix64 rng(2);
-  FileDecoder decoder(secret(1), encoder.info(), /*require_digests=*/false);
+  CodecDecoder decoder(secret(1), encoder.info(), /*require_digests=*/false);
   std::size_t sent = 0;
   while (!decoder.complete() && sent < 3 * k) {
     const RecodedMessage packet = recoder.recode(pool, rng);
@@ -49,24 +49,6 @@ TEST(Recoding, RecodedPacketsDecodeTheFile) {
   EXPECT_LE(sent, k + 2);  // essentially every packet innovative
 }
 
-TEST(Recoding, EffectiveRowMatchesManualExpansion) {
-  const auto data = random_data(2000, 3);
-  FileEncoder encoder(secret(1), 1, data, kParams);
-  const auto pool = encoder.generate(3);
-  const CoefficientGenerator gen(secret(1), 1, kParams, encoder.k());
-  const auto& f = gf::field_view(kParams.field);
-
-  Recoder recoder(kParams);
-  sim::SplitMix64 rng(4);
-  const RecodedMessage packet = recoder.recode(pool, rng);
-  const auto row = effective_row(gen, packet, kParams);
-
-  std::vector<std::byte> expected(f.row_bytes(encoder.k()), std::byte{0});
-  for (const auto& [mid, alpha] : packet.combination)
-    f.axpy(expected.data(), gen.row(mid).data(), alpha, encoder.k());
-  EXPECT_EQ(row, expected);
-}
-
 TEST(Recoding, MixedVerbatimAndRecodedDecode) {
   const auto data = random_data(4000, 5);
   FileEncoder encoder(secret(1), 1, data, kParams);
@@ -75,7 +57,7 @@ TEST(Recoding, MixedVerbatimAndRecodedDecode) {
 
   Recoder recoder(kParams);
   sim::SplitMix64 rng(6);
-  FileDecoder decoder(secret(1), encoder.info());
+  CodecDecoder decoder(secret(1), encoder.info());
   // Half verbatim (digest-checked), half recoded.
   for (std::size_t i = 0; i < k / 2; ++i)
     EXPECT_EQ(decoder.add(pool[i]), AddResult::accepted);
@@ -112,7 +94,7 @@ TEST(Recoding, DefeatsCouponCollectorOnOverlappingStores) {
   }
 
   // Verbatim round-robin: duplicates across peers waste transmissions.
-  FileDecoder verbatim(secret(1), encoder.info());
+  CodecDecoder verbatim(secret(1), encoder.info());
   std::size_t verbatim_sent = 0;
   std::vector<std::size_t> cursor(4, 0);
   while (!verbatim.complete() && verbatim_sent < 200) {
@@ -129,7 +111,7 @@ TEST(Recoding, DefeatsCouponCollectorOnOverlappingStores) {
 
   // Recoding round-robin: every packet spans the peer's whole store.
   Recoder recoder(kParams);
-  FileDecoder recoded(secret(1), encoder.info(), /*require_digests=*/false);
+  CodecDecoder recoded(secret(1), encoder.info(), /*require_digests=*/false);
   std::size_t recoded_sent = 0;
   while (!recoded.complete() && recoded_sent < 200) {
     for (std::size_t p = 0; p < 4 && !recoded.complete(); ++p) {
@@ -155,7 +137,7 @@ TEST(Recoding, WrongFileAndBadSizeRejected) {
   const auto pool = encoder.generate(encoder.k());
   Recoder recoder(kParams);
   sim::SplitMix64 rng(10);
-  FileDecoder decoder(secret(1), encoder.info(), false);
+  CodecDecoder decoder(secret(1), encoder.info(), false);
   auto packet = recoder.recode(pool, rng);
   packet.file_id = 999;
   EXPECT_EQ(decoder.add_recoded(packet), AddResult::wrong_file);
@@ -172,7 +154,7 @@ TEST(Recoding, TamperedRecodedPacketCorruptsSilently) {
   const auto pool = encoder.generate(encoder.k());
   Recoder recoder(kParams);
   sim::SplitMix64 rng(12);
-  FileDecoder decoder(secret(1), encoder.info(), false);
+  CodecDecoder decoder(secret(1), encoder.info(), false);
   auto first = recoder.recode(pool, rng);
   first.payload[0] ^= std::byte{0x80};          // malicious peer
   EXPECT_EQ(decoder.add_recoded(first), AddResult::accepted);  // undetected!

@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "gf/row_ops.hpp"
-#include "linalg/parallel_ops.hpp"
 #include "sim/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fairshare::gf {
 namespace {
@@ -154,32 +152,6 @@ TEST_P(SimdDispatchTest, Gf4TrailingNibbleMatches) {
     ASSERT_EQ(n % 2, 1u);
     diff_axpy(n, random_scalar(rng), 0, 0, rng);
     diff_scale(n, random_scalar(rng), 0, rng);
-  }
-}
-
-TEST_P(SimdDispatchTest, ParallelSegmentsMatchSerial) {
-  // parallel_axpy/scale must stay exact under the retuned SIMD-aligned
-  // segmentation, including lengths around the fan-out threshold and odd
-  // GF(2^4) tails.
-  util::ThreadPool pool(3);
-  sim::SplitMix64 rng(0x9A9 + static_cast<std::uint64_t>(GetParam()));
-  const auto& f = dispatched();
-  for (const std::size_t n :
-       {16383u, 16384u, 32768u, 32769u, 49157u, 100001u}) {
-    const std::size_t nb = f.row_bytes(n);
-    const auto src = random_bytes(nb, rng);
-    auto want = random_bytes(nb, rng);
-    auto got = want;
-    const std::uint64_t c = random_scalar(rng);
-    f.axpy(want.data(), src.data(), c, n);
-    linalg::parallel_axpy(f, got.data(), src.data(), c, n, &pool);
-    ASSERT_EQ(want, got) << "parallel_axpy n=" << n;
-
-    auto wrow = random_bytes(nb, rng);
-    auto grow = wrow;
-    f.scale(wrow.data(), c, n);
-    linalg::parallel_scale(f, grow.data(), c, n, &pool);
-    ASSERT_EQ(wrow, grow) << "parallel_scale n=" << n;
   }
 }
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "coding/encoder.hpp"
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "net/fault_transport.hpp"
 #include "net/retry.hpp"
 #include "net/transport.hpp"
@@ -135,7 +135,7 @@ TEST(FaultyTransport, CorruptionIsCaughtByMessageDigests) {
   for (const auto& m : messages)
     ASSERT_TRUE(send_frame(pipe.a, p2p::wire::encode(m)));
 
-  coding::FileDecoder decoder(secret, encoder.info());
+  coding::CodecDecoder decoder(secret, encoder.info());
   std::size_t parsed = 0;
   for (;;) {
     const auto frame = recv_frame(faulty, 1 << 16);

@@ -15,7 +15,7 @@
 
 #include "alloc/observed_policy.hpp"
 #include "alloc/policies.hpp"
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "net/download_client.hpp"
 #include "net/fault_transport.hpp"
@@ -246,7 +246,7 @@ TEST(ObsWiring, DecoderMetricsTrackRankAndEliminations) {
   coding::FileEncoder encoder(secret, kFileId, data, kParams);
   obs::MetricsRegistry registry;
   const auto messages = encoder.generate(encoder.k() + 2);
-  coding::FileDecoder decoder(secret, encoder.info());  // digests cover all
+  coding::CodecDecoder decoder(secret, encoder.info());  // digests cover all
   decoder.enable_metrics(registry, /*user_id=*/4);
   std::size_t added = 0;
   for (const auto& msg : messages) {

@@ -5,7 +5,7 @@
 #include <filesystem>
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "p2p/persistence.hpp"
 #include "sim/rng.hpp"
@@ -131,7 +131,7 @@ TEST(Persistence, RestartedPeerStillServesDecodableMessages) {
   const auto reborn = deserialize_store(serialize_store(store));
   ASSERT_TRUE(reborn.has_value());
 
-  coding::FileDecoder dec(secret, enc.info());
+  coding::CodecDecoder dec(secret, enc.info());
   for (std::size_t i = 0; i < reborn->count(3); ++i) dec.add(reborn->at(3, i));
   ASSERT_TRUE(dec.complete());
   EXPECT_EQ(dec.reconstruct(), data);

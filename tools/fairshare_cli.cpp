@@ -58,7 +58,6 @@
 
 #include "coding/chunked.hpp"
 #include "coding/codec.hpp"
-#include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "crypto/sha256.hpp"
 #include "disco/client.hpp"
@@ -331,19 +330,16 @@ int cmd_encode(const Options& opt) {
 
   const coding::CodingParams params{field, opt.m};
   const coding::SecretKey secret = secret_from_passphrase(opt.secret);
-  // Both encoders share one deterministic interface; only construction and
-  // the class geometry differ.
-  std::optional<coding::FileEncoder> dense;
-  std::optional<coding::chunked::Encoder> chunked;
-  if (opt.codec == "chunked")
-    chunked.emplace(secret, /*file_id=*/1, data, params, opt.schedule);
-  else
-    dense.emplace(secret, /*file_id=*/1, data, params);
-  const std::size_t k = chunked ? chunked->k() : dense->k();
+  // One encoder; a dense file is its one-class geometry (FileEncoder).
+  coding::chunked::Encoder encoder =
+      opt.codec == "chunked"
+          ? coding::chunked::Encoder(secret, /*file_id=*/1, data, params,
+                                     opt.schedule)
+          : coding::FileEncoder(secret, /*file_id=*/1, data, params);
+  const std::size_t k = encoder.k();
   const std::size_t count = opt.messages ? opt.messages : k;
-  const auto messages =
-      chunked ? chunked->generate(count) : dense->generate(count);
-  const coding::FileInfo& info = chunked ? chunked->info() : dense->info();
+  const auto messages = encoder.generate(count);
+  const coding::FileInfo& info = encoder.info();
   for (const auto& msg : messages) {
     const fs::path path =
         out_dir / ("msg_" + std::to_string(msg.message_id) + ".bin");
@@ -448,7 +444,7 @@ int cmd_info(const Options& opt) {
   std::printf("k (msgs needed): %zu\n", info->k);
   std::printf("codec          : %s\n", coding::to_string(info->codec));
   if (info->codec == coding::CodecKind::chunked) {
-    const coding::chunked::ClassMap map(info->k, info->schedule);
+    const coding::chunked::ClassMap map(*info);
     std::printf("class schedule : size=%u overlap=%u seed=%llu -> %zu "
                 "classes\n",
                 info->schedule.class_size, info->schedule.overlap,
