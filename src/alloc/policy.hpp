@@ -17,9 +17,8 @@
 //
 // Synchronization contract: policies are NOT internally synchronized.  The
 // simulator drives each policy from a single thread; any caller that mixes
-// threads (the live TCP server's pacing scheduler plus seeding/snapshot
-// calls) must serialize access externally — see
-// alloc/synchronized_policy.hpp for the standard wrapper.
+// threads must serialize access externally, as the live TCP server does by
+// calling its policy only under its pacing mutex (net/peer_server.hpp).
 #pragma once
 
 #include <cstdint>

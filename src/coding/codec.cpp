@@ -41,12 +41,11 @@ std::size_t CodecDecoder::rank() const {
   return sum;
 }
 
-bool CodecDecoder::eliminate(std::size_t cls,
-                             std::span<const std::uint64_t> symbols,
+bool CodecDecoder::eliminate(std::size_t cls, const std::byte* coeffs,
                              const std::byte* payload) {
   ClassState& st = classes_[cls];
   const std::uint64_t t0 = eliminate_ns_ ? obs::monotonic_ns() : 0;
-  const bool innovative = st.solver.add_row(symbols, payload);
+  const bool innovative = st.solver.add_row(coeffs, payload);
   if (eliminate_ns_) {
     eliminate_ns_->record(obs::monotonic_ns() - t0);
     if (!class_rank_.empty())
@@ -63,6 +62,7 @@ void CodecDecoder::mark_complete(std::size_t cls) {
 }
 
 void CodecDecoder::run_cascade(std::size_t ready) {
+  const auto& f = gf::field_view(info_.params.field);
   mark_complete(ready);
   std::deque<std::size_t> queue{ready};
   while (!queue.empty()) {
@@ -76,9 +76,9 @@ void CodecDecoder::run_cascade(std::size_t ready) {
         // Donate chunk j as the unit row e_{j - start(d)}.  The donor's
         // chunk pointer stays valid because completed classes never see
         // another add_row (add() and add_recoded() skip them).
-        std::vector<std::uint64_t> unit(map_.width(d), 0);
-        unit[j - map_.start(d)] = 1;
-        eliminate(d, unit, classes_[c].solver.chunk(j - start));
+        std::vector<std::byte> unit(f.row_bytes(map_.width(d)));
+        f.set(unit.data(), j - map_.start(d), 1);
+        eliminate(d, unit.data(), classes_[c].solver.chunk(j - start));
         if (classes_[d].solver.complete()) {
           mark_complete(d);
           queue.push_back(d);
@@ -88,10 +88,9 @@ void CodecDecoder::run_cascade(std::size_t ready) {
   }
 }
 
-AddResult CodecDecoder::absorb(std::size_t cls,
-                               std::span<const std::uint64_t> symbols,
+AddResult CodecDecoder::absorb(std::size_t cls, const std::byte* coeffs,
                                const std::byte* payload) {
-  const bool innovative = eliminate(cls, symbols, payload);
+  const bool innovative = eliminate(cls, coeffs, payload);
   if (classes_[cls].solver.complete()) run_cascade(cls);
   if (rank_gauge_) rank_gauge_->set(static_cast<double>(rank()));
   if (!innovative) {
@@ -113,10 +112,9 @@ AddResult CodecDecoder::add(const EncodedMessage& message) {
     ++non_innovative_;
     return AddResult::non_innovative;
   }
-  const std::vector<std::uint64_t> symbols =
-      coeffs_.row_symbols(message.message_id);
-  return absorb(cls, std::span(symbols).first(map_.width(cls)),
-                message.payload.data());
+  const std::vector<std::byte> row =
+      coeffs_.row(message.message_id, map_.width(cls));
+  return absorb(cls, row.data(), message.payload.data());
 }
 
 AddResult CodecDecoder::add_recoded(const RecodedMessage& message) {
@@ -145,12 +143,10 @@ AddResult CodecDecoder::add_recoded(const RecodedMessage& message) {
   // (addition in GF(2^p) is xor).  Only the secret holder can expand it.
   const auto& f = gf::field_view(info_.params.field);
   const std::size_t w = map_.width(cls);
-  std::vector<std::uint64_t> row(w, 0);
-  for (const auto& [mid, alpha] : message.combination) {
-    const std::vector<std::uint64_t> beta = coeffs_.row_symbols(mid);
-    for (std::size_t j = 0; j < w; ++j) row[j] ^= f.mul(alpha, beta[j]);
-  }
-  return absorb(cls, row, message.payload.data());
+  std::vector<std::byte> row(f.row_bytes(w));
+  for (const auto& [mid, alpha] : message.combination)
+    f.axpy(row.data(), coeffs_.row(mid, w).data(), alpha, w);
+  return absorb(cls, row.data(), message.payload.data());
 }
 
 void CodecDecoder::enable_metrics(obs::MetricsRegistry& registry,

@@ -121,13 +121,14 @@ class CodecDecoder {
     bool complete = false;  // set once; donation runs at that moment
   };
 
-  /// One timed add_row into class `cls`'s solver (plus its class-rank
-  /// gauge); returns true when the row was innovative.
-  bool eliminate(std::size_t cls, std::span<const std::uint64_t> symbols,
+  /// One timed add_row of a packed class-width coefficient row into class
+  /// `cls`'s solver (plus its class-rank gauge); returns true when the row
+  /// was innovative.
+  bool eliminate(std::size_t cls, const std::byte* coeffs,
                  const std::byte* payload);
   /// Eliminate one coded row into class `cls`, run the cascade if that
   /// completed the class, and count the outcome.
-  AddResult absorb(std::size_t cls, std::span<const std::uint64_t> symbols,
+  AddResult absorb(std::size_t cls, const std::byte* coeffs,
                    const std::byte* payload);
   /// Mark class `ready` complete, then donate decoded overlap chunks to
   /// incomplete neighbours, breadth-first, flipping classes as they fill.
@@ -137,7 +138,7 @@ class CodecDecoder {
   FileInfo info_;
   bool require_digests_;
   chunked::ClassMap map_;
-  CoefficientGenerator coeffs_;  // sized to max class width, truncated
+  CoefficientGenerator coeffs_;  // sized to max class width
   std::vector<ClassState> classes_;
   std::size_t classes_complete_ = 0;
   std::size_t accepted_ = 0;

@@ -34,17 +34,17 @@ CoefficientGenerator::CoefficientGenerator(const SecretKey& secret,
                                            std::size_t k)
     : secret_(secret), file_id_(file_id), field_(params.field), k_(k) {}
 
-std::vector<std::byte> CoefficientGenerator::row(
-    std::uint64_t message_id) const {
+std::vector<std::byte> CoefficientGenerator::row(std::uint64_t message_id,
+                                                 std::size_t width) const {
   const auto& f = gf::field_view(field_);
   const crypto::Sha256Digest key = derive_key(secret_, file_id_, message_id);
   const std::array<std::uint8_t, crypto::ChaCha20::kNonceSize> nonce{};
   crypto::ChaCha20 rng(std::span<const std::uint8_t, 32>(key), nonce);
 
-  std::vector<std::byte> packed(f.row_bytes(k_), std::byte{0});
+  std::vector<std::byte> packed(f.row_bytes(width), std::byte{0});
   // Symbol widths are powers of two <= 32 bits, so raw keystream bits are
   // already uniform over F_q; no rejection needed.
-  for (std::size_t j = 0; j < k_; ++j) {
+  for (std::size_t j = 0; j < width; ++j) {
     std::uint64_t v;
     switch (field_) {
       case gf::FieldId::gf2_4: v = rng.next_byte() & 0xF; break;

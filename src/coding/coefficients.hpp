@@ -27,7 +27,14 @@ class CoefficientGenerator {
                        const CodingParams& params, std::size_t k);
 
   /// Packed coefficient row (k symbols) for one message id.
-  std::vector<std::byte> row(std::uint64_t message_id) const;
+  std::vector<std::byte> row(std::uint64_t message_id) const {
+    return row(message_id, k_);
+  }
+  /// The first `width` (<= k) symbols of that row, packed.  The keystream
+  /// is drawn one symbol at a time, so a narrower row is a prefix of the
+  /// full one: decoders ask for their class's width.
+  std::vector<std::byte> row(std::uint64_t message_id,
+                             std::size_t width) const;
 
   /// Same row as unpacked symbols, for rank screening and tests.
   std::vector<std::uint64_t> row_symbols(std::uint64_t message_id) const;

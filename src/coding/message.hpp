@@ -32,11 +32,10 @@ struct EncodedMessage {
   /// Wire size: 16 header bytes + payload (Figure 3).
   std::size_t wire_size() const { return 16 + payload.size(); }
 
-  /// Serialize to the Figure 3 wire layout (little-endian ids).
+  /// Serialize to the Figure 3 wire layout (little-endian ids).  Frames
+  /// on the network wrap this layout (p2p/wire.hpp), which is the one
+  /// place it is decoded.
   std::vector<std::byte> serialize() const;
-  /// Parse a wire buffer; nullopt if it is shorter than a header.
-  static std::optional<EncodedMessage> deserialize(
-      std::span<const std::byte> wire);
 
   /// MD5 over the full wire image; this is the digest the owner stores per
   /// message for download-time authentication (Section III-C).

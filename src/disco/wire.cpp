@@ -1,6 +1,8 @@
 #include "disco/wire.hpp"
 
-#include <bit>
+#include <algorithm>
+
+#include "util/bytes.hpp"
 
 namespace fairshare::disco::wire {
 
@@ -10,154 +12,65 @@ namespace {
 // DNS name can be is malformed by construction.
 constexpr std::size_t kMaxHostLen = 255;
 
-class Writer {
- public:
-  explicit Writer(MessageType type) { put_u8(static_cast<std::uint8_t>(type)); }
+using util::ByteReader;
+using util::ByteWriter;
 
-  void put_u8(std::uint8_t v) { buf_.push_back(std::byte{v}); }
-
-  void put_u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i)
-      buf_.push_back(std::byte{static_cast<std::uint8_t>(v >> (8 * i))});
-  }
-
-  void put_u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      buf_.push_back(std::byte{static_cast<std::uint8_t>(v >> (8 * i))});
-  }
-
-  void put_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      buf_.push_back(std::byte{static_cast<std::uint8_t>(v >> (8 * i))});
-  }
-
-  void put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
-
-  void put_host(const std::string& host) {
-    const std::size_t len = std::min(host.size(), kMaxHostLen);
-    put_u16(static_cast<std::uint16_t>(len));
-    for (std::size_t i = 0; i < len; ++i)
-      buf_.push_back(static_cast<std::byte>(host[i]));
-  }
-
-  void put_member(const Member& m) {
-    put_u64(m.id);
-    put_host(m.host);
-    put_u16(m.port);
-  }
-
-  void put_provider(const Provider& p) {
-    put_u64(p.peer_id);
-    put_host(p.host);
-    put_u16(p.port);
-  }
-
-  std::vector<std::byte> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::byte> buf_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> data) : data_(data) {}
-
-  bool ok() const { return ok_; }
-  bool at_end() const { return ok_ && pos_ == data_.size(); }
-  std::size_t remaining() const { return data_.size() - pos_; }
-
-  bool expect_type(MessageType type) {
-    return get_u8() == static_cast<std::uint8_t>(type) && ok_;
-  }
-
-  std::uint8_t get_u8() {
-    if (!take(1)) return 0;
-    return std::to_integer<std::uint8_t>(data_[pos_ - 1]);
-  }
-
-  std::uint16_t get_u16() {
-    if (!take(2)) return 0;
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v = static_cast<std::uint16_t>(
-          v | static_cast<std::uint16_t>(
-                  std::to_integer<std::uint8_t>(data_[pos_ - 2 + i]))
-                  << (8 * i));
-    return v;
-  }
-
-  std::uint32_t get_u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               std::to_integer<std::uint8_t>(data_[pos_ - 4 + i]))
-           << (8 * i);
-    return v;
-  }
-
-  std::uint64_t get_u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               std::to_integer<std::uint8_t>(data_[pos_ - 8 + i]))
-           << (8 * i);
-    return v;
-  }
-
-  double get_f64() { return std::bit_cast<double>(get_u64()); }
-
-  bool get_host(std::string& out) {
-    const std::uint16_t len = get_u16();
-    if (!ok_ || len > kMaxHostLen || !take(len)) {
-      ok_ = false;
-      return false;
-    }
-    out.resize(len);
-    for (std::size_t i = 0; i < len; ++i)
-      out[i] = static_cast<char>(
-          std::to_integer<std::uint8_t>(data_[pos_ - len + i]));
-    return true;
-  }
-
-  bool get_member(Member& m) {
-    m.id = get_u64();
-    if (!get_host(m.host)) return false;
-    m.port = get_u16();
-    return ok_;
-  }
-
-  bool get_provider(Provider& p) {
-    p.peer_id = get_u64();
-    if (!get_host(p.host)) return false;
-    p.port = get_u16();
-    return ok_;
-  }
-
- private:
-  bool take(std::size_t n) {
-    if (!ok_ || n > remaining()) {
-      ok_ = false;
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-// A corrupt element count must not allocate unbounded scratch before the
-// per-element reads fail: every variable-length list is rechecked against
-// a conservative minimum element size.
-bool plausible_count(const Reader& r, std::size_t count,
-                     std::size_t min_elem_bytes) {
-  return count * min_elem_bytes <= r.remaining();
+/// A writer whose frame starts with `type`'s tag.
+ByteWriter frame_of(MessageType type) {
+  ByteWriter w;
+  w.put_u8(static_cast<std::uint8_t>(type));
+  return w;
 }
 
+/// Consume the tag byte; false unless it is `type`'s.
+bool expect_type(ByteReader& r, MessageType type) {
+  return r.get_u8() == static_cast<std::uint8_t>(type) && r.ok();
+}
+
+void put_host(ByteWriter& w, const std::string& host) {
+  const std::size_t len = std::min(host.size(), kMaxHostLen);
+  w.put_u16(static_cast<std::uint16_t>(len));
+  w.put_bytes(std::as_bytes(std::span(host.data(), len)));
+}
+
+bool get_host(ByteReader& r, std::string& out) {
+  const std::uint16_t len = r.get_u16();
+  if (len > kMaxHostLen) return false;
+  const auto chars = r.view(len);
+  if (!r.ok()) return false;
+  out.assign(reinterpret_cast<const char*>(chars.data()), chars.size());
+  return true;
+}
+
+void put_member(ByteWriter& w, const Member& m) {
+  w.put_u64(m.id);
+  put_host(w, m.host);
+  w.put_u16(m.port);
+}
+
+bool get_member(ByteReader& r, Member& m) {
+  m.id = r.get_u64();
+  if (!get_host(r, m.host)) return false;
+  m.port = r.get_u16();
+  return r.ok();
+}
+
+void put_provider(ByteWriter& w, const Provider& p) {
+  w.put_u64(p.peer_id);
+  put_host(w, p.host);
+  w.put_u16(p.port);
+}
+
+bool get_provider(ByteReader& r, Provider& p) {
+  p.peer_id = r.get_u64();
+  if (!get_host(r, p.host)) return false;
+  p.port = r.get_u16();
+  return r.ok();
+}
+
+// Minimum encoded sizes bound every variable-length list (see
+// ByteReader::get_count), so a corrupt count cannot allocate unbounded
+// scratch before the per-element reads fail.
 constexpr std::size_t kMinMemberBytes = 8 + 2 + 2;    // id + len + port
 constexpr std::size_t kMinProviderBytes = 8 + 2 + 2;  // id + len + port
 constexpr std::size_t kLedgerEntryBytes = 8 + 8 + 8;
@@ -167,61 +80,61 @@ constexpr std::size_t kLedgerEntryBytes = 8 + 8 + 8;
 // --------------------------------------------------------------- encoders
 
 std::vector<std::byte> encode(const LookupRequest& msg) {
-  Writer w(MessageType::lookup_request);
+  ByteWriter w = frame_of(MessageType::lookup_request);
   w.put_u64(msg.key);
   return w.take();
 }
 
 std::vector<std::byte> encode(const LookupResponse& msg) {
-  Writer w(MessageType::lookup_response);
+  ByteWriter w = frame_of(MessageType::lookup_response);
   w.put_u8(msg.done ? 1 : 0);
-  w.put_member(msg.target);
+  put_member(w, msg.target);
   w.put_u16(static_cast<std::uint16_t>(msg.successors.size()));
-  for (const Member& m : msg.successors) w.put_member(m);
+  for (const Member& m : msg.successors) put_member(w, m);
   return w.take();
 }
 
 std::vector<std::byte> encode(const AnnounceRequest& msg) {
-  Writer w(MessageType::announce_request);
+  ByteWriter w = frame_of(MessageType::announce_request);
   w.put_u64(msg.file_id);
-  w.put_provider(msg.provider);
+  put_provider(w, msg.provider);
   w.put_u32(msg.ttl_ms);
   w.put_u8(msg.replicate ? 1 : 0);
   return w.take();
 }
 
 std::vector<std::byte> encode(const AnnounceResponse& msg) {
-  Writer w(MessageType::announce_response);
+  ByteWriter w = frame_of(MessageType::announce_response);
   w.put_u8(msg.stored ? 1 : 0);
   w.put_u8(msg.replicas);
   return w.take();
 }
 
 std::vector<std::byte> encode(const ResolveRequest& msg) {
-  Writer w(MessageType::resolve_request);
+  ByteWriter w = frame_of(MessageType::resolve_request);
   w.put_u64(msg.file_id);
   return w.take();
 }
 
 std::vector<std::byte> encode(const ResolveResponse& msg) {
-  Writer w(MessageType::resolve_response);
+  ByteWriter w = frame_of(MessageType::resolve_response);
   w.put_u16(static_cast<std::uint16_t>(msg.providers.size()));
-  for (const Provider& p : msg.providers) w.put_provider(p);
+  for (const Provider& p : msg.providers) put_provider(w, p);
   return w.take();
 }
 
 std::vector<std::byte> encode(const JoinRequest& msg) {
-  Writer w(MessageType::join_request);
-  w.put_member(msg.joiner);
+  ByteWriter w = frame_of(MessageType::join_request);
+  put_member(w, msg.joiner);
   return w.take();
 }
 
 std::vector<std::byte> encode(const Gossip& msg) {
-  Writer w(MessageType::gossip);
+  ByteWriter w = frame_of(MessageType::gossip);
   w.put_u8(msg.reply ? 1 : 0);
-  w.put_member(msg.from);
+  put_member(w, msg.from);
   w.put_u16(static_cast<std::uint16_t>(msg.members.size()));
-  for (const Member& m : msg.members) w.put_member(m);
+  for (const Member& m : msg.members) put_member(w, m);
   w.put_u32(static_cast<std::uint32_t>(msg.ledger.size()));
   for (const auto& e : msg.ledger) {
     w.put_u64(e.user_id);
@@ -232,15 +145,15 @@ std::vector<std::byte> encode(const Gossip& msg) {
 }
 
 std::vector<std::byte> encode(const StatusRequest&) {
-  Writer w(MessageType::status_request);
+  ByteWriter w = frame_of(MessageType::status_request);
   return w.take();
 }
 
 std::vector<std::byte> encode(const StatusResponse& msg) {
-  Writer w(MessageType::status_response);
-  w.put_member(msg.self);
+  ByteWriter w = frame_of(MessageType::status_response);
+  put_member(w, msg.self);
   w.put_u16(static_cast<std::uint16_t>(msg.members.size()));
-  for (const Member& m : msg.members) w.put_member(m);
+  for (const Member& m : msg.members) put_member(w, m);
   w.put_u32(msg.provider_records);
   w.put_u32(msg.ledger_entries);
   w.put_u64(msg.gossip_rounds);
@@ -252,8 +165,8 @@ std::vector<std::byte> encode(const StatusResponse& msg) {
 
 std::optional<LookupRequest> decode_lookup_request(
     std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::lookup_request)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::lookup_request)) return std::nullopt;
   LookupRequest msg;
   msg.key = r.get_u64();
   if (!r.at_end()) return std::nullopt;
@@ -262,27 +175,25 @@ std::optional<LookupRequest> decode_lookup_request(
 
 std::optional<LookupResponse> decode_lookup_response(
     std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::lookup_response)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::lookup_response)) return std::nullopt;
   LookupResponse msg;
   msg.done = r.get_u8() != 0;
-  if (!r.get_member(msg.target)) return std::nullopt;
-  const std::uint16_t n = r.get_u16();
-  if (!r.ok() || !plausible_count(r, n, kMinMemberBytes)) return std::nullopt;
-  msg.successors.resize(n);
+  if (!get_member(r, msg.target)) return std::nullopt;
+  msg.successors.resize(r.get_count<std::uint16_t>(kMinMemberBytes));
   for (Member& m : msg.successors)
-    if (!r.get_member(m)) return std::nullopt;
+    if (!get_member(r, m)) return std::nullopt;
   if (!r.at_end()) return std::nullopt;
   return msg;
 }
 
 std::optional<AnnounceRequest> decode_announce_request(
     std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::announce_request)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::announce_request)) return std::nullopt;
   AnnounceRequest msg;
   msg.file_id = r.get_u64();
-  if (!r.get_provider(msg.provider)) return std::nullopt;
+  if (!get_provider(r, msg.provider)) return std::nullopt;
   msg.ttl_ms = r.get_u32();
   msg.replicate = r.get_u8() != 0;
   if (!r.at_end()) return std::nullopt;
@@ -291,8 +202,8 @@ std::optional<AnnounceRequest> decode_announce_request(
 
 std::optional<AnnounceResponse> decode_announce_response(
     std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::announce_response)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::announce_response)) return std::nullopt;
   AnnounceResponse msg;
   msg.stored = r.get_u8() != 0;
   msg.replicas = r.get_u8();
@@ -302,8 +213,8 @@ std::optional<AnnounceResponse> decode_announce_response(
 
 std::optional<ResolveRequest> decode_resolve_request(
     std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::resolve_request)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::resolve_request)) return std::nullopt;
   ResolveRequest msg;
   msg.file_id = r.get_u64();
   if (!r.at_end()) return std::nullopt;
@@ -312,44 +223,36 @@ std::optional<ResolveRequest> decode_resolve_request(
 
 std::optional<ResolveResponse> decode_resolve_response(
     std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::resolve_response)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::resolve_response)) return std::nullopt;
   ResolveResponse msg;
-  const std::uint16_t n = r.get_u16();
-  if (!r.ok() || !plausible_count(r, n, kMinProviderBytes))
-    return std::nullopt;
-  msg.providers.resize(n);
+  msg.providers.resize(r.get_count<std::uint16_t>(kMinProviderBytes));
   for (Provider& p : msg.providers)
-    if (!r.get_provider(p)) return std::nullopt;
+    if (!get_provider(r, p)) return std::nullopt;
   if (!r.at_end()) return std::nullopt;
   return msg;
 }
 
 std::optional<JoinRequest> decode_join_request(
     std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::join_request)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::join_request)) return std::nullopt;
   JoinRequest msg;
-  if (!r.get_member(msg.joiner)) return std::nullopt;
+  if (!get_member(r, msg.joiner)) return std::nullopt;
   if (!r.at_end()) return std::nullopt;
   return msg;
 }
 
 std::optional<Gossip> decode_gossip(std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::gossip)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::gossip)) return std::nullopt;
   Gossip msg;
   msg.reply = r.get_u8() != 0;
-  if (!r.get_member(msg.from)) return std::nullopt;
-  const std::uint16_t nm = r.get_u16();
-  if (!r.ok() || !plausible_count(r, nm, kMinMemberBytes)) return std::nullopt;
-  msg.members.resize(nm);
+  if (!get_member(r, msg.from)) return std::nullopt;
+  msg.members.resize(r.get_count<std::uint16_t>(kMinMemberBytes));
   for (Member& m : msg.members)
-    if (!r.get_member(m)) return std::nullopt;
-  const std::uint32_t nl = r.get_u32();
-  if (!r.ok() || !plausible_count(r, nl, kLedgerEntryBytes))
-    return std::nullopt;
-  msg.ledger.resize(nl);
+    if (!get_member(r, m)) return std::nullopt;
+  msg.ledger.resize(r.get_count<std::uint32_t>(kLedgerEntryBytes));
   for (auto& e : msg.ledger) {
     e.user_id = r.get_u64();
     e.origin = r.get_u64();
@@ -361,23 +264,21 @@ std::optional<Gossip> decode_gossip(std::span<const std::byte> frame) {
 
 std::optional<StatusRequest> decode_status_request(
     std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::status_request)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::status_request)) return std::nullopt;
   if (!r.at_end()) return std::nullopt;
   return StatusRequest{};
 }
 
 std::optional<StatusResponse> decode_status_response(
     std::span<const std::byte> frame) {
-  Reader r(frame);
-  if (!r.expect_type(MessageType::status_response)) return std::nullopt;
+  ByteReader r(frame);
+  if (!expect_type(r, MessageType::status_response)) return std::nullopt;
   StatusResponse msg;
-  if (!r.get_member(msg.self)) return std::nullopt;
-  const std::uint16_t n = r.get_u16();
-  if (!r.ok() || !plausible_count(r, n, kMinMemberBytes)) return std::nullopt;
-  msg.members.resize(n);
+  if (!get_member(r, msg.self)) return std::nullopt;
+  msg.members.resize(r.get_count<std::uint16_t>(kMinMemberBytes));
   for (Member& m : msg.members)
-    if (!r.get_member(m)) return std::nullopt;
+    if (!get_member(r, m)) return std::nullopt;
   msg.provider_records = r.get_u32();
   msg.ledger_entries = r.get_u32();
   msg.gossip_rounds = r.get_u64();

@@ -109,15 +109,6 @@ bool ProgressiveSolver::add_row(const std::byte* coeffs,
   return true;
 }
 
-bool ProgressiveSolver::add_row(std::span<const std::uint64_t> coeffs,
-                                const std::byte* payload) {
-  assert(coeffs.size() == k_);
-  const auto& f = gf::field_view(field_);
-  std::vector<std::byte> packed(f.row_bytes(k_), std::byte{0});
-  for (std::size_t i = 0; i < k_; ++i) f.set(packed.data(), i, coeffs[i]);
-  return add_row(packed.data(), payload);
-}
-
 const std::byte* ProgressiveSolver::chunk(std::size_t i) const {
   assert(complete());
   assert(i < k_);

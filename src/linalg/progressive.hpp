@@ -62,10 +62,6 @@ class ProgressiveSolver {
   /// Returns true when the row was innovative (rank increased).
   bool add_row(const std::byte* coeffs, const std::byte* payload);
 
-  /// Convenience overload taking unpacked coefficients.
-  bool add_row(std::span<const std::uint64_t> coeffs,
-               const std::byte* payload);
-
   std::size_t rank() const { return filled_; }
   bool complete() const { return filled_ == k_; }
 

@@ -157,7 +157,6 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
     p2p::wire::FileRequest request;
     request.user_id = options.user_id;
     request.file_id = info.file_id;
-    request.max_rate_kbps = options.max_rate_kbps;
     if (!send_frame(*transport, p2p::wire::encode(request)))
       return fail_retryable();
 

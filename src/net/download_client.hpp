@@ -110,7 +110,6 @@ struct DownloadReport {
 struct DownloadOptions {
   std::uint64_t user_id = 0;
   const crypto::RsaKeyPair* user_key = nullptr;  ///< null => no auth
-  double max_rate_kbps = 0.0;  ///< advertised per-peer cap (0 = none)
   std::uint64_t rng_seed = 1;  ///< handshake nonce/session-key stream
   /// How often a session blocked on a quiet peer re-checks whether a
   /// sibling already completed the decode (straggler stop latency).

@@ -29,7 +29,7 @@ struct EventLoop::PeriodicState {
   std::uint64_t period_ns = 0;
   std::uint64_t deadline_ns = 0;
   std::function<void()> cb;
-  TimerId wheel_id = 0;  ///< the currently armed one-shot
+  TimerId queue_id = 0;  ///< the currently armed one-shot
   bool cancelled = false;
 };
 
@@ -150,12 +150,12 @@ void EventLoop::remove_fd(int fd) {
 
 EventLoop::TimerId EventLoop::add_timer_at(std::uint64_t deadline_ns,
                                            std::function<void()> cb) {
-  return wheel_.add(deadline_ns, std::move(cb));
+  return timers_.add(deadline_ns, std::move(cb));
 }
 
 EventLoop::TimerId EventLoop::add_timer_after(std::uint64_t delay_ns,
                                               std::function<void()> cb) {
-  return wheel_.add(obs::monotonic_ns() + delay_ns, std::move(cb));
+  return timers_.add(obs::monotonic_ns() + delay_ns, std::move(cb));
 }
 
 EventLoop::TimerId EventLoop::add_periodic(std::uint64_t period_ns,
@@ -164,11 +164,11 @@ EventLoop::TimerId EventLoop::add_periodic(std::uint64_t period_ns,
   state->period_ns = period_ns ? period_ns : 1;
   state->deadline_ns = obs::monotonic_ns() + state->period_ns;
   state->cb = std::move(cb);
-  // The public id is the FIRST wheel id; it stays valid across rearms
+  // The public id is the FIRST queue id; it stays valid across rearms
   // through the periodics_ table.
-  state->wheel_id =
-      wheel_.add(state->deadline_ns, [this, state] { fire_periodic(state); });
-  const TimerId public_id = state->wheel_id;
+  state->queue_id =
+      timers_.add(state->deadline_ns, [this, state] { fire_periodic(state); });
+  const TimerId public_id = state->queue_id;
   periodics_.emplace(public_id, state);
   return public_id;
 }
@@ -181,19 +181,19 @@ void EventLoop::fire_periodic(const std::shared_ptr<PeriodicState>& state) {
   state->deadline_ns += state->period_ns;
   if (state->deadline_ns <= now)  // fell behind: skip ticks, don't burst
     state->deadline_ns = now + state->period_ns;
-  state->wheel_id =
-      wheel_.add(state->deadline_ns, [this, state] { fire_periodic(state); });
+  state->queue_id =
+      timers_.add(state->deadline_ns, [this, state] { fire_periodic(state); });
 }
 
 bool EventLoop::cancel_timer(TimerId id) {
   const auto it = periodics_.find(id);
   if (it != periodics_.end()) {
     it->second->cancelled = true;
-    wheel_.cancel(it->second->wheel_id);
+    timers_.cancel(it->second->queue_id);
     periodics_.erase(it);
     return true;
   }
-  return wheel_.cancel(id);
+  return timers_.cancel(id);
 }
 
 int EventLoop::wait_timeout_ms() const {
@@ -203,7 +203,7 @@ int EventLoop::wait_timeout_ms() const {
     std::lock_guard<std::mutex> lock(post_mutex_);
     if (!posted_.empty()) return 0;
   }
-  const auto next = wheel_.next_deadline_ns();
+  const auto next = timers_.next_deadline_ns();
   if (!next) return 500;  // defensive cap; eventfd covers real wakeups
   const std::uint64_t now = obs::monotonic_ns();
   if (*next <= now) return 0;
@@ -229,7 +229,7 @@ void EventLoop::run() {
 
     // 1. timers due now (pacing ticks, deadlines, delay releases)
     expired_.clear();
-    wheel_.advance(t0, expired_);
+    timers_.advance(t0, expired_);
     for (auto& cb : expired_) cb();
 
     // 2. fd readiness — look each fd up at dispatch time so a callback

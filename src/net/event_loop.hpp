@@ -1,11 +1,11 @@
-// One-thread epoll reactor: fd readiness + timer wheel + cross-thread
+// One-thread epoll reactor: fd readiness + timer queue + cross-thread
 // tasks behind a single epoll_wait.
 //
 // The paper's peers do zero coding work (coefficients never leave the
 // owner), so a live peer session is pure paced byte-shoveling — the
 // canonical event-loop workload.  One EventLoop owns every session fd of
 // a PeerServer shard: readiness callbacks drive the per-session state
-// machines, the util::TimerWheel carries the Eq. (2) pacing tick plus all
+// machines, the util::TimerQueue carries the Eq. (2) pacing tick plus all
 // per-session deadlines, and an eventfd lets other threads post work or
 // stop the loop without signals or polling.
 //
@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "util/timer_wheel.hpp"
+#include "util/timer_queue.hpp"
 
 namespace fairshare::net {
 
@@ -53,7 +53,7 @@ bool epoll_available();
 class EventLoop {
  public:
   using FdCallback = std::function<void(std::uint32_t epoll_events)>;
-  using TimerId = util::TimerWheel::TimerId;
+  using TimerId = util::TimerQueue::TimerId;
 
   /// `name` labels this loop's metric series; `registry` null = global.
   explicit EventLoop(std::string name = "0",
@@ -129,7 +129,7 @@ class EventLoop {
   // shared_ptr so a callback replacing or removing its own registration
   // mid-dispatch never frees the closure it is executing from.
   std::unordered_map<int, std::shared_ptr<FdEntry>> fds_;  // loop thread only
-  util::TimerWheel wheel_;                // loop thread only
+  util::TimerQueue timers_;               // loop thread only
   std::unordered_map<TimerId, std::shared_ptr<PeriodicState>> periodics_;
 
   mutable std::mutex post_mutex_;
@@ -137,7 +137,7 @@ class EventLoop {
 
   // Scratch reused across iterations (no per-tick allocation in steady
   // state).
-  std::vector<util::TimerWheel::Callback> expired_;
+  std::vector<util::TimerQueue::Callback> expired_;
   std::vector<std::function<void()>> running_tasks_;
 
   obs::MetricsRegistry* registry_;

@@ -5,6 +5,8 @@
 #include <thread>
 #include <utility>
 
+#include "p2p/wire.hpp"
+
 namespace fairshare::net {
 
 // ----------------------------------------------------------- FaultInjector
@@ -93,10 +95,11 @@ FaultyTransport::Faults FaultyTransport::draw_faults() {
 void FaultyTransport::flip_payload_byte(std::vector<std::byte>& frame,
                                         std::uint64_t draw) {
   if (frame.empty()) return;
-  // Aim past the 17-byte coded-message prefix (frame type + file id +
-  // message id) so the frame still parses and the MD5 digest check is the
-  // layer that must catch the flip.  Short frames get any byte flipped.
-  constexpr std::size_t kPrefix = 17;
+  // Aim past the coded-message prefix (frame type + file id + message id)
+  // so the frame still parses and the MD5 digest check is the layer that
+  // must catch the flip.  Short frames get any byte flipped.
+  constexpr std::size_t kPrefix = p2p::wire::kCodedMessageIdBytes;
+  static_assert(kPrefix == 17, "seeded corruption positions depend on it");
   const std::size_t lo = frame.size() > kPrefix ? kPrefix : 0;
   const std::size_t idx = lo + draw % (frame.size() - lo);
   frame[idx] ^= std::byte{0x01};

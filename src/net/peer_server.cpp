@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "alloc/policies.hpp"
 #include "obs/export.hpp"
 #include "obs/signal_dump.hpp"
 #include "obs/trace.hpp"
@@ -17,9 +16,7 @@ PeerServer::PeerServer(Config config, p2p::MessageStore store,
       user_bytes_(config_.max_users, 0),
       user_rate_kbps_(config_.max_users, 0.0),
       declared_(config_.max_users, 0.0),
-      policy_(std::make_unique<alloc::SynchronizedPolicy>(
-          std::make_unique<alloc::ProportionalContributionPolicy>(
-              config_.max_users))),
+      policy_(config_.max_users),
       pt_requesting_(config_.max_users, 0),
       pt_received_(config_.max_users, 0.0),
       pt_shares_(config_.max_users, 0.0),
@@ -52,22 +49,16 @@ void PeerServer::register_user(std::uint64_t user_id,
   users_.emplace(user_id, std::move(key));
 }
 
-void PeerServer::set_policy(std::unique_ptr<alloc::AllocationPolicy> policy) {
-  policy_ = std::make_unique<alloc::SynchronizedPolicy>(std::move(policy));
-}
-
 void PeerServer::seed_contribution(std::uint64_t user_id, double amount) {
   std::vector<double> received(config_.max_users, 0.0);
-  {
-    std::lock_guard<std::mutex> lock(pacing_mutex_);
-    const auto slot = user_slot_locked(user_id);
-    if (!slot) return;
-    received[*slot] = amount;
-  }
+  std::lock_guard<std::mutex> lock(pacing_mutex_);
+  const auto slot = user_slot_locked(user_id);
+  if (!slot) return;
+  received[*slot] = amount;
   alloc::SlotFeedback feedback;
   feedback.slot = 0;
   feedback.received = received;
-  policy_->observe(feedback);
+  policy_.observe(feedback);
 }
 
 std::optional<std::size_t> PeerServer::user_slot_locked(
@@ -185,7 +176,7 @@ void PeerServer::pacing_tick_locked() {
   alloc::SlotFeedback feedback;
   feedback.slot = pt_slot_;
   feedback.received = pt_received_;
-  policy_->observe(feedback);
+  policy_.observe(feedback);
 
   alloc::PeerContext ctx;
   ctx.self = 0;
@@ -193,7 +184,7 @@ void PeerServer::pacing_tick_locked() {
   ctx.capacity = config_.rate_kbps;
   ctx.requesting = pt_requesting_;
   ctx.declared = declared_;  // live peers declare nothing (all zeros)
-  policy_->allocate(ctx, pt_shares_);
+  policy_.allocate(ctx, pt_shares_);
 
   for (std::size_t s = 0; s < config_.max_users; ++s) {
     user_rate_kbps_[s] = pt_requesting_[s] ? pt_shares_[s] : 0.0;
@@ -202,9 +193,8 @@ void PeerServer::pacing_tick_locked() {
 
   for (const auto& [id, st] : sessions_) {
     if (!st->streaming) continue;
-    double share = pt_shares_[st->user_slot] /
-                   static_cast<double>(pt_sessions_[st->user_slot]);
-    if (st->cap_kbps > 0.0) share = std::min(share, st->cap_kbps);
+    const double share = pt_shares_[st->user_slot] /
+                         static_cast<double>(pt_sessions_[st->user_slot]);
     const double grant = share * 1000.0 / 8.0 * quantum_s;  // kbps -> bytes
     st->budget_bytes += grant;
     // A session that fell asleep must not burst an unbounded backlog.

@@ -11,15 +11,14 @@
 // (Config::num_loops, SO_REUSEPORT-sharded listeners) own every session
 // fd; each session is a non-blocking state machine (hello -> response ->
 // request -> streaming -> done) driven by readiness callbacks, and the
-// Eq. (2) re-allocation runs as a periodic entry on loop 0's timer wheel.
+// Eq. (2) re-allocation runs as a periodic entry on loop 0's timer queue.
 // Serving threads are O(loops), not O(sessions), so max_sessions can be
 // raised into the hundreds without a thread per connection.
 //
-// The pacing tick drives a pluggable alloc::AllocationPolicy — by default
-// the paper's Equation (2) contribution-proportional rule, keyed by
-// authenticated user id and fed by the bytes each user was actually
-// served — so the live server reproduces the allocation dynamics the
-// simulator models.
+// The pacing tick runs the paper's Equation (2) contribution-proportional
+// rule (alloc::ProportionalContributionPolicy), keyed by authenticated
+// user id and fed by the bytes each user was actually served — so the
+// live server reproduces the allocation dynamics the simulator models.
 #pragma once
 
 #include <atomic>
@@ -33,7 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "alloc/synchronized_policy.hpp"
+#include "alloc/policies.hpp"
 #include "crypto/auth.hpp"
 #include "net/discovery.hpp"
 #include "net/socket.hpp"
@@ -117,11 +116,6 @@ class PeerServer {
   /// keys of the users they serve).  Call before start().
   void register_user(std::uint64_t user_id, crypto::RsaPublicKey key);
 
-  /// Replace the allocation policy (default: ProportionalContributionPolicy
-  /// over Config::max_users slots).  The policy's vectors must be sized
-  /// Config::max_users.  Call before start().
-  void set_policy(std::unique_ptr<alloc::AllocationPolicy> policy);
-
   /// Credit `amount` to a user's contribution ledger S (Equation (2)'s
   /// cumulative term) — e.g. replaying contributions recorded elsewhere.
   void seed_contribution(std::uint64_t user_id, double amount);
@@ -161,7 +155,6 @@ class PeerServer {
   struct SessionState {
     std::uint64_t user_id = 0;
     std::size_t user_slot = 0;
-    double cap_kbps = 0.0;       ///< client-advertised max_rate_kbps
     double budget_bytes = 0.0;   ///< token bucket filled by the scheduler
     double quantum_bytes = 0.0;  ///< sent since the last tick (feedback)
     bool streaming = false;      ///< counts as "requesting" in Eq. (2)
@@ -177,7 +170,7 @@ class PeerServer {
   static constexpr std::size_t kMaxClientFrame = 1 << 16;
 
   /// One Eq. (2) re-allocation: feedback -> allocate -> refill budgets.
-  /// Requires pacing_mutex_; run by loop 0's timer wheel.
+  /// Requires pacing_mutex_; run by loop 0's timer queue.
   void pacing_tick_locked();
   /// Slot index for a user id, assigning one if unseen; nullopt when all
   /// Config::max_users slots are taken.  Requires pacing_mutex_.
@@ -200,7 +193,8 @@ class PeerServer {
   std::atomic<std::uint64_t> session_counter_{0};  // the one salt source
 
   // Pacing state: one mutex guards the session registry, every
-  // SessionState, and the per-user tables below.
+  // SessionState, the per-user tables below, and the Eq. (2) policy (its
+  // ledger is fed by the pacing tick and by seed_contribution).
   mutable std::mutex pacing_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<SessionState>> sessions_;
   std::map<std::uint64_t, std::size_t> user_slots_;
@@ -208,7 +202,7 @@ class PeerServer {
   std::vector<std::uint64_t> user_bytes_;
   std::vector<double> user_rate_kbps_;
   std::vector<double> declared_;  // zeros; live peers declare nothing
-  std::unique_ptr<alloc::SynchronizedPolicy> policy_;
+  alloc::ProportionalContributionPolicy policy_;
   // pacing_tick_locked scratch (guarded by pacing_mutex_; sized max_users).
   std::vector<std::uint8_t> pt_requesting_;
   std::vector<double> pt_received_;

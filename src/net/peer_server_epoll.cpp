@@ -3,7 +3,7 @@
 // N net::EventLoop reactors own every session fd; each accepted
 // connection becomes a Session state machine (hello -> response ->
 // request -> streaming -> done) driven entirely by readiness callbacks
-// and timer-wheel entries — no thread ever blocks on a socket:
+// and timer-queue entries — no thread ever blocks on a socket:
 //
 //  * the listener(s) are non-blocking and SO_REUSEPORT-sharded across
 //    loops when Config::num_loops > 1;
@@ -17,10 +17,13 @@
 //    pacing_tick_locked(), which then posts a pump to every loop so
 //    sessions spend their fresh budgets;
 //  * fault-injected delays (FaultyTransport) surface as retry_after()
-//    deadlines: the fd leaves the interest set and a timer-wheel entry
+//    deadlines: the fd leaves the interest set and a timer-queue entry
 //    owns the wakeup, so a delayed frame never busy-spins the loop;
-//  * handshake deadlines and solo pacing (unpaced server honouring a
-//    client's advertised cap) are plain timer-wheel entries too.
+//  * handshake deadlines are plain timer-queue entries too;
+//  * a session streams at the rate Eq. (2) grants its user, or as fast as
+//    the socket drains on an unpaced server.  The rate a FileRequest
+//    carries is decoded but never read, so that untrusted value reaches
+//    no arithmetic.
 //
 // Everything mutable on a session is loop-thread-only except the shared
 // pacing state (SessionState, the per-user tables), which lives under
@@ -33,7 +36,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -75,7 +77,6 @@ struct PeerServer::ReactorState {
     std::uint64_t file_id = 0;
     std::size_t next_msg = 0;
     std::size_t msg_count = 0;
-    double solo_rate = 0.0;  ///< unpaced client cap (kbps); 0 = none
     bool paced = false;
 
     // The single in-flight outbound frame not yet accepted by the
@@ -89,8 +90,7 @@ struct PeerServer::ReactorState {
     Staged staged_kind = Staged::none;
 
     EventLoop::TimerId handshake_timer = 0;
-    EventLoop::TimerId retry_timer = 0;  ///< fault release / solo spacing
-    bool solo_wait = false;   ///< inter-frame gap of a solo-paced stream
+    EventLoop::TimerId retry_timer = 0;  ///< fault-injected delay release
     bool registered = false;  ///< fd currently in the epoll set
     std::uint32_t interest = 0;
     std::optional<obs::TraceSpan> span;
@@ -141,8 +141,6 @@ struct PeerServer::ReactorState {
   void update_interest(const std::shared_ptr<Session>& s);
   void arm_retry(const std::shared_ptr<Session>& s,
                  std::chrono::steady_clock::time_point release);
-  void arm_retry_ns(const std::shared_ptr<Session>& s,
-                    std::uint64_t delay_ns);
   void finish(const std::shared_ptr<Session>& s, bool completed);
   void pump_streaming(PerLoop& pl);
 };
@@ -325,11 +323,6 @@ bool PeerServer::ReactorState::handle_frame(
         finish(s, false);
         return false;
       }
-      // Untrusted wire input: a denormal/negative/non-finite cap must not
-      // poison the pacing arithmetic or park the session in a near-endless
-      // solo wait.  Sub-1-kbps caps mean "no cap".
-      double client_cap = request->max_rate_kbps;
-      if (!std::isfinite(client_cap) || client_cap < 1.0) client_cap = 0.0;
       const std::uint64_t user_id =
           s->have_authed_user ? s->authed_user : request->user_id;
       s->paced = srv->config_.rate_kbps > 0.0;
@@ -341,7 +334,6 @@ bool PeerServer::ReactorState::handle_frame(
           auto st = std::make_shared<SessionState>();
           st->user_id = user_id;
           st->user_slot = *slot;
-          st->cap_kbps = client_cap;
           st->streaming = true;
           srv->sessions_.emplace(s->salt, st);
           s->st = std::move(st);
@@ -359,7 +351,6 @@ bool PeerServer::ReactorState::handle_frame(
       s->phase = Session::Phase::streaming;
       s->file_id = request->file_id;
       s->msg_count = srv->store_.count(request->file_id);
-      s->solo_rate = s->paced ? 0.0 : client_cap;
       return true;
     }
     case Session::Phase::streaming: {
@@ -381,7 +372,7 @@ bool PeerServer::ReactorState::pump_stream(
     const std::shared_ptr<Session>& s) {
   int sent_this_pass = 0;
   while (s->phase == Session::Phase::streaming && srv->running_ &&
-         s->staged_kind == Session::Staged::none && !s->solo_wait &&
+         s->staged_kind == Session::Staged::none &&
          s->next_msg < s->msg_count) {
     if (s->transport->want_write()) {
       const IoStatus st = s->transport->try_flush();
@@ -453,13 +444,6 @@ void PeerServer::ReactorState::account_sent(
   ++srv->messages_sent_;
   srv->m_messages_sent_->add(1);
   ++s->next_msg;
-  if (s->solo_rate > 0.0) {
-    // One frame per cap-derived interval (bounded so stop() stays prompt).
-    const double ms = std::min(
-        static_cast<double>(bytes) * 8.0 / s->solo_rate, 1000.0);
-    s->solo_wait = true;
-    arm_retry_ns(s, static_cast<std::uint64_t>(ms * 1e6));
-  }
 }
 
 void PeerServer::ReactorState::update_interest(
@@ -494,20 +478,16 @@ void PeerServer::ReactorState::update_interest(
 void PeerServer::ReactorState::arm_retry(
     const std::shared_ptr<Session>& s,
     std::chrono::steady_clock::time_point release) {
+  if (s->retry_timer) return;  // one release timer at a time
   const auto delay = release - std::chrono::steady_clock::now();
   const std::int64_t ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(delay).count();
   // Half a millisecond of cushion: firing marginally early would find the
-  // transport still gated and re-arm, wasting a wheel trip.
-  arm_retry_ns(s, ns > 0 ? static_cast<std::uint64_t>(ns) + 500'000ull : 1);
-}
-
-void PeerServer::ReactorState::arm_retry_ns(
-    const std::shared_ptr<Session>& s, std::uint64_t delay_ns) {
-  if (s->retry_timer) return;  // one release timer at a time
+  // transport still gated and re-arm, wasting a timer trip.
+  const std::uint64_t delay_ns =
+      ns > 0 ? static_cast<std::uint64_t>(ns) + 500'000ull : 1;
   s->retry_timer = s->pl->loop->add_timer_after(delay_ns, [this, s] {
     s->retry_timer = 0;
-    s->solo_wait = false;
     pump(s);
   });
 }

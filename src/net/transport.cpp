@@ -3,24 +3,21 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/bytes.hpp"
+
 namespace fairshare::net {
 
 bool Transport::write_frame(std::span<const std::byte> frame) {
   std::byte header[4];
-  const auto len = static_cast<std::uint32_t>(frame.size());
-  for (int i = 0; i < 4; ++i)
-    header[i] = std::byte{static_cast<std::uint8_t>(len >> (8 * i))};
-  return write_all(std::span<const std::byte>(header, 4)) && write_all(frame);
+  util::store_le(header, static_cast<std::uint32_t>(frame.size()));
+  return write_all(header) && write_all(frame);
 }
 
 std::optional<std::vector<std::byte>> Transport::read_frame(
     std::size_t max_len) {
   std::byte header[4];
-  if (!read_exact(std::span<std::byte>(header, 4))) return std::nullopt;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(header[i]))
-           << (8 * i);
+  if (!read_exact(header)) return std::nullopt;
+  const auto len = util::load_le<std::uint32_t>(header);
   if (len > max_len) return std::nullopt;
   std::vector<std::byte> frame(len);
   if (!read_exact(frame)) {
@@ -76,9 +73,8 @@ TryWrite Transport::try_write_frame_ext(std::span<const std::byte> head,
   }
   out_buf_.resize(4 + head.size());
   out_off_ = 0;
-  const auto len = static_cast<std::uint32_t>(head.size() + ext.size());
-  for (int i = 0; i < 4; ++i)
-    out_buf_[i] = std::byte{static_cast<std::uint8_t>(len >> (8 * i))};
+  util::store_le(out_buf_.data(),
+                 static_cast<std::uint32_t>(head.size() + ext.size()));
   if (!head.empty())
     std::memcpy(out_buf_.data() + 4, head.data(), head.size());
   ext_ = ext;
@@ -141,11 +137,7 @@ TryRead Transport::try_read_frame(std::size_t max_len) {
     }
   }
   if (in_body_.empty() && in_got_ == 0) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-      len |= static_cast<std::uint32_t>(
-                 std::to_integer<std::uint8_t>(in_hdr_[i]))
-             << (8 * i);
+    const auto len = util::load_le<std::uint32_t>(in_hdr_);
     if (len > max_len) return {IoStatus::error, {}};
     in_body_.resize(len);
   }

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "p2p/wire.hpp"
+#include "util/bytes.hpp"
 
 namespace fairshare::p2p {
 
@@ -12,108 +13,53 @@ namespace {
 constexpr char kMagic[4] = {'F', 'S', 'S', 'T'};
 constexpr std::uint32_t kVersion = 1;
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(std::byte{static_cast<std::uint8_t>(v >> (8 * i))});
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(std::byte{static_cast<std::uint8_t>(v >> (8 * i))});
-}
-
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::byte> data) : data_(data) {}
-  bool ok() const { return ok_; }
-  bool at_end() const { return ok_ && pos_ == data_.size(); }
-  std::size_t remaining() const { return data_.size() - pos_; }
-
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               std::to_integer<std::uint8_t>(data_[pos_ - 4 + i]))
-           << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               std::to_integer<std::uint8_t>(data_[pos_ - 8 + i]))
-           << (8 * i);
-    return v;
-  }
-
-  std::span<const std::byte> bytes(std::size_t n) {
-    if (!take(n)) return {};
-    return data_.subspan(pos_ - n, n);
-  }
-
- private:
-  bool take(std::size_t n) {
-    if (!ok_ || remaining() < n) {
-      ok_ = false;
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
 }  // namespace
 
 std::vector<std::byte> serialize_store(const MessageStore& store) {
-  std::vector<std::byte> out;
-  for (char c : kMagic) out.push_back(std::byte{static_cast<std::uint8_t>(c)});
-  put_u32(out, kVersion);
+  util::ByteWriter w;
+  w.put_bytes(std::as_bytes(std::span(kMagic)));
+  w.put_u32(kVersion);
   const auto ids = store.file_ids();
-  put_u32(out, static_cast<std::uint32_t>(ids.size()));
+  w.put_u32(static_cast<std::uint32_t>(ids.size()));
   for (std::uint64_t fid : ids) {
-    put_u64(out, fid);
+    w.put_u64(fid);
     const std::size_t count = store.count(fid);
-    put_u32(out, static_cast<std::uint32_t>(count));
+    w.put_u32(static_cast<std::uint32_t>(count));
     for (std::size_t i = 0; i < count; ++i) {
-      const std::vector<std::byte> frame = wire::encode(store.at(fid, i));
-      put_u32(out, static_cast<std::uint32_t>(frame.size()));
-      out.insert(out.end(), frame.begin(), frame.end());
+      // A wire::coded_message frame, written header then payload in place.
+      const coding::EncodedMessage& msg = store.at(fid, i);
+      w.put_u32(static_cast<std::uint32_t>(wire::kCodedMessageHeaderBytes +
+                                           msg.payload.size()));
+      w.put_bytes(wire::encode_coded_message_header(msg));
+      w.put_bytes(msg.payload);
     }
   }
-  return out;
+  return w.take();
 }
 
 std::optional<MessageStore> deserialize_store(std::span<const std::byte> data,
                                               std::size_t per_file_limit) {
-  Cursor c(data);
-  const auto magic = c.bytes(4);
-  if (!c.ok() || magic.size() != 4 ||
-      std::memcmp(magic.data(), kMagic, 4) != 0)
+  util::ByteReader r(data);
+  const auto magic = r.view(sizeof(kMagic));
+  if (!r.ok() || std::memcmp(magic.data(), kMagic, sizeof(kMagic)) != 0)
     return std::nullopt;
-  if (c.u32() != kVersion) return std::nullopt;
+  if (r.get_u32() != kVersion) return std::nullopt;
 
   MessageStore store(per_file_limit);
-  const std::uint32_t files = c.u32();
+  const std::uint32_t files = r.get_u32();
   for (std::uint32_t f = 0; f < files; ++f) {
-    const std::uint64_t fid = c.u64();
-    const std::uint32_t count = c.u32();
-    if (!c.ok()) return std::nullopt;
+    const std::uint64_t fid = r.get_u64();
+    const std::uint32_t count = r.get_u32();
+    if (!r.ok()) return std::nullopt;
     for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t len = c.u32();
-      if (!c.ok() || len > c.remaining()) return std::nullopt;
-      const auto frame = c.bytes(len);
+      const auto frame = r.view(r.get_u32());
+      if (!r.ok()) return std::nullopt;
       auto msg = wire::decode_coded_message(frame);
       if (!msg || msg->file_id != fid) return std::nullopt;
       store.store(std::move(*msg));  // limit drops excess, as documented
     }
   }
-  if (!c.at_end()) return std::nullopt;
+  if (!r.at_end()) return std::nullopt;
   return store;
 }
 

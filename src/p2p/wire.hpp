@@ -35,7 +35,9 @@ enum class MessageType : std::uint8_t {
 };
 
 /// Transmission "2"/"3": an authenticated user asks a peer for a file's
-/// messages at up to `max_rate_kbps`.
+/// messages.  `max_rate_kbps` keeps its place in the frame, but servers
+/// never read it: Eq. (2) pacing alone sets a session's rate, so this
+/// untrusted value reaches no arithmetic.
 struct FileRequest {
   std::uint64_t user_id = 0;
   std::uint64_t file_id = 0;
@@ -60,9 +62,13 @@ std::vector<std::byte> encode(const FileRequest& msg);
 std::vector<std::byte> encode(const StopTransmission& msg);
 std::vector<std::byte> encode(const coding::EncodedMessage& msg);
 
-/// Framing bytes of a coded_message frame ahead of the payload: the type
-/// tag, both u64 ids, and the u32 payload length.
-inline constexpr std::size_t kCodedMessageHeaderBytes = 1 + 8 + 8 + 4;
+/// Bytes of a coded_message frame ahead of its payload length: the type
+/// tag and both u64 ids.
+inline constexpr std::size_t kCodedMessageIdBytes = 1 + 8 + 8;
+/// Framing bytes of a coded_message frame ahead of the payload: the ids
+/// prefix and the u32 payload length.
+inline constexpr std::size_t kCodedMessageHeaderBytes =
+    kCodedMessageIdBytes + 4;
 
 /// Encode only the coded_message framing, for scatter-gather sends: the
 /// returned header followed by msg.payload is byte-identical to

@@ -231,26 +231,6 @@ TEST(Codec, InfoDigestAccounting) {
   EXPECT_EQ(encoder.info().digest_bytes(), 128u);  // paper's claim
 }
 
-TEST(Codec, SerializationRoundTrip) {
-  const CodingParams params{gf::FieldId::gf2_16, 128};
-  const auto data = random_data(1500, 14);
-  FileEncoder encoder(secret(1), 0xABCD, data, params);
-  const auto msg = encoder.generate(1)[0];
-  const auto wire = msg.serialize();
-  EXPECT_EQ(wire.size(), msg.wire_size());
-  const auto parsed = EncodedMessage::deserialize(wire);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->file_id, msg.file_id);
-  EXPECT_EQ(parsed->message_id, msg.message_id);
-  EXPECT_EQ(parsed->payload, msg.payload);
-  EXPECT_EQ(parsed->digest(), msg.digest());
-}
-
-TEST(Codec, DeserializeRejectsShortBuffers) {
-  const std::vector<std::byte> tiny(10);
-  EXPECT_FALSE(EncodedMessage::deserialize(tiny).has_value());
-}
-
 TEST(Codec, AddDigestAllowsLateMessages) {
   const CodingParams params{gf::FieldId::gf2_32, 64};
   const auto data = random_data(2000, 15);

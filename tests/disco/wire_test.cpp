@@ -5,9 +5,13 @@
 #include <vector>
 
 #include "disco/wire.hpp"
+#include "hex.hpp"
 
 namespace fairshare::disco::wire {
 namespace {
+
+using test_support::from_hex;
+using test_support::to_hex;
 
 Member member(dht::RingId id, const std::string& host, std::uint16_t port) {
   Member m;
@@ -160,6 +164,108 @@ TEST(DiscoWire, PeekTypeRejectsForeignTags) {
   EXPECT_EQ(peek_type(p2p_tag), std::nullopt);
   const std::byte beyond[] = {std::byte{74}};
   EXPECT_EQ(peek_type(beyond), std::nullopt);
+}
+
+// Exact frames of one sample of each type.  Round trips cannot see a
+// layout change made on both sides; these can.  They were recorded from
+// an earlier encoder, independent of the one under test: never
+// regenerate them from the encoder.
+constexpr const char* kGoldenLookupRequest = "400df0fecaefbeadde";
+constexpr const char* kGoldenLookupResponse =
+    "41012a0000000000000009003132372e302e302e31282302002b000000000000"
+    "00080031302e302e302e3129232c000000000000000100682a23";
+constexpr const char* kGoldenAnnounceRequest =
+    "420903000000000000050000000000000009003132372e302e302e31901f1027"
+    "000000";
+constexpr const char* kGoldenAnnounceResponse = "430103";
+constexpr const char* kGoldenResolveRequest = "440903000000000000";
+constexpr const char* kGoldenResolveResponse =
+    "450200010000000000000001006101000200000000000000020062620200";
+constexpr const char* kGoldenJoinRequest =
+    "46070000000000000009003132372e302e302e31611e";
+constexpr const char* kGoldenGossip =
+    "4701010000000000000001007801000200010000000000000001007801000200"
+    "0000000000000100790200020000000a00000000000000010000000000000000"
+    "00000000e05e400b0000000000000002000000000000000000000000000000";
+constexpr const char* kGoldenStatusRequest = "48";
+constexpr const char* kGoldenStatusResponse =
+    "49090000000000000001007a09000100090000000000000001007a0900040000"
+    "000200000064000000000000003200000000000000";
+
+/// Decode a frame with its type's decoder and encode the result again.
+std::optional<std::vector<std::byte>> reencode(
+    std::span<const std::byte> frame) {
+  const auto again = [](const auto& decoded) {
+    return decoded ? std::optional(encode(*decoded)) : std::nullopt;
+  };
+  switch (peek_type(frame).value_or(MessageType{})) {
+    case MessageType::lookup_request:
+      return again(decode_lookup_request(frame));
+    case MessageType::lookup_response:
+      return again(decode_lookup_response(frame));
+    case MessageType::announce_request:
+      return again(decode_announce_request(frame));
+    case MessageType::announce_response:
+      return again(decode_announce_response(frame));
+    case MessageType::resolve_request:
+      return again(decode_resolve_request(frame));
+    case MessageType::resolve_response:
+      return again(decode_resolve_response(frame));
+    case MessageType::join_request:
+      return again(decode_join_request(frame));
+    case MessageType::gossip:
+      return again(decode_gossip(frame));
+    case MessageType::status_request:
+      return again(decode_status_request(frame));
+    case MessageType::status_response:
+      return again(decode_status_response(frame));
+  }
+  return std::nullopt;
+}
+
+TEST(DiscoWire, GoldenFramesOfEveryType) {
+  LookupResponse lookup;
+  lookup.done = true;
+  lookup.target = member(42, "127.0.0.1", 9000);
+  lookup.successors = {member(43, "10.0.0.1", 9001), member(44, "h", 9002)};
+  AnnounceRequest announce;
+  announce.file_id = 777;
+  announce.provider = provider(5, "127.0.0.1", 8080);
+  announce.ttl_ms = 10'000;
+  announce.replicate = false;
+  ResolveResponse resolved;
+  resolved.providers = {provider(1, "a", 1), provider(2, "bb", 2)};
+  Gossip gossip;
+  gossip.reply = true;
+  gossip.from = member(1, "x", 1);
+  gossip.members = {member(1, "x", 1), member(2, "y", 2)};
+  gossip.ledger = {{10, 1, 123.5}, {11, 2, 0.0}};
+  StatusResponse status;
+  status.self = member(9, "z", 9);
+  status.members = {member(9, "z", 9)};
+  status.provider_records = 4;
+  status.ledger_entries = 2;
+  status.gossip_rounds = 100;
+  status.lookups_served = 50;
+
+  const std::pair<std::vector<std::byte>, const char*> cases[] = {
+      {encode(LookupRequest{0xdeadbeefcafef00dull}), kGoldenLookupRequest},
+      {encode(lookup), kGoldenLookupResponse},
+      {encode(announce), kGoldenAnnounceRequest},
+      {encode(AnnounceResponse{true, 3}), kGoldenAnnounceResponse},
+      {encode(ResolveRequest{777}), kGoldenResolveRequest},
+      {encode(resolved), kGoldenResolveResponse},
+      {encode(JoinRequest{member(7, "127.0.0.1", 7777)}), kGoldenJoinRequest},
+      {encode(gossip), kGoldenGossip},
+      {encode(StatusRequest{}), kGoldenStatusRequest},
+      {encode(status), kGoldenStatusResponse},
+  };
+  for (const auto& [frame, golden] : cases) {
+    EXPECT_EQ(to_hex(frame), golden);
+    const auto again = reencode(from_hex(golden));
+    ASSERT_TRUE(again.has_value()) << golden;
+    EXPECT_EQ(to_hex(*again), golden) << "decode + re-encode moved a byte";
+  }
 }
 
 }  // namespace

@@ -173,9 +173,9 @@ TEST_P(ProgressiveSolverTest, UnitRowsDecodeImmediately) {
       chunks.set(r, c, rng.next() & (f().order - 1));
   ProgressiveSolver solver(GetParam(), k, m);
   for (std::size_t r = 0; r < k; ++r) {
-    std::vector<std::uint64_t> e(k, 0);
-    e[r] = 1;
-    EXPECT_TRUE(solver.add_row(e, chunks.row(r)));
+    std::vector<std::byte> e(f().row_bytes(k));
+    f().set(e.data(), r, 1);
+    EXPECT_TRUE(solver.add_row(e.data(), chunks.row(r)));
   }
   ASSERT_TRUE(solver.complete());
   for (std::size_t i = 0; i < k; ++i)
@@ -217,8 +217,9 @@ TEST_P(ProgressiveSolverTest, KEqualsOne) {
   std::vector<std::byte> payload(f().row_bytes(m));
   std::memcpy(payload.data(), chunk.row(0), payload.size());
   f().scale(payload.data(), c, m);
-  EXPECT_TRUE(
-      solver.add_row(std::vector<std::uint64_t>{c}, payload.data()));
+  std::vector<std::byte> coeff(f().row_bytes(1));
+  f().set(coeff.data(), 0, c);
+  EXPECT_TRUE(solver.add_row(coeff.data(), payload.data()));
   ASSERT_TRUE(solver.complete());
   EXPECT_EQ(std::memcmp(solver.chunk(0), chunk.row(0), f().row_bytes(m)), 0);
 }

@@ -1,6 +1,6 @@
-// The reactor's moving parts in isolation: util::TimerWheel expiry
+// The reactor's moving parts in isolation: util::TimerQueue expiry
 // semantics driven by a hand-held clock, and net::EventLoop's epoll +
-// eventfd + wheel composition — cross-thread wakeups, deadline ordering,
+// eventfd + timer composition — cross-thread wakeups, deadline ordering,
 // periodic rearming, and fd registrations that outlive their fds.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "net/event_loop.hpp"
-#include "util/timer_wheel.hpp"
+#include "util/timer_queue.hpp"
 
 #ifdef __linux__
 #include <sys/epoll.h>
@@ -20,94 +20,92 @@
 namespace fairshare {
 namespace {
 
-using util::TimerWheel;
+using util::TimerQueue;
 
 constexpr std::uint64_t kMs = 1'000'000;  // ns per ms
 
-std::vector<TimerWheel::Callback> pop(TimerWheel& wheel, std::uint64_t now) {
-  std::vector<TimerWheel::Callback> due;
-  wheel.advance(now, due);
+std::vector<TimerQueue::Callback> pop(TimerQueue& queue, std::uint64_t now) {
+  std::vector<TimerQueue::Callback> due;
+  queue.advance(now, due);
   return due;
 }
 
-TEST(TimerWheelTest, ExpiresInDeadlineOrderAcrossBuckets) {
-  TimerWheel wheel;
+TEST(TimerQueueTest, ExpiresInDeadlineOrder) {
+  TimerQueue queue;
   std::vector<int> fired;
   // Armed out of order; two share a deadline to pin the arming-order
   // tiebreak.
-  wheel.add(5 * kMs, [&] { fired.push_back(5); });
-  wheel.add(1 * kMs, [&] { fired.push_back(1); });
-  wheel.add(3 * kMs, [&] { fired.push_back(3); });
-  wheel.add(3 * kMs, [&] { fired.push_back(4); });
-  EXPECT_EQ(wheel.size(), 4u);
-  EXPECT_EQ(wheel.next_deadline_ns(), 1 * kMs);
+  queue.add(5 * kMs, [&] { fired.push_back(5); });
+  queue.add(1 * kMs, [&] { fired.push_back(1); });
+  queue.add(3 * kMs, [&] { fired.push_back(3); });
+  queue.add(3 * kMs, [&] { fired.push_back(4); });
+  EXPECT_EQ(queue.size(), 4u);
+  EXPECT_EQ(queue.next_deadline_ns(), 1 * kMs);
 
-  auto due = pop(wheel, 10 * kMs);
+  auto due = pop(queue, 10 * kMs);
   for (auto& cb : due) cb();
   EXPECT_EQ(fired, (std::vector<int>{1, 3, 4, 5}));
-  EXPECT_TRUE(wheel.empty());
+  EXPECT_TRUE(queue.empty());
 }
 
-TEST(TimerWheelTest, AdvanceStopsAtNotYetDueEntries) {
-  TimerWheel wheel;
+TEST(TimerQueueTest, AdvanceStopsAtNotYetDueEntries) {
+  TimerQueue queue;
   int fired = 0;
-  wheel.add(2 * kMs, [&] { ++fired; });
-  wheel.add(8 * kMs, [&] { ++fired; });
+  queue.add(2 * kMs, [&] { ++fired; });
+  queue.add(8 * kMs, [&] { ++fired; });
 
-  auto due = pop(wheel, 5 * kMs);
+  auto due = pop(queue, 5 * kMs);
   EXPECT_EQ(due.size(), 1u);
-  EXPECT_EQ(wheel.size(), 1u);
-  EXPECT_EQ(wheel.next_deadline_ns(), 8 * kMs);
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.next_deadline_ns(), 8 * kMs);
 
-  due = pop(wheel, 8 * kMs);  // boundary: deadline <= now expires
+  due = pop(queue, 8 * kMs);  // boundary: deadline <= now expires
   EXPECT_EQ(due.size(), 1u);
-  EXPECT_TRUE(wheel.empty());
+  EXPECT_TRUE(queue.empty());
 }
 
-TEST(TimerWheelTest, CancelDisarmsExactlyOnce) {
-  TimerWheel wheel;
+TEST(TimerQueueTest, CancelDisarmsExactlyOnce) {
+  TimerQueue queue;
   bool fired = false;
-  const TimerWheel::TimerId id = wheel.add(2 * kMs, [&] { fired = true; });
-  wheel.add(2 * kMs, [] {});  // neighbour in the same bucket survives
+  const TimerQueue::TimerId id = queue.add(2 * kMs, [&] { fired = true; });
+  queue.add(2 * kMs, [] {});  // neighbour at the same deadline survives
 
-  EXPECT_TRUE(wheel.cancel(id));
-  EXPECT_FALSE(wheel.cancel(id));          // double-cancel
-  EXPECT_FALSE(wheel.cancel(TimerWheel::TimerId{0}));  // never valid
-  EXPECT_FALSE(wheel.cancel(9999));        // never armed
+  EXPECT_TRUE(queue.cancel(id));
+  EXPECT_FALSE(queue.cancel(id));          // double-cancel
+  EXPECT_FALSE(queue.cancel(TimerQueue::TimerId{0}));  // never valid
+  EXPECT_FALSE(queue.cancel(9999));        // never armed
 
-  auto due = pop(wheel, 10 * kMs);
+  auto due = pop(queue, 10 * kMs);
   EXPECT_EQ(due.size(), 1u);
   EXPECT_FALSE(fired);
 }
 
-TEST(TimerWheelTest, DeadlineARotationAheadWaitsItsTurn) {
-  // 256 slots x 1 ms tick = one rotation every 256 ms.  A deadline 300 ms
-  // out hashes into a bucket the cursor passes long before the deadline;
-  // the entry must ride the wheel around instead of firing early.
-  TimerWheel wheel;
+TEST(TimerQueueTest, FarDeadlineWaitsItsTurn) {
+  // An advance that stops 1 ms short of a far deadline must leave the
+  // entry armed instead of firing it early.
+  TimerQueue queue;
   bool fired = false;
-  wheel.add(300 * kMs, [&] { fired = true; });
+  queue.add(300 * kMs, [&] { fired = true; });
 
-  auto due = pop(wheel, 299 * kMs);  // sweeps every bucket at least once
+  auto due = pop(queue, 299 * kMs);
   EXPECT_TRUE(due.empty());
-  EXPECT_EQ(wheel.size(), 1u);
+  EXPECT_EQ(queue.size(), 1u);
 
-  due = pop(wheel, 301 * kMs);
+  due = pop(queue, 301 * kMs);
   ASSERT_EQ(due.size(), 1u);
   due[0]();
   EXPECT_TRUE(fired);
 }
 
-TEST(TimerWheelTest, ArmingInThePastFiresOnNextAdvance) {
+TEST(TimerQueueTest, ArmingInThePastFiresOnNextAdvance) {
   // The reactor arms retry timers from retry_after() deadlines that may
-  // already have elapsed; those must surface on the very next advance,
-  // not a rotation later.
-  TimerWheel wheel;
-  (void)pop(wheel, 500 * kMs);  // cursor well past the deadline below
+  // already have elapsed; those must surface on the very next advance.
+  TimerQueue queue;
+  (void)pop(queue, 500 * kMs);  // cursor well past the deadline below
   bool fired = false;
-  wheel.add(100 * kMs, [&] { fired = true; });
+  queue.add(100 * kMs, [&] { fired = true; });
 
-  auto due = pop(wheel, 500 * kMs + 1);
+  auto due = pop(queue, 500 * kMs + 1);
   ASSERT_EQ(due.size(), 1u);
   due[0]();
   EXPECT_TRUE(fired);

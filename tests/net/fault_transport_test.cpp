@@ -8,6 +8,7 @@
 
 #include "coding/encoder.hpp"
 #include "coding/codec.hpp"
+#include "hex.hpp"
 #include "net/fault_transport.hpp"
 #include "net/retry.hpp"
 #include "net/transport.hpp"
@@ -35,6 +36,28 @@ TEST(Transport, DefaultFrameImplementationRoundTrips) {
   // Nothing buffered: clean timeout, retryable.
   EXPECT_FALSE(recv_frame(*b, 64).has_value());
   EXPECT_TRUE(b->timed_out());
+}
+
+TEST(Transport, GoldenLengthPrefix) {
+  // Every frame travels behind a u32 little-endian length; 300 bytes is
+  // 0x012c.  Both write paths must put the same four bytes on the wire.
+  const auto pop_prefix_hex = [](std::deque<std::byte>& wire) {
+    std::vector<std::byte> head(wire.begin(), wire.begin() + 4);
+    wire.erase(wire.begin(), wire.begin() + 304);
+    return test_support::to_hex(head);
+  };
+  Pipe pipe;
+  const auto frame = frame_of(0x5A, 300);
+  ASSERT_TRUE(pipe.a.write_frame(frame));
+  ASSERT_EQ(pipe.state->to_b.size(), 304u);
+  EXPECT_EQ(pop_prefix_hex(pipe.state->to_b), "2c010000");
+
+  const std::span<const std::byte> whole(frame);
+  const TryWrite w =
+      pipe.a.try_write_frame_ext(whole.first(100), whole.subspan(100));
+  ASSERT_TRUE(w.accepted);
+  ASSERT_EQ(pipe.state->to_b.size(), 304u);
+  EXPECT_EQ(pop_prefix_hex(pipe.state->to_b), "2c010000");
 }
 
 TEST(FaultyTransport, ResetAfterNFramesKillsBothDirections) {

@@ -2,7 +2,7 @@
 // download_file over TCP report into one registry whose numbers equal the
 // returned DownloadReport exactly; allocation_snapshot() stays coherent
 // under concurrent hammering (run under TSan via the obs ctest label);
-// decoder, policy, fault-injector, and simulator instrumentation round-trip.
+// decoder, fault-injector, and simulator instrumentation round-trip.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "alloc/observed_policy.hpp"
 #include "alloc/policies.hpp"
 #include "coding/codec.hpp"
 #include "coding/encoder.hpp"
@@ -265,34 +264,6 @@ TEST(ObsWiring, DecoderMetricsTrackRankAndEliminations) {
       registry.histogram("fairshare_decoder_eliminate_ns", labels).count();
   EXPECT_GE(eliminations, decoder.rank());
   EXPECT_LE(eliminations, added);
-}
-
-TEST(ObsWiring, ObservedPolicyPublishesShares) {
-  obs::MetricsRegistry registry;
-  alloc::ObservedPolicy policy(
-      std::make_unique<alloc::ProportionalContributionPolicy>(2), registry,
-      "7");
-  std::vector<std::uint8_t> requesting = {1, 1};
-  std::vector<double> declared = {0.0, 0.0};
-  std::vector<double> shares(2);
-  alloc::PeerContext ctx;
-  ctx.self = 0;
-  ctx.slot = 1;
-  ctx.capacity = 1000.0;
-  ctx.requesting = requesting;
-  ctx.declared = declared;
-  policy.allocate(ctx, shares);
-  EXPECT_EQ(registry
-                .counter("fairshare_alloc_allocations_total", {{"peer", "7"}})
-                .value(),
-            1u);
-  double total = 0.0;
-  for (std::size_t u = 0; u < 2; ++u)
-    total += registry
-                 .gauge("fairshare_alloc_share_kbps",
-                        {{"peer", "7"}, {"user", std::to_string(u)}})
-                 .value();
-  EXPECT_NEAR(total, 1000.0, 1e-9);  // gauges mirror the allocate() output
 }
 
 TEST(ObsWiring, FaultInjectorMirrorsStatsIntoRegistry) {

@@ -7,6 +7,7 @@
 
 #include "coding/codec.hpp"
 #include "coding/encoder.hpp"
+#include "hex.hpp"
 #include "p2p/persistence.hpp"
 #include "sim/rng.hpp"
 
@@ -135,6 +136,26 @@ TEST(Persistence, RestartedPeerStillServesDecodableMessages) {
   for (std::size_t i = 0; i < reborn->count(3); ++i) dec.add(reborn->at(3, i));
   ASSERT_TRUE(dec.complete());
   EXPECT_EQ(dec.reconstruct(), data);
+}
+
+TEST(Persistence, GoldenTwoFileContainer) {
+  // The exact container bytes, recorded from an earlier writer.  Never
+  // regenerate them from serialize_store: a round trip cannot see a moved
+  // byte.
+  constexpr const char* kGolden =
+      "4653535401000000020000000100000000000000020000001800000005010000"
+      "0000000000000000000000000003000000000102180000000501000000000000"
+      "0001000000000000000300000007080902000000000000000100000017000000"
+      "0502000000000000000900000000000000020000003f40";
+  MessageStore store;
+  store.store(msg(1, 0, 3));
+  store.store(msg(1, 1, 3));
+  store.store(msg(2, 9, 2));
+  EXPECT_EQ(test_support::to_hex(serialize_store(store)), kGolden);
+
+  const auto back = deserialize_store(test_support::from_hex(kGolden));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(test_support::to_hex(serialize_store(*back)), kGolden);
 }
 
 }  // namespace

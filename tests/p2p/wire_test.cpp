@@ -2,13 +2,21 @@
 // mutated frames, and cross-type rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <vector>
 
+#include "hex.hpp"
 #include "p2p/wire.hpp"
 #include "sim/rng.hpp"
+#include "util/bytes.hpp"
 
 namespace fairshare::p2p::wire {
 namespace {
+
+using test_support::from_hex;
+using test_support::to_hex;
 
 crypto::AuthHello sample_hello() {
   crypto::AuthHello m;
@@ -388,6 +396,124 @@ TEST(Wire, FigureThreeLayoutCompatibility) {
   // + payload); the framed wire adds 1 type byte + 4 length bytes.
   const auto m = sample_coded();
   EXPECT_EQ(encode(m).size(), m.wire_size() + 5);
+}
+
+// Exact frames of the sample fixtures.  A layout change made on both the
+// encode and the decode side passes every round trip above; only these
+// catch it.  They were recorded from an earlier encoder, independent of
+// the one under test: never regenerate them from the encoder.
+constexpr const char* kGoldenHello =
+    "018877665544332211000306090c0f1215181b1e2124272a2d303336393c3f42"
+    "45484b4e5154575a5d";
+constexpr const char* kGoldenChallenge =
+    "022a00000000000000f0efeeedecebeae9e8e7e6e5e4e3e2e1e0dfdedddcdbda"
+    "d9d8d7d6d5d4d3d2d10700000001020304050607";
+constexpr const char* kGoldenResponse = "030300000009080702000000aabb";
+constexpr const char* kGoldenFileRequest =
+    "040b0000000000000016000000000000000000000000048840";
+constexpr const char* kGoldenCodedMessage =
+    "0507000000000000000d0000000000000004000000010203ff";
+constexpr const char* kGoldenStop = "0603000000000000000400000000000000";
+constexpr const char* kGoldenAuthenticated =
+    "0707000000000000000d0000000000000004000000010203ff05000000030000"
+    "00000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e"
+    "1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e"
+    "3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e"
+    "5f";
+constexpr const char* kGoldenFileInfo =
+    "08630000000000000040e2010000000000100010000000000000100000000000"
+    "0000404142434445464748494a4b4c4d4e4f050000001c000000000000000400"
+    "0000000000000000000000000000150000000000000003000000000000000000"
+    "0000000000000e00000000000000020000000000000000000000000000000700"
+    "0000000000000100000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000";
+constexpr const char* kGoldenChunkedFileInfo =
+    "08630000000000000040e2010000000000100010000000000000100000000000"
+    "0000404142434445464748494a4b4c4d4e4f050000001c000000000000000400"
+    "0000000000000000000000000000150000000000000003000000000000000000"
+    "0000000000000e00000000000000020000000000000000000000000000000700"
+    "0000000000000100000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000130000000060000008877665544332211";
+/// MD5 over sample_coded()'s Figure 3 image (what FileInfo stores).
+constexpr const char* kGoldenCodedDigest = "18e364410a0dab747bd552277d5ed87e";
+
+coding::FileInfo sample_chunked_info() {
+  auto info = sample_info();
+  info.codec = coding::CodecKind::chunked;
+  info.schedule.class_size = 48;
+  info.schedule.overlap = 6;
+  info.schedule.seed = 0x1122334455667788ull;
+  return info;
+}
+
+/// Decode a frame with its type's decoder and encode the result again.
+std::optional<std::vector<std::byte>> reencode(
+    std::span<const std::byte> frame) {
+  const auto again = [](const auto& decoded) {
+    return decoded ? std::optional(encode(*decoded)) : std::nullopt;
+  };
+  switch (peek_type(frame).value_or(MessageType{})) {
+    case MessageType::auth_hello:
+      return again(decode_auth_hello(frame));
+    case MessageType::auth_challenge:
+      return again(decode_auth_challenge(frame));
+    case MessageType::auth_response:
+      return again(decode_auth_response(frame));
+    case MessageType::file_request:
+      return again(decode_file_request(frame));
+    case MessageType::coded_message:
+      return again(decode_coded_message(frame));
+    case MessageType::stop_transmission:
+      return again(decode_stop_transmission(frame));
+    case MessageType::authenticated_message:
+      return again(decode_authenticated_message(frame));
+    case MessageType::file_info:
+      return again(decode_file_info(frame));
+  }
+  return std::nullopt;
+}
+
+/// `frame` with a file_info digest table sorted by entry.  The encoder
+/// writes the table in unordered_map iteration order, and a decode
+/// rebuilds the map in frame order, so decode + re-encode may permute the
+/// entries (it reverses sample_info()'s five); every other byte stays.
+std::vector<std::byte> sort_digest_table(std::vector<std::byte> frame) {
+  if (peek_type(frame) != MessageType::file_info) return frame;
+  constexpr std::size_t kCountAt = 1 + 8 + 8 + 1 + 8 + 8 + 16;
+  using Entry = std::array<std::byte, 8 + sizeof(crypto::Md5Digest)>;
+  std::byte* table = frame.data() + kCountAt + 4;
+  std::vector<Entry> entries(
+      util::load_le<std::uint32_t>(frame.data() + kCountAt));
+  std::memcpy(entries.data(), table, entries.size() * sizeof(Entry));
+  std::sort(entries.begin(), entries.end());
+  std::memcpy(table, entries.data(), entries.size() * sizeof(Entry));
+  return frame;
+}
+
+TEST(Wire, GoldenFramesOfEveryType) {
+  const std::pair<std::vector<std::byte>, const char*> cases[] = {
+      {encode(sample_hello()), kGoldenHello},
+      {encode(sample_challenge()), kGoldenChallenge},
+      {encode(sample_response()), kGoldenResponse},
+      {encode(FileRequest{11, 22, 768.5}), kGoldenFileRequest},
+      {encode(sample_coded()), kGoldenCodedMessage},
+      {encode(StopTransmission{3, 4}), kGoldenStop},
+      {encode(sample_authenticated()), kGoldenAuthenticated},
+      {encode(sample_info()), kGoldenFileInfo},
+      {encode(sample_chunked_info()), kGoldenChunkedFileInfo},
+  };
+  for (const auto& [frame, golden] : cases) {
+    EXPECT_EQ(to_hex(frame), golden);
+    const auto again = reencode(from_hex(golden));
+    ASSERT_TRUE(again.has_value()) << golden;
+    EXPECT_EQ(to_hex(sort_digest_table(*again)),
+              to_hex(sort_digest_table(from_hex(golden))))
+        << "decode + re-encode moved a byte";
+  }
+}
+
+TEST(Wire, GoldenCodedMessageDigest) {
+  EXPECT_EQ(to_hex(sample_coded().digest()), kGoldenCodedDigest);
 }
 
 }  // namespace
