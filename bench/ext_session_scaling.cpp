@@ -81,7 +81,6 @@ double measure(std::size_t sessions, std::size_t* threads_out) {
     request.user_id = 1;
     request.file_id = kFileId;
     if (!net::send_frame(*socket, p2p::wire::encode(request))) return 0.0;
-    socket->set_nonblocking(true);
     clients.push_back(std::move(*socket));
   }
 

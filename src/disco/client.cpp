@@ -1,7 +1,6 @@
 #include "disco/client.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "disco/node.hpp"  // file_key
 #include "net/socket.hpp"
@@ -17,14 +16,7 @@ std::optional<std::vector<std::byte>> Client::request(
   socket->set_recv_timeout(config_.io_timeout_ms);
   socket->set_send_timeout(config_.io_timeout_ms);
   if (!net::send_frame(*socket, frame)) return std::nullopt;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(config_.io_timeout_ms);
-  for (;;) {
-    auto resp = net::recv_frame(*socket, 1 << 20);
-    if (resp) return resp;
-    if (!socket->timed_out() || std::chrono::steady_clock::now() >= deadline)
-      return std::nullopt;
-  }
+  return net::recv_frame(*socket, 1 << 20);
 }
 
 std::optional<LookupOutcome> Client::lookup(dht::RingId key) const {

@@ -148,8 +148,10 @@ wire::StatusResponse DiscoveryNode::status() const {
   for (const auto& [file, entries] : providers_)
     s.provider_records += static_cast<std::uint32_t>(entries.size());
   s.ledger_entries = static_cast<std::uint32_t>(ledger_.size());
-  s.gossip_rounds = gossip_rounds_.load();
-  s.lookups_served = lookups_served_.load();
+  // The registry counters are resolved in start(); a node that never
+  // started has served nothing.
+  s.gossip_rounds = m_gossip_rounds_ ? m_gossip_rounds_->value() : 0;
+  s.lookups_served = m_lookups_ ? m_lookups_->value() : 0;
   return s;
 }
 
@@ -208,7 +210,6 @@ std::optional<std::vector<std::byte>> DiscoveryNode::handle_frame(
 
 std::vector<std::byte> DiscoveryNode::handle_lookup(
     const wire::LookupRequest& msg) {
-  ++lookups_served_;
   m_lookups_->add(1);
   wire::LookupResponse resp;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -322,15 +323,7 @@ std::optional<std::vector<std::byte>> DiscoveryNode::request(
   }
   note_dial_result(target, true);
   if (!net::send_frame(*transport, frame)) return std::nullopt;
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.io_timeout_ms);
-  while (running_) {
-    auto resp = net::recv_frame(*transport, kMaxFrame);
-    if (resp) return resp;
-    if (!transport->timed_out() || Clock::now() >= deadline)
-      return std::nullopt;
-  }
-  return std::nullopt;
+  return net::recv_frame(*transport, kMaxFrame);
 }
 
 void DiscoveryNode::note_dial_result(const wire::Member& target, bool ok) {
@@ -366,7 +359,6 @@ void DiscoveryNode::gossip_round() {
     target = *others[lcg_step(gossip_cursor_) % others.size()];
     push = local_view_locked(/*reply=*/false);
   }
-  ++gossip_rounds_;
   m_gossip_rounds_->add(1);
   const auto resp = request(target, wire::encode(push));
   if (!resp) return;
@@ -558,7 +550,6 @@ void DiscoveryNode::accept_ready() {
   for (;;) {
     auto client = listener_.accept();
     if (!client || !running_) return;
-    client->set_nonblocking(true);
     const int fd = client->native_handle();
     std::unique_ptr<net::Transport> transport =
         std::make_unique<net::Socket>(std::move(*client));

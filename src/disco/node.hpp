@@ -197,14 +197,11 @@ class DiscoveryNode : public net::DiscoveryHook {
   // Loop-thread-only connection table.
   std::map<int, std::shared_ptr<Conn>> conns_;
 
-  std::atomic<std::uint64_t> lookups_served_{0};
-  std::atomic<std::uint64_t> gossip_rounds_{0};
-
   obs::MetricsRegistry* registry_;
-  obs::Counter* m_lookups_;
+  obs::Counter* m_lookups_ = nullptr;
   obs::Counter* m_announces_;
   obs::Counter* m_resolves_;
-  obs::Counter* m_gossip_rounds_;
+  obs::Counter* m_gossip_rounds_ = nullptr;
   obs::Counter* m_members_dropped_;
   obs::Gauge* m_members_;
   obs::Gauge* m_provider_records_;

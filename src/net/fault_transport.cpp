@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "p2p/wire.hpp"
@@ -11,31 +10,15 @@ namespace fairshare::net {
 
 // ----------------------------------------------------------- FaultInjector
 
-FaultInjector::FaultInjector(FaultPlan plan, obs::MetricsRegistry* registry)
+FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(plan), shared_(std::make_shared<Shared>()) {
   shared_->rng = sim::SplitMix64(plan.seed);
-  if (registry) {
-    const obs::LabelList seed = {{"seed", std::to_string(plan.seed)}};
-    shared_->m_refused =
-        &registry->counter("fairshare_faults_connections_refused_total", seed);
-    shared_->m_reset =
-        &registry->counter("fairshare_faults_connections_reset_total", seed);
-    shared_->m_dropped =
-        &registry->counter("fairshare_faults_frames_dropped_total", seed);
-    shared_->m_corrupted =
-        &registry->counter("fairshare_faults_frames_corrupted_total", seed);
-    shared_->m_duplicated =
-        &registry->counter("fairshare_faults_frames_duplicated_total", seed);
-    shared_->m_delayed =
-        &registry->counter("fairshare_faults_frames_delayed_total", seed);
-  }
 }
 
 bool FaultInjector::admits_connection() {
   if (!plan_.refuse_connection) return true;
   std::lock_guard<std::mutex> lock(shared_->mutex);
   ++shared_->stats.connections_refused;
-  if (shared_->m_refused) shared_->m_refused->add(1);
   return false;
 }
 
@@ -73,22 +56,10 @@ FaultyTransport::Faults FaultyTransport::draw_faults() {
   f.duplicate = shared_->rng.next_double() < plan_.duplicate_rate;
   f.delay = shared_->rng.next_double() < plan_.delay_rate;
   if (f.corrupt) f.corrupt_at = shared_->rng.next();
-  if (f.drop) {
-    ++shared_->stats.frames_dropped;
-    if (shared_->m_dropped) shared_->m_dropped->add(1);
-  }
-  if (f.corrupt) {
-    ++shared_->stats.frames_corrupted;
-    if (shared_->m_corrupted) shared_->m_corrupted->add(1);
-  }
-  if (f.duplicate) {
-    ++shared_->stats.frames_duplicated;
-    if (shared_->m_duplicated) shared_->m_duplicated->add(1);
-  }
-  if (f.delay) {
-    ++shared_->stats.frames_delayed;
-    if (shared_->m_delayed) shared_->m_delayed->add(1);
-  }
+  shared_->stats.frames_dropped += f.drop;
+  shared_->stats.frames_corrupted += f.corrupt;
+  shared_->stats.frames_duplicated += f.duplicate;
+  shared_->stats.frames_delayed += f.delay;
   return f;
 }
 
@@ -114,61 +85,12 @@ bool FaultyTransport::consume_frame_budget() {
       // socket closes, and whoever it tells must find it in stats().
       std::lock_guard<std::mutex> lock(shared_->mutex);
       ++shared_->stats.connections_reset;
-      if (shared_->m_reset) shared_->m_reset->add(1);
     }
     inner_->close();  // the RST analog: both directions die at once
     return false;
   }
   ++frames_used_;
   return true;
-}
-
-bool FaultyTransport::write_all(std::span<const std::byte> data) {
-  return !reset_ && inner_->write_all(data);
-}
-
-bool FaultyTransport::read_exact(std::span<std::byte> out) {
-  return !reset_ && inner_->read_exact(out);
-}
-
-bool FaultyTransport::write_frame(std::span<const std::byte> frame) {
-  if (!consume_frame_budget()) return false;
-  const Faults f = draw_faults();
-  if (f.delay)
-    std::this_thread::sleep_for(std::chrono::milliseconds(plan_.delay_ms));
-  if (f.drop) return true;  // swallowed in transit; sender cannot tell
-  if (f.corrupt) {
-    std::vector<std::byte> mangled(frame.begin(), frame.end());
-    flip_payload_byte(mangled, f.corrupt_at);
-    const bool ok = inner_->write_frame(mangled);
-    return ok && (!f.duplicate || inner_->write_frame(mangled));
-  }
-  const bool ok = inner_->write_frame(frame);
-  return ok && (!f.duplicate || inner_->write_frame(frame));
-}
-
-std::optional<std::vector<std::byte>> FaultyTransport::read_frame(
-    std::size_t max_len) {
-  if (pending_duplicate_) {
-    auto again = std::move(*pending_duplicate_);
-    pending_duplicate_.reset();
-    return again;
-  }
-  for (;;) {
-    if (!consume_frame_budget()) return std::nullopt;
-    auto frame = inner_->read_frame(max_len);
-    if (!frame) {
-      --frames_used_;  // nothing crossed; give the budget back
-      return std::nullopt;
-    }
-    const Faults f = draw_faults();
-    if (f.delay)
-      std::this_thread::sleep_for(std::chrono::milliseconds(plan_.delay_ms));
-    if (f.drop) continue;  // lost in transit; read the next one
-    if (f.corrupt) flip_payload_byte(*frame, f.corrupt_at);
-    if (f.duplicate) pending_duplicate_ = *frame;
-    return frame;
-  }
 }
 
 TryWrite FaultyTransport::try_write_frame(std::span<const std::byte> frame) {
@@ -183,8 +105,8 @@ TryWrite FaultyTransport::try_write_frame(std::span<const std::byte> frame) {
   }
   if (!pending_write_faults_) {
     // First touch of this frame: spend the budget and draw its faults;
-    // both survive any {blocked,false} retries so the seeded schedule is
-    // identical to the blocking path's.
+    // both survive any {blocked,false} retries, so the seeded schedule
+    // does not depend on how often the caller had to retry.
     if (!consume_frame_budget()) return {IoStatus::closed, false};
     pending_write_faults_ = draw_faults();
     if (pending_write_faults_->delay)
@@ -266,9 +188,7 @@ TryRead FaultyTransport::try_read_frame(std::size_t max_len) {
     }
     TryRead r = inner_->try_read_frame(max_len);
     if (r.status != IoStatus::ok) return {r.status, {}};
-    // The frame crossed the wire: now it counts against the reset budget
-    // (the blocking path spends the budget up front and refunds on a
-    // failed read — same totals, no refund needed here).
+    // The frame crossed the wire: now it counts against the reset budget.
     if (!consume_frame_budget()) return {IoStatus::closed, {}};
     const Faults f = draw_faults();
     if (f.delay) {
@@ -303,23 +223,9 @@ FaultyTransport::retry_after() const {
   return inner_->retry_after();
 }
 
-bool FaultyTransport::set_recv_timeout(int timeout_ms) {
-  return inner_->set_recv_timeout(timeout_ms);
-}
-
-bool FaultyTransport::set_send_timeout(int timeout_ms) {
-  return inner_->set_send_timeout(timeout_ms);
-}
-
-bool FaultyTransport::timed_out() const {
-  return !reset_ && inner_->timed_out();
-}
-
-void FaultyTransport::clear_timed_out() { inner_->clear_timed_out(); }
-
-bool FaultyTransport::readable(int timeout_ms) {
-  if (pending_duplicate_) return true;
-  return !reset_ && inner_->readable(timeout_ms);
+bool FaultyTransport::wait_ready(bool write, int timeout_ms) {
+  if (reset_ || (!write && pending_duplicate_)) return true;
+  return inner_->wait_ready(write, timeout_ms);
 }
 
 void FaultyTransport::close() { inner_->close(); }

@@ -14,6 +14,11 @@
 // stream (and its statistics) alive *across* reconnects of the same peer,
 // so a frame dropped on the first attempt is an independent coin flip on
 // the second.  Same seed + same traffic => same fault schedule.
+//
+// Faults are injected in one place, the non-blocking frame calls.  A
+// delay never sleeps: it is a deadline exposed through retry_after(),
+// which the reactor turns into a timer and the blocking send_frame /
+// recv_frame (transport.hpp) sleep out.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +29,6 @@
 #include <vector>
 
 #include "net/transport.hpp"
-#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 
 namespace fairshare::net {
@@ -61,13 +65,7 @@ struct FaultStats {
 /// wrapper may serve concurrent sessions through one injector).
 class FaultInjector {
  public:
-  /// With a registry, every injected fault is mirrored into
-  /// fairshare_faults_<kind>_total counters labelled seed=<plan.seed>
-  /// (the registry totals always equal stats()).  Null = no mirroring:
-  /// chaos tests spin up many short-lived injectors and should not spam
-  /// the process-wide registry unless they ask to.
-  explicit FaultInjector(FaultPlan plan,
-                         obs::MetricsRegistry* registry = nullptr);
+  explicit FaultInjector(FaultPlan plan);
 
   const FaultPlan& plan() const { return plan_; }
 
@@ -85,14 +83,6 @@ class FaultInjector {
     mutable std::mutex mutex;
     sim::SplitMix64 rng{0};
     FaultStats stats;
-    // Registry mirrors of the stats fields, bumped at the same sites;
-    // null (the default) = stats only.
-    obs::Counter* m_refused = nullptr;
-    obs::Counter* m_reset = nullptr;
-    obs::Counter* m_dropped = nullptr;
-    obs::Counter* m_corrupted = nullptr;
-    obs::Counter* m_duplicated = nullptr;
-    obs::Counter* m_delayed = nullptr;
   };
 
  private:
@@ -100,17 +90,11 @@ class FaultInjector {
   std::shared_ptr<Shared> shared_;
 };
 
-/// A Transport decorator executing a FaultPlan at frame granularity.
-/// Byte-level calls pass through untouched; the protocol stack speaks
-/// frames, and frames are where faults are observable and countable.
-///
-/// Both IO disciplines are faulted identically: the blocking family
-/// realises a delay fault as a sleep (the legacy client path), while the
-/// non-blocking try_* family turns the same delay into a deadline exposed
-/// through retry_after() — the reactor arms a timer-wheel entry and the
-/// loop thread never sleeps.  Faults for a frame are drawn exactly once,
-/// on first touch, so the seeded schedule is identical across retries of
-/// a delayed frame and across the two disciplines.
+/// A Transport decorator executing a FaultPlan at frame granularity: it
+/// overrides every frame call and forwards to the inner transport's, so
+/// frames are where faults are observable and countable.  Faults for a
+/// frame are drawn exactly once, on first touch, so the seeded schedule
+/// is identical across retries of a delayed or backlogged frame.
 class FaultyTransport final : public Transport {
  public:
   /// Standalone wrapper with its own RNG/stat state (unit tests).  Prefer
@@ -118,12 +102,6 @@ class FaultyTransport final : public Transport {
   FaultyTransport(std::unique_ptr<Transport> inner, FaultPlan plan);
   FaultyTransport(std::unique_ptr<Transport> inner, FaultPlan plan,
                   std::shared_ptr<FaultInjector::Shared> shared);
-
-  bool write_all(std::span<const std::byte> data) override;
-  bool read_exact(std::span<std::byte> out) override;
-  bool write_frame(std::span<const std::byte> frame) override;
-  std::optional<std::vector<std::byte>> read_frame(
-      std::size_t max_len) override;
 
   TryWrite try_write_frame(std::span<const std::byte> frame) override;
   /// Zero-copy callers fault identically to copying callers: the frame is
@@ -139,11 +117,9 @@ class FaultyTransport final : public Transport {
   std::optional<std::chrono::steady_clock::time_point> retry_after()
       const override;
 
-  bool set_recv_timeout(int timeout_ms) override;
-  bool set_send_timeout(int timeout_ms) override;
-  bool timed_out() const override;
-  void clear_timed_out() override;
-  bool readable(int timeout_ms) override;
+  /// Ready at once for a pending duplicate or after a reset; otherwise
+  /// the inner transport's readiness.
+  bool wait_ready(bool write, int timeout_ms) override;
   void close() override;
   bool valid() const override;
 
@@ -174,14 +150,14 @@ class FaultyTransport final : public Transport {
   std::shared_ptr<FaultInjector::Shared> shared_;
   std::size_t frames_used_ = 0;
   bool reset_ = false;
-  std::optional<std::vector<std::byte>> pending_duplicate_;
 
-  // Non-blocking machinery.  Outbound: faults drawn on first touch of a
-  // frame survive {blocked,false} retries; a delay gates acceptance until
+  // Outbound: faults drawn on first touch of a frame survive
+  // {blocked,false} retries; a delay gates acceptance until
   // write_release_; a drawn duplicate becomes a second copy owed to the
   // inner transport (dup_out_frame_), drained by try_flush.  Inbound: a
   // delayed frame is stashed whole with its drawn faults and released
-  // once read_release_ passes.
+  // once read_release_ passes; a duplicate waits in pending_duplicate_.
+  std::optional<std::vector<std::byte>> pending_duplicate_;
   std::optional<Faults> pending_write_faults_;
   std::vector<std::byte> ext_scratch_;  ///< head++ext image, capacity reused
   std::optional<std::chrono::steady_clock::time_point> write_release_;

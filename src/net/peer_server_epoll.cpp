@@ -165,7 +165,6 @@ void PeerServer::ReactorState::accept_ready(PerLoop& pl) {
         static_cast<double>(srv->peak_sessions_.load()));
 
     const std::uint64_t salt = ++srv->session_counter_;
-    client->set_nonblocking(true);
     const int fd = client->native_handle();
     std::unique_ptr<Transport> transport =
         std::make_unique<Socket>(std::move(*client));

@@ -9,61 +9,28 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
 namespace fairshare::net {
-
-namespace {
-
-bool fd_set_nonblocking(int fd, bool on) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  const int next = on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  return next == flags || ::fcntl(fd, F_SETFL, next) == 0;
-}
-
-}  // namespace
 
 // ------------------------------------------------------------------ Socket
 
 Socket::~Socket() { close(); }
 
 Socket::Socket(Socket&& other) noexcept
-    : fd_(other.fd_),
-      timed_out_(other.timed_out_),
-      recv_timeout_ms_(other.recv_timeout_ms_) {
+    : Transport(std::move(other)), fd_(other.fd_) {
   other.fd_ = -1;
 }
 
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     close();
+    Transport::operator=(std::move(other));
     fd_ = other.fd_;
-    timed_out_ = other.timed_out_;
-    recv_timeout_ms_ = other.recv_timeout_ms_;
     other.fd_ = -1;
   }
   return *this;
-}
-
-bool Socket::set_nonblocking(bool on) { return fd_set_nonblocking(fd_, on); }
-
-bool Socket::set_recv_timeout(int timeout_ms) {
-  // Poll-based: recv() itself never carries the timeout, so the setting
-  // works identically on blocking and O_NONBLOCK fds (SO_RCVTIMEO is
-  // ignored by a non-blocking recv, which used to make the old API decay
-  // to a busy spin the moment a reactor flipped the fd's mode).
-  recv_timeout_ms_ = timeout_ms > 0 ? timeout_ms : 0;
-  return fd_ >= 0;
-}
-
-bool Socket::set_send_timeout(int timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  return ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) == 0;
 }
 
 void Socket::close() {
@@ -95,73 +62,10 @@ std::optional<Socket> Socket::connect_to(const std::string& host,
   return Socket(fd);
 }
 
-bool Socket::write_all(std::span<const std::byte> data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        // Non-blocking fd used through the blocking API: wait for space
-        // (bounded, so a peer that stopped reading cannot park us).
-        pollfd pfd{fd_, POLLOUT, 0};
-        if (::poll(&pfd, 1, 1000) > 0) continue;
-      }
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool Socket::read_exact(std::span<std::byte> out) {
-  timed_out_ = false;
-  std::size_t got = 0;
-  // A peer that stalls mid-read gets a bounded number of timeout windows
-  // before the read is declared dead (frames are written whole, so partial
-  // arrivals normally complete within one window).
-  int stalls = 0;
-  while (got < out.size()) {
-    // The timeout lives in poll(), not in recv(): identical behaviour
-    // whether or not the fd is O_NONBLOCK.
-    if (recv_timeout_ms_ > 0) {
-      pollfd pfd{fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, recv_timeout_ms_);
-      if (ready == 0) {
-        if (got == 0) {
-          timed_out_ = true;  // clean timeout, nothing consumed: retryable
-          return false;
-        }
-        if (++stalls < 20) continue;
-        return false;
-      }
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-    }
-    const ssize_t n = ::recv(fd_, out.data() + got, out.size() - got,
-                             recv_timeout_ms_ > 0 ? MSG_DONTWAIT : 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        if (recv_timeout_ms_ > 0) continue;  // poll above re-arms the wait
-        // No timeout configured but the fd is non-blocking: block here.
-        pollfd pfd{fd_, POLLIN, 0};
-        if (::poll(&pfd, 1, -1) > 0 || errno == EINTR) continue;
-      }
-      return false;
-    }
-    stalls = 0;
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool Socket::readable(int timeout_ms) {
-  pollfd pfd{fd_, POLLIN, 0};
-  return ::poll(&pfd, 1, timeout_ms) > 0 && (pfd.revents & POLLIN);
+bool Socket::wait_ready(bool write, int timeout_ms) {
+  if (fd_ < 0) return true;  // the next try_* call reports the error
+  pollfd pfd{fd_, static_cast<short>(write ? POLLOUT : POLLIN), 0};
+  return ::poll(&pfd, 1, timeout_ms) != 0;  // EINTR: let the caller retry
 }
 
 IoStatus Socket::try_read_bytes(std::byte* out, std::size_t n,
@@ -221,25 +125,6 @@ IoStatus Socket::try_write_bytes_vec(const std::span<const std::byte>* bufs,
   return IoStatus::ok;
 }
 
-IoStatus Socket::try_write_bytes(const std::byte* data, std::size_t n,
-                                 std::size_t& put) {
-  put = 0;
-  while (put < n) {
-    const ssize_t r = ::send(fd_, data + put, n - put,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (r > 0) {
-      put += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-      return put > 0 ? IoStatus::ok : IoStatus::blocked;
-    return errno == EPIPE || errno == ECONNRESET ? IoStatus::closed
-                                                 : IoStatus::error;
-  }
-  return IoStatus::ok;
-}
-
 // ---------------------------------------------------------------- Listener
 
 Listener::~Listener() { close(); }
@@ -267,7 +152,10 @@ void Listener::close() {
 }
 
 bool Listener::set_nonblocking(bool on) {
-  return fd_set_nonblocking(fd_, on);
+  const int flags = ::fcntl(fd_, F_GETFL, 0);
+  if (flags < 0) return false;
+  const int next = on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
+  return next == flags || ::fcntl(fd_, F_SETFL, next) == 0;
 }
 
 std::optional<Listener> Listener::bind_local(std::uint16_t port,

@@ -12,12 +12,11 @@
 // can substitute fault-injecting wrappers (fault_transport.hpp).
 //
 // Frames on the wire: u32 little-endian length, then that many bytes
-// (a p2p::wire frame).  IPv4 only.  Two IO disciplines share one fd:
-//  * blocking calls (read_exact/write_all) with poll()-backed recv
-//    timeouts — timeouts keep working even when the fd is O_NONBLOCK, so
-//    the legacy client path and tests are oblivious to the mode;
-//  * the inherited non-blocking frame machine over MSG_DONTWAIT
-//    primitives, which the epoll reactor (net/event_loop.hpp) drives.
+// (a p2p::wire frame).  IPv4 only.  Every read and write is a
+// MSG_DONTWAIT syscall, and waiting is poll() in wait_ready(), so the
+// fd's O_NONBLOCK mode changes nothing: the epoll reactor
+// (net/event_loop.hpp) drives the inherited frame machine directly, and
+// the blocking send_frame / recv_frame loop over it.
 #pragma once
 
 #include <cstddef>
@@ -52,40 +51,13 @@ class Socket final : public Transport {
   int native_handle() const { return fd_; }
   void close() override;
 
-  /// Toggle O_NONBLOCK.  The blocking read/write API keeps working either
-  /// way (recv timeouts are poll()-based, sends fall back to poll on
-  /// EAGAIN); the try_* family never blocks regardless (MSG_DONTWAIT).
-  bool set_nonblocking(bool on);
-
-  /// Bound every subsequent read (0 = block forever).  Implemented with
-  /// poll() rather than SO_RCVTIMEO so it is honoured in both blocking
-  /// and non-blocking mode.  Lets a reader wake up periodically to
-  /// re-check shutdown flags instead of parking in recv() forever.
-  bool set_recv_timeout(int timeout_ms) override;
-  /// Bound every subsequent write with SO_SNDTIMEO (0 = block forever);
-  /// write_all fails instead of hanging on a peer that stopped reading.
-  bool set_send_timeout(int timeout_ms) override;
-
-  /// Write all bytes; false on error/peer close.
-  bool write_all(std::span<const std::byte> data) override;
-  /// Read exactly n bytes; false on error/EOF.  When a recv timeout is set
-  /// and it expires before the *first* byte arrives, returns false with
-  /// timed_out() true — the caller may safely retry.  A timeout after a
-  /// partial read is a stalled peer and reports as a plain error.
-  bool read_exact(std::span<std::byte> out) override;
-  /// True when the last read_exact failure was a clean (zero-byte) timeout.
-  bool timed_out() const override { return timed_out_; }
-  /// Downgrade a clean timeout to a fatal error (used by read_frame when a
-  /// timeout strikes mid-frame and a retry would desynchronise the stream).
-  void clear_timed_out() override { timed_out_ = false; }
-  /// True when at least one byte is readable within timeout_ms.
-  bool readable(int timeout_ms) override;
+  /// poll() for POLLOUT (`write`) or POLLIN; true on any event (errors
+  /// and hang-ups included), false when timeout_ms (-1 = forever) passed.
+  bool wait_ready(bool write, int timeout_ms) override;
 
  protected:
   IoStatus try_read_bytes(std::byte* out, std::size_t n,
                           std::size_t& got) override;
-  IoStatus try_write_bytes(const std::byte* data, std::size_t n,
-                           std::size_t& put) override;
   /// Scatter-gather send (sendmsg + MSG_DONTWAIT): a frame head and its
   /// referenced payload leave in one syscall on the zero-copy serve path.
   IoStatus try_write_bytes_vec(const std::span<const std::byte>* bufs,
@@ -93,8 +65,6 @@ class Socket final : public Transport {
 
  private:
   int fd_ = -1;
-  bool timed_out_ = false;
-  int recv_timeout_ms_ = 0;  ///< 0 = wait forever
 };
 
 /// RAII listening socket.

@@ -2,59 +2,22 @@
 
 #include <algorithm>
 #include <cstring>
+#include <thread>
 
 #include "util/bytes.hpp"
 
 namespace fairshare::net {
 
-bool Transport::write_frame(std::span<const std::byte> frame) {
-  std::byte header[4];
-  util::store_le(header, static_cast<std::uint32_t>(frame.size()));
-  return write_all(header) && write_all(frame);
-}
-
-std::optional<std::vector<std::byte>> Transport::read_frame(
-    std::size_t max_len) {
-  std::byte header[4];
-  if (!read_exact(header)) return std::nullopt;
-  const auto len = util::load_le<std::uint32_t>(header);
-  if (len > max_len) return std::nullopt;
-  std::vector<std::byte> frame(len);
-  if (!read_exact(frame)) {
-    // A timeout between header and body cannot be retried (the header is
-    // already consumed); surface it as a hard error.
-    clear_timed_out();
-    return std::nullopt;
-  }
-  return frame;
-}
-
-// ------------------------------------------------------ non-blocking path
-
-IoStatus Transport::try_read_bytes(std::byte* out, std::size_t n,
+IoStatus Transport::try_read_bytes(std::byte*, std::size_t,
                                    std::size_t& got) {
-  // Emulation over the blocking primitives, for transports without real
-  // non-blocking IO (test pipes): only start a read when at least one
-  // byte is pending, then read the requested span whole.  Partial frames
-  // may block briefly; frames are written whole, so in practice they
-  // complete within one call.
   got = 0;
-  if (!readable(0)) return IoStatus::blocked;
-  if (!read_exact(std::span<std::byte>(out, n))) {
-    if (timed_out()) return IoStatus::blocked;
-    return valid() ? IoStatus::closed : IoStatus::error;
-  }
-  got = n;
-  return IoStatus::ok;
+  return IoStatus::error;
 }
 
-IoStatus Transport::try_write_bytes(const std::byte* data, std::size_t n,
-                                    std::size_t& put) {
+IoStatus Transport::try_write_bytes_vec(const std::span<const std::byte>*,
+                                        std::size_t, std::size_t& put) {
   put = 0;
-  if (!write_all(std::span<const std::byte>(data, n)))
-    return valid() ? IoStatus::closed : IoStatus::error;
-  put = n;
-  return IoStatus::ok;
+  return IoStatus::error;
 }
 
 TryWrite Transport::try_write_frame(std::span<const std::byte> frame) {
@@ -82,18 +45,6 @@ TryWrite Transport::try_write_frame_ext(std::span<const std::byte> head,
   const IoStatus flushed = try_flush();
   if (flushed == IoStatus::blocked) return {IoStatus::blocked, true};
   return {flushed, flushed == IoStatus::ok};
-}
-
-IoStatus Transport::try_write_bytes_vec(const std::span<const std::byte>* bufs,
-                                        std::size_t nbufs, std::size_t& put) {
-  put = 0;
-  for (std::size_t i = 0; i < nbufs; ++i) {
-    std::size_t p = 0;
-    const IoStatus st = try_write_bytes(bufs[i].data(), bufs[i].size(), p);
-    put += p;
-    if (st != IoStatus::ok || p < bufs[i].size()) return st;
-  }
-  return IoStatus::ok;
 }
 
 IoStatus Transport::try_flush() {
@@ -158,13 +109,70 @@ TryRead Transport::try_read_frame(std::size_t max_len) {
   return out;
 }
 
+// ------------------------------------------------------- blocking calls
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The end of a blocking call bounded by timeout_ms (0 = unbounded).
+std::optional<Clock::time_point> deadline_after(int timeout_ms) {
+  if (timeout_ms <= 0) return std::nullopt;
+  return Clock::now() + std::chrono::milliseconds(timeout_ms);
+}
+
+/// Park until a blocked try_* call may make progress: sleep out a
+/// time-gated fault, else wait for readiness.  False once `deadline` has
+/// passed with nothing ready.
+bool await_progress(Transport& transport, bool write,
+                    std::optional<Clock::time_point> deadline) {
+  const auto now = Clock::now();
+  if (deadline && now >= *deadline) return false;
+  if (const auto release = transport.retry_after(); release && *release > now) {
+    std::this_thread::sleep_until(deadline ? std::min(*release, *deadline)
+                                           : *release);
+    return true;  // the caller retries; a spent deadline fails next round
+  }
+  int timeout_ms = -1;
+  if (deadline) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        *deadline - now);
+    timeout_ms = static_cast<int>(std::max<std::int64_t>(left.count(), 1));
+  }
+  return transport.wait_ready(write, timeout_ms);
+}
+
+}  // namespace
+
 bool send_frame(Transport& transport, std::span<const std::byte> frame) {
-  return transport.write_frame(frame);
+  const auto deadline = deadline_after(transport.send_timeout_ms_);
+  TryWrite w = transport.try_write_frame(frame);
+  while (!w.accepted && w.status == IoStatus::blocked) {
+    if (!await_progress(transport, /*write=*/true, deadline)) return false;
+    w = transport.try_write_frame(frame);
+  }
+  if (!w.accepted) return false;
+  IoStatus st = w.status;
+  while (st == IoStatus::blocked) {
+    if (!await_progress(transport, /*write=*/true, deadline)) return false;
+    st = transport.try_flush();
+  }
+  return st == IoStatus::ok;
 }
 
 std::optional<std::vector<std::byte>> recv_frame(Transport& transport,
                                                  std::size_t max_len) {
-  return transport.read_frame(max_len);
+  transport.timed_out_ = false;
+  const auto deadline = deadline_after(transport.recv_timeout_ms_);
+  for (;;) {
+    TryRead r = transport.try_read_frame(max_len);
+    if (r.status == IoStatus::ok) return std::move(r.frame);
+    if (r.status != IoStatus::blocked) return std::nullopt;
+    if (!await_progress(transport, /*write=*/false, deadline)) {
+      transport.timed_out_ = true;
+      return std::nullopt;
+    }
+  }
 }
 
 }  // namespace fairshare::net

@@ -8,18 +8,13 @@
 // Figure 4(b) exchange can be exercised under deterministic fault schedules
 // without touching the protocol code.
 //
-// Frame layer: the virtual read_frame/write_frame pair carries one
-// length-prefixed frame (u32 little-endian length, then that many bytes —
-// a p2p::wire frame).  Default implementations are provided in terms of
-// the byte-level primitives; wrappers override them to observe frame
-// boundaries (the natural unit for fault injection).
-//
-// Non-blocking half (the reactor serving path, net/event_loop.hpp):
+// Frames: u32 little-endian length, then that many bytes (a p2p::wire
+// frame).  There is one IO discipline, the non-blocking frame machine:
 // try_read_frame / try_write_frame never block.  The base class carries
-// the partial-frame state machines — an in-progress inbound header/body
-// and an outbound staging buffer — over two overridable non-blocking byte
-// primitives, so any Transport gets working non-blocking framing for
-// free and wrappers can intercept at frame granularity:
+// the partial-frame state — an in-progress inbound header/body and an
+// outbound staging buffer — over two overridable non-blocking byte
+// primitives, so an implementation supplies bytes and readiness and gets
+// framing for free, while wrappers can intercept at frame granularity:
 //
 //  * try_write_frame ACCEPTS a frame at most once (TryWrite::accepted):
 //    once accepted it is staged and will be delivered by try_flush, so
@@ -30,14 +25,19 @@
 //  * try_write_frame_ext is the zero-copy variant: the frame is
 //    head ++ ext, where only the small head is copied into staging and
 //    the (typically large, immutable) ext is *referenced* until drained.
-//    The wire image is identical to try_write_frame(head++ext); both sides
+//    The wire image is identical to try_write_frame(head++ext); both
 //    drain through one vectored primitive (try_write_bytes_vec, sendmsg
 //    on Socket) so a paced coded-message stream costs zero payload copies.
 //  * want_write() says whether staged output remains; the reactor maps it
 //    onto EPOLLOUT interest.  want_read() says a frame is mid-reassembly.
-//  * blocking and non-blocking calls may be mixed on one transport as
-//    long as they are not interleaved mid-frame (the server uses only the
-//    try_* family; the client only the blocking family).
+//
+// The blocking calls are the free functions send_frame / recv_frame: wait
+// loops over the same machine that park on retry_after() or wait_ready()
+// whenever a try_* call is blocked.  The epoll reactor (event_loop.hpp)
+// drives the machine directly; the download client and the discovery
+// dialers block through the two functions.  A recv timeout bounds one
+// recv_frame call and is always retryable, because a partly received
+// frame stays in the reassembly state; a send timeout is a hard error.
 #pragma once
 
 #include <chrono>
@@ -77,25 +77,6 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Write all bytes; false on error/peer close.
-  virtual bool write_all(std::span<const std::byte> data) = 0;
-
-  /// Read exactly out.size() bytes; false on error/EOF.  When a recv
-  /// timeout is set and expires before the *first* byte arrives, returns
-  /// false with timed_out() true — the caller may safely retry.
-  virtual bool read_exact(std::span<std::byte> out) = 0;
-
-  /// Send one length-prefixed frame.  Default: header + write_all.
-  virtual bool write_frame(std::span<const std::byte> frame);
-
-  /// Receive one frame; nullopt on EOF/error/oversized (> max_len) frames.
-  /// A timeout that strikes mid-frame cannot be retried (the header is
-  /// already consumed) and reports as a hard error, not a timeout.
-  virtual std::optional<std::vector<std::byte>> read_frame(
-      std::size_t max_len);
-
-  // ------------------------------------------------ non-blocking frames
-
   /// Stage one frame for delivery without blocking (see the accepted
   /// contract in the header comment).  Default: appends header+frame to
   /// the staging buffer once the previous frame has fully drained, then
@@ -130,51 +111,54 @@ class Transport {
 
   /// When a blocked try_* call is waiting on *time* rather than on fd
   /// readiness (fault-injected delays), the steady-clock instant at which
-  /// retrying can make progress; reactors arm a timer-wheel entry for it
-  /// instead of sleeping.  nullopt = readiness-driven as usual.
+  /// retrying can make progress; reactors arm a timer for it and
+  /// send_frame / recv_frame sleep until it.  nullopt = readiness-driven.
   virtual std::optional<std::chrono::steady_clock::time_point> retry_after()
       const {
     return std::nullopt;
   }
 
-  // ------------------------------------------------------------- control
-
-  /// Bound subsequent reads (0 = block forever).
-  virtual bool set_recv_timeout(int timeout_ms) = 0;
-  /// Bound subsequent writes (0 = block forever).
-  virtual bool set_send_timeout(int timeout_ms) = 0;
-
-  /// True when the last read failure was a clean (zero-byte) timeout.
-  virtual bool timed_out() const = 0;
-  /// Downgrade a clean timeout to a fatal error.
-  virtual void clear_timed_out() = 0;
-
-  /// True when at least one byte is readable within timeout_ms.
-  virtual bool readable(int timeout_ms) = 0;
+  /// Wait up to timeout_ms (-1 = forever) for the transport to become
+  /// writable (`write`) or readable; false when the time ran out first.
+  /// A dead connection reports ready, so the next try_* call surfaces it.
+  virtual bool wait_ready(bool write, int timeout_ms) = 0;
 
   virtual void close() = 0;
   virtual bool valid() const = 0;
 
+  // ------------------------------------------ settings of the blocking calls
+
+  /// Bound each recv_frame call (0 = wait forever).
+  void set_recv_timeout(int timeout_ms) { recv_timeout_ms_ = timeout_ms; }
+  /// Bound each send_frame call (0 = wait forever).
+  void set_send_timeout(int timeout_ms) { send_timeout_ms_ = timeout_ms; }
+  /// True when the last recv_frame call ended on its timeout; retrying it
+  /// resumes whatever part of a frame had already arrived.
+  bool timed_out() const { return timed_out_; }
+
  protected:
+  Transport() = default;
+  Transport(Transport&&) noexcept = default;
+  Transport& operator=(Transport&&) noexcept = default;
+
   /// Non-blocking byte primitives under the default frame machines.
   /// `got`/`put` report partial progress; status blocked means zero-or-
-  /// partial progress with the rest pending.  The defaults emulate over
-  /// the blocking primitives (readable(0) + read_exact / write_all) for
-  /// transports without real non-blocking IO (in-process pipes in tests);
-  /// Socket overrides them with MSG_DONTWAIT send/recv.
+  /// partial progress with the rest pending.  The defaults fail: a
+  /// wrapper that overrides every frame call never reaches them.
   virtual IoStatus try_read_bytes(std::byte* out, std::size_t n,
                                   std::size_t& got);
-  virtual IoStatus try_write_bytes(const std::byte* data, std::size_t n,
-                                   std::size_t& put);
   /// Vectored non-blocking write: push the buffers in order, reporting
   /// total progress in `put` (progress fills bufs[0] before bufs[1], as a
-  /// stream write must).  Default: sequential try_write_bytes calls;
-  /// Socket overrides with one sendmsg so a frame head and its referenced
-  /// payload leave in a single syscall.
+  /// stream write must).  Socket implements it with one sendmsg so a
+  /// frame head and its referenced payload leave in a single syscall.
   virtual IoStatus try_write_bytes_vec(const std::span<const std::byte>* bufs,
                                        std::size_t nbufs, std::size_t& put);
 
  private:
+  friend bool send_frame(Transport&, std::span<const std::byte>);
+  friend std::optional<std::vector<std::byte>> recv_frame(Transport&,
+                                                          std::size_t);
+
   // Outbound staging: [out_off_, out_buf_.size()) awaits the wire, then
   // the referenced extent [ext_off_, ext_.size()) of the current frame.
   std::vector<std::byte> out_buf_;
@@ -186,12 +170,19 @@ class Transport {
   std::size_t in_hdr_got_ = 0;
   std::vector<std::byte> in_body_;
   std::size_t in_got_ = 0;
+  // The blocking calls' bounds (ms, 0 = none) and last recv outcome.
+  int recv_timeout_ms_ = 0;
+  int send_timeout_ms_ = 0;
+  bool timed_out_ = false;
 };
 
-/// Send one length-prefixed frame (delegates to transport.write_frame).
+/// Send one length-prefixed frame, waiting until it has fully left
+/// through the transport; false on error, peer close, or send timeout.
 bool send_frame(Transport& transport, std::span<const std::byte> frame);
 
-/// Receive one frame (delegates to transport.read_frame).
+/// Receive one frame; nullopt on EOF, error, an oversized (> max_len)
+/// frame, or the recv timeout (then timed_out() is true and a retry
+/// continues the same frame).
 std::optional<std::vector<std::byte>> recv_frame(Transport& transport,
                                                  std::size_t max_len);
 

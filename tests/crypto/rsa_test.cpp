@@ -117,7 +117,9 @@ TEST_F(RsaTest, DecryptWithWrongKeyFailsFraming) {
   ASSERT_TRUE(cipher.has_value());
   const auto decrypted = rsa_decrypt(other, *cipher);
   // Either framing fails or the bytes are wrong; both are acceptable.
-  if (decrypted) EXPECT_NE(*decrypted, plain);
+  if (decrypted) {
+    EXPECT_NE(*decrypted, plain);
+  }
 }
 
 TEST(RsaDeterminism, SameSeedSameKey) {

@@ -11,6 +11,7 @@
 
 #include "disco/client.hpp"
 #include "disco/node.hpp"
+#include "obs/metrics.hpp"
 
 namespace fairshare::disco {
 namespace {
@@ -237,6 +238,50 @@ TEST(DiscoveryNode, DeadMemberIsEvictedAfterFailedDials) {
   for (int i = 0; i < 2; ++i)
     for (const auto& member : mesh.nodes[i]->status().members)
       EXPECT_NE(member.id, dead_id);
+}
+
+TEST(DiscoveryNode, StatusCountsLookupsAndGossipRounds) {
+  // status() reports the node's own registry counters, which start()
+  // resolves; a node that has not started has served nothing.
+  obs::MetricsRegistry registry;
+  std::vector<std::unique_ptr<DiscoveryNode>> nodes;
+  for (std::size_t i = 0; i < 2; ++i) {
+    NodeConfig config;
+    config.ring_id = kIds[i];
+    config.gossip_period_ms = 0;  // rounds only through gossip_now()
+    config.reannounce_period_ms = 0;
+    config.io_timeout_ms = 1'000;
+    config.registry = &registry;
+    if (i > 0) config.seeds = {nodes[0]->self()};
+    nodes.push_back(std::make_unique<DiscoveryNode>(std::move(config)));
+    EXPECT_EQ(nodes.back()->status().lookups_served, 0u);
+    EXPECT_EQ(nodes.back()->status().gossip_rounds, 0u);
+    ASSERT_TRUE(nodes.back()->start());
+  }
+  ASSERT_TRUE(wait_until([&] {
+    return nodes[0]->status().members.size() == 2 &&
+           nodes[1]->status().members.size() == 2;
+  }));
+
+  // Every hop of an iterative lookup is one LookupRequest one node served.
+  ClientConfig config;
+  config.seeds = {nodes[0]->self()};
+  const Client client(config);
+  std::uint64_t hops = 0;
+  for (std::uint64_t probe = 1; probe <= 6; ++probe) {
+    const auto outcome = client.lookup(file_key(probe * 1000));
+    ASSERT_TRUE(outcome);
+    hops += static_cast<std::uint64_t>(outcome->hops);
+  }
+  EXPECT_EQ(nodes[0]->status().lookups_served +
+                nodes[1]->status().lookups_served,
+            hops);
+
+  nodes[1]->gossip_now();
+  nodes[1]->gossip_now();
+  EXPECT_EQ(nodes[1]->status().gossip_rounds, 2u);
+  EXPECT_EQ(nodes[0]->status().gossip_rounds, 0u);
+  for (auto& node : nodes) node->stop();
 }
 
 TEST(DiscoveryNode, LedgerGossipConvergesAcrossTheMesh) {

@@ -155,7 +155,9 @@ TEST(DiscoWire, ImplausibleCountFieldIsRejectedWithoutAllocating) {
   const auto decoded = decode_gossip(frame);
   // Either rejected outright or decoded to something consistent — but it
   // must return (no crash/OOM) and never invent members.
-  if (decoded) EXPECT_LE(decoded->members.size(), frame.size());
+  if (decoded) {
+    EXPECT_LE(decoded->members.size(), frame.size());
+  }
 }
 
 TEST(DiscoWire, PeekTypeRejectsForeignTags) {

@@ -150,7 +150,9 @@ TEST_P(ProgressiveSolverTest, ExactlyKIndependentRowsSuffice) {
   for (std::size_t r = 0; r < inst.coeffs.rows() && !solver.complete(); ++r) {
     if (solver.add_row(inst.coeffs.row(r), inst.coded.row(r))) ++innovative;
   }
-  if (solver.complete()) EXPECT_EQ(innovative, k);
+  if (solver.complete()) {
+    EXPECT_EQ(innovative, k);
+  }
 }
 
 TEST_P(ProgressiveSolverTest, DuplicateRowsAreNotInnovative) {

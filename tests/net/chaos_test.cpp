@@ -10,9 +10,10 @@
 // variance (success/failure and the counter partition must hold for every
 // seed).
 //
-// Client-side plans run FaultyTransport's blocking discipline (delays
-// are sleeps); the server-side hook runs on the epoll reactor, where the
-// non-blocking discipline turns delays into timer-wheel releases.
+// Client-side plans run under download_file's blocking send_frame /
+// recv_frame, which sleep out a delay's retry_after() release; the
+// server-side hook runs on the epoll reactor, which arms a timer for the
+// same release.  Both go through FaultyTransport's one frame machine.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -135,8 +136,8 @@ TEST(NetChaos, SwarmSurvivesRefusalResetAndCorruption) {
     plans[0].refuse_connection = true;
     plans[1].seed = seed + 1;
     // The request spends the whole budget, so the session's very next
-    // transport touch — the first streamed message, a timed-out read, or
-    // the shutdown stop frame — trips the RST.  A larger budget would
+    // frame — the first streamed message or the shutdown stop frame —
+    // trips the RST.  A larger budget would
     // make the "reset demonstrably fired" assertion below a scheduling
     // race: on a loaded single-core box the other three peers can finish
     // the decode before this peer's reader consumes its Nth frame.

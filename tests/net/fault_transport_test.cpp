@@ -48,7 +48,7 @@ TEST(Transport, GoldenLengthPrefix) {
   };
   Pipe pipe;
   const auto frame = frame_of(0x5A, 300);
-  ASSERT_TRUE(pipe.a.write_frame(frame));
+  ASSERT_TRUE(send_frame(pipe.a, frame));
   ASSERT_EQ(pipe.state->to_b.size(), 304u);
   EXPECT_EQ(pop_prefix_hex(pipe.state->to_b), "2c010000");
 
@@ -58,6 +58,27 @@ TEST(Transport, GoldenLengthPrefix) {
   ASSERT_TRUE(w.accepted);
   ASSERT_EQ(pipe.state->to_b.size(), 304u);
   EXPECT_EQ(pop_prefix_hex(pipe.state->to_b), "2c010000");
+}
+
+TEST(Transport, RecvTimeoutMidFrameKeepsThePartialFrame) {
+  // A recv timeout bounds one recv_frame call.  The part of a frame that
+  // arrived before it struck stays in the reassembly state, so the retry
+  // returns the whole frame instead of reading body bytes as a header.
+  Pipe pipe;
+  auto b = pipe.b_owned();
+  const auto frame = frame_of(0x3C, 40);
+  auto& wire = pipe.state->to_b;
+  const std::byte prefix[] = {std::byte{40}, std::byte{0}, std::byte{0},
+                              std::byte{0}};
+  wire.insert(wire.end(), std::begin(prefix), std::end(prefix));
+  wire.insert(wire.end(), frame.begin(), frame.begin() + 20);
+  EXPECT_FALSE(recv_frame(*b, 64).has_value());
+  EXPECT_TRUE(b->timed_out()) << "a stalled frame is a timeout, not an error";
+
+  wire.insert(wire.end(), frame.begin() + 20, frame.end());
+  const auto got = recv_frame(*b, 64);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, frame);
 }
 
 TEST(FaultyTransport, ResetAfterNFramesKillsBothDirections) {
@@ -135,7 +156,7 @@ TEST(FaultyTransport, DuplicateDeliversTheSameFrameTwice) {
   EXPECT_EQ(*first, frame_of(7));
   EXPECT_EQ(*again, frame_of(7));
   EXPECT_EQ(*second, frame_of(8));
-  EXPECT_TRUE(faulty.readable(0)) << "pending duplicate makes it readable";
+  EXPECT_TRUE(faulty.want_read()) << "the duplicate of frame 8 is pending";
   EXPECT_EQ(faulty.stats().frames_duplicated, 2u);
 }
 

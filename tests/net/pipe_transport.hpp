@@ -1,10 +1,11 @@
 // In-memory Transport pair for single-threaded tests: bytes written by
-// one end are immediately readable by the other.  Reading past the
-// buffered bytes reports a clean timeout (like a socket with a recv
-// timeout and a quiet peer), or EOF after close — enough to drive every
-// FaultyTransport path deterministically.
+// one end are immediately readable by the other.  Waiting answers at
+// once, so a read past the buffered bytes reports a clean timeout (like a
+// socket with a recv timeout and a quiet peer), or EOF after close —
+// enough to drive every FaultyTransport path deterministically.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <span>
@@ -24,43 +25,41 @@ class PipeEnd final : public Transport {
   PipeEnd(std::shared_ptr<PipeState> state, bool is_a)
       : state_(std::move(state)), is_a_(is_a) {}
 
-  bool write_all(std::span<const std::byte> data) override {
-    if (state_->closed) return false;
-    auto& out = is_a_ ? state_->to_b : state_->to_a;
-    out.insert(out.end(), data.begin(), data.end());
-    return true;
-  }
-
-  bool read_exact(std::span<std::byte> out) override {
-    timed_out_ = false;
-    auto& in = is_a_ ? state_->to_a : state_->to_b;
-    if (in.size() < out.size()) {
-      // Nothing buffered and the pipe lives: a clean timeout.  Anything
-      // else (EOF, partial frame) is a hard error, like Socket.
-      timed_out_ = !state_->closed && in.empty();
-      return false;
-    }
-    for (auto& b : out) {
-      b = in.front();
-      in.pop_front();
-    }
-    return true;
-  }
-
-  bool set_recv_timeout(int) override { return true; }
-  bool set_send_timeout(int) override { return true; }
-  bool timed_out() const override { return timed_out_; }
-  void clear_timed_out() override { timed_out_ = false; }
-  bool readable(int) override {
-    return !(is_a_ ? state_->to_a : state_->to_b).empty();
+  /// Writes never block; a read is ready only with bytes or EOF pending.
+  bool wait_ready(bool, int) override {
+    return state_->closed || !inbox().empty();
   }
   void close() override { state_->closed = true; }
   bool valid() const override { return !state_->closed; }
 
+ protected:
+  IoStatus try_read_bytes(std::byte* out, std::size_t n,
+                          std::size_t& got) override {
+    auto& in = inbox();
+    got = std::min(n, in.size());
+    std::copy_n(in.begin(), got, out);
+    in.erase(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(got));
+    if (got > 0) return IoStatus::ok;
+    return state_->closed ? IoStatus::closed : IoStatus::blocked;
+  }
+
+  IoStatus try_write_bytes_vec(const std::span<const std::byte>* bufs,
+                               std::size_t nbufs, std::size_t& put) override {
+    put = 0;
+    if (state_->closed) return IoStatus::closed;
+    auto& out = is_a_ ? state_->to_b : state_->to_a;
+    for (std::size_t i = 0; i < nbufs; ++i) {
+      out.insert(out.end(), bufs[i].begin(), bufs[i].end());
+      put += bufs[i].size();
+    }
+    return IoStatus::ok;
+  }
+
  private:
+  std::deque<std::byte>& inbox() { return is_a_ ? state_->to_a : state_->to_b; }
+
   std::shared_ptr<PipeState> state_;
   bool is_a_;
-  bool timed_out_ = false;
 };
 
 struct Pipe {

@@ -95,7 +95,6 @@ TEST(SessionSoak, FiveHundredSessionsPacedByEq2OnLoopThreads) {
     request.user_id = 1 + (i % 2);
     request.file_id = kFileId;
     ASSERT_TRUE(send_frame(*socket, p2p::wire::encode(request)));
-    ASSERT_TRUE(socket->set_nonblocking(true));
     clients.push_back(std::move(*socket));
   }
 

@@ -61,7 +61,6 @@ TEST(Socket, ScatterGatherFrameMatchesCopyingFrame) {
   ASSERT_TRUE(client.has_value());
   auto conn = listener->accept();
   ASSERT_TRUE(conn.has_value());
-  conn->set_nonblocking(true);
 
   std::vector<std::byte> head(21);
   for (std::size_t i = 0; i < head.size(); ++i)

@@ -2,7 +2,7 @@
 // download_file over TCP report into one registry whose numbers equal the
 // returned DownloadReport exactly; allocation_snapshot() stays coherent
 // under concurrent hammering (run under TSan via the obs ctest label);
-// decoder, fault-injector, and simulator instrumentation round-trip.
+// decoder and simulator instrumentation round-trip.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,6 @@
 #include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "net/download_client.hpp"
-#include "net/fault_transport.hpp"
 #include "net/peer_server.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -264,27 +263,6 @@ TEST(ObsWiring, DecoderMetricsTrackRankAndEliminations) {
       registry.histogram("fairshare_decoder_eliminate_ns", labels).count();
   EXPECT_GE(eliminations, decoder.rank());
   EXPECT_LE(eliminations, added);
-}
-
-TEST(ObsWiring, FaultInjectorMirrorsStatsIntoRegistry) {
-  obs::MetricsRegistry registry;
-  net::FaultPlan plan;
-  plan.seed = 99;
-  plan.refuse_connection = true;
-  net::FaultInjector injector(plan, &registry);
-  EXPECT_FALSE(injector.admits_connection());
-  EXPECT_FALSE(injector.admits_connection());
-  EXPECT_EQ(injector.stats().connections_refused, 2u);
-  EXPECT_EQ(registry
-                .counter("fairshare_faults_connections_refused_total",
-                         {{"seed", "99"}})
-                .value(),
-            2u);
-  // Without a registry nothing is mirrored (and nothing crashes).
-  net::FaultInjector silent(plan);
-  EXPECT_FALSE(silent.admits_connection());
-  EXPECT_EQ(registry.counter_total("fairshare_faults_connections_refused_total"),
-            2u);
 }
 
 TEST(ObsWiring, SimulatorBridgesIntoRegistry) {
