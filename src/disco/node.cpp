@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <utility>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
+#include "net/loop_connection.hpp"
 
 namespace fairshare::disco {
 
@@ -25,15 +24,10 @@ std::uint64_t lcg_step(std::uint64_t& state) {
 }  // namespace
 
 // One inbound connection on the event loop: responses queue in `outq`
-// until the transport accepts them, fault-injected delays park the fd on
-// a timer (mirroring the PeerServer reactor's handling).
-struct DiscoveryNode::Conn {
-  int fd = -1;
-  std::unique_ptr<net::Transport> transport;
+// until the transport accepts them.
+struct DiscoveryNode::Inbound {
+  std::optional<net::LoopConnection> conn;
   std::deque<std::vector<std::byte>> outq;
-  bool registered = false;
-  std::uint32_t interest = 0;
-  net::EventLoop::TimerId retry_timer = 0;
   Clock::time_point last_active;
 };
 
@@ -78,7 +72,6 @@ bool DiscoveryNode::start() {
     update_mesh_gauges_locked();
   }
 
-  outbound_ = std::make_unique<util::ThreadPool>(3);
   running_ = true;
   join_mesh();  // best-effort: unreachable seeds leave a single-node ring
   if (loop_start()) return true;
@@ -89,7 +82,10 @@ bool DiscoveryNode::start() {
 void DiscoveryNode::stop() {
   if (!running_.exchange(false)) return;
   loop_stop();
-  outbound_.reset();  // joins in-flight gossip/replicate jobs
+  // Joins in-flight gossip/replicate jobs.  The pool itself lives as long
+  // as the node: a job still running may submit another, which is queued
+  // and never run.
+  outbound_.join();
   listener_.close();
 }
 
@@ -241,7 +237,7 @@ std::vector<std::byte> DiscoveryNode::handle_announce(
   if (!replicas.empty()) {
     wire::AnnounceRequest copy = msg;
     copy.replicate = false;  // replicas must not cascade
-    outbound_->submit([this, copy, replicas] {
+    outbound_.submit([this, copy, replicas] {
       replicate_record(copy, replicas);
     });
   }
@@ -270,7 +266,7 @@ std::vector<std::byte> DiscoveryNode::handle_join(
       if (id != self_.id && id != msg.joiner.id) notify.push_back(m);
   }
   for (const wire::Member& target : notify) {
-    outbound_->submit([this, target] {
+    outbound_.submit([this, target] {
       wire::Gossip push;
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -486,9 +482,7 @@ double DiscoveryNode::swarm_contribution(std::uint64_t user_id) const {
   return ledger_.swarm_total(user_id, origin_);
 }
 
-// --------------------------------------------------- epoll serving core
-
-#ifdef __linux__
+// ---------------------------------------------------------- serving loop
 
 bool DiscoveryNode::loop_start() {
   loop_ = std::make_unique<net::EventLoop>("disco." + std::to_string(port_),
@@ -496,15 +490,15 @@ bool DiscoveryNode::loop_start() {
   if (!loop_->valid()) return false;
   listener_.set_nonblocking(true);
   loop_->post([this] {
-    loop_->add_fd(listener_.native_handle(), EPOLLIN,
-                  [this](std::uint32_t) { accept_ready(); });
+    loop_->add_fd(listener_.native_handle(), net::EventLoop::kRead,
+                  [this] { accept_ready(); });
     if (config_.gossip_period_ms > 0) {
       loop_->add_periodic(
           std::uint64_t{config_.gossip_period_ms} * 1'000'000ull, [this] {
             // One round in flight at a time: a slow partner must not
             // stack queued rounds behind itself.
             if (gossip_inflight_.exchange(true)) return;
-            outbound_->submit([this] {
+            outbound_.submit([this] {
               if (running_) gossip_round();
               gossip_inflight_ = false;
             });
@@ -513,7 +507,7 @@ bool DiscoveryNode::loop_start() {
     if (config_.reannounce_period_ms > 0) {
       loop_->add_periodic(
           std::uint64_t{config_.reannounce_period_ms} * 1'000'000ull,
-          [this] { outbound_->submit([this] { reannounce_all(); }); });
+          [this] { outbound_.submit([this] { reannounce_all(); }); });
     }
     const std::uint64_t sweep_ns =
         std::max<std::uint64_t>(config_.provider_ttl_ms / 2, 100) *
@@ -523,10 +517,10 @@ bool DiscoveryNode::loop_start() {
       // Idle inbound connections (a crashed client, a wedged wrapper)
       // must not accumulate: close anything quiet for 30 s.
       const auto cutoff = Clock::now() - std::chrono::seconds(30);
-      std::vector<std::shared_ptr<Conn>> idle;
-      for (const auto& [fd, c] : conns_)
+      std::vector<std::shared_ptr<Inbound>> idle;
+      for (const auto& c : inbound_)
         if (c->last_active < cutoff) idle.push_back(c);
-      for (const auto& c : idle) close_conn(c);
+      for (const auto& c : idle) close_inbound(c);
     });
   });
   loop_thread_ = std::thread([this] { loop_->run(); });
@@ -536,10 +530,9 @@ bool DiscoveryNode::loop_start() {
 void DiscoveryNode::loop_stop() {
   if (!loop_) return;
   loop_->post([this] {
-    std::vector<std::shared_ptr<Conn>> doomed;
-    doomed.reserve(conns_.size());
-    for (const auto& [fd, c] : conns_) doomed.push_back(c);
-    for (const auto& c : doomed) close_conn(c);
+    const std::vector<std::shared_ptr<Inbound>> doomed(inbound_.begin(),
+                                                       inbound_.end());
+    for (const auto& c : doomed) close_inbound(c);
     loop_->stop();
   });
   if (loop_thread_.joinable()) loop_thread_.join();
@@ -550,66 +543,42 @@ void DiscoveryNode::accept_ready() {
   for (;;) {
     auto client = listener_.accept();
     if (!client || !running_) return;
-    const int fd = client->native_handle();
-    std::unique_ptr<net::Transport> transport =
-        std::make_unique<net::Socket>(std::move(*client));
-    if (config_.transport_wrapper)
-      transport = config_.transport_wrapper(std::move(transport));
-    auto c = std::make_shared<Conn>();
-    c->fd = fd;
-    c->transport = std::move(transport);
+    auto c = std::make_shared<Inbound>();
+    c->conn.emplace(*loop_, std::move(*client), config_.transport_wrapper,
+                    [this, c] { pump(c); });
     c->last_active = Clock::now();
-    conns_[fd] = c;
-    c->registered = true;
-    c->interest = EPOLLIN;
-    loop_->add_fd(fd, EPOLLIN, [this, c](std::uint32_t) { pump(c); });
+    inbound_.insert(c);
     pump(c);  // the wrapper may already hold buffered input or refuse
   }
 }
 
-void DiscoveryNode::pump(const std::shared_ptr<Conn>& c) {
-  if (!c->transport) return;  // already closed
+void DiscoveryNode::pump(const std::shared_ptr<Inbound>& c) {
+  if (!c->conn->open()) return;
   if (!running_) {
-    close_conn(c);
+    close_inbound(c);
     return;
   }
-  const auto arm_retry = [this, &c](Clock::time_point release) {
-    if (c->retry_timer) return;
-    const auto delay = release - Clock::now();
-    const std::int64_t ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(delay).count();
-    c->retry_timer = loop_->add_timer_after(
-        ns > 0 ? static_cast<std::uint64_t>(ns) + 500'000ull : 1,
-        [this, c] {
-          c->retry_timer = 0;
-          pump(c);
-        });
-  };
+  net::Transport& t = c->conn->transport();
 
   // Drain staged + queued responses.
   const auto flush = [&]() -> bool {  // false = connection gone
     for (;;) {
-      if (c->transport->want_write()) {
-        const net::IoStatus st = c->transport->try_flush();
+      if (t.want_write()) {
+        const net::IoStatus st = t.try_flush();
         if (st == net::IoStatus::closed || st == net::IoStatus::error) {
-          close_conn(c);
+          close_inbound(c);
           return false;
         }
         if (st == net::IoStatus::blocked) return true;
       } else if (!c->outq.empty()) {
-        const net::TryWrite r = c->transport->try_write_frame(c->outq.front());
+        const net::TryWrite r = t.try_write_frame(c->outq.front());
         if (r.status == net::IoStatus::closed ||
             r.status == net::IoStatus::error) {
-          close_conn(c);
+          close_inbound(c);
           return false;
         }
-        if (r.accepted) {
-          c->outq.pop_front();
-        } else {
-          if (const auto release = c->transport->retry_after())
-            arm_retry(*release);
-          return true;
-        }
+        if (!r.accepted) return true;
+        c->outq.pop_front();
       } else {
         return true;
       }
@@ -618,70 +587,27 @@ void DiscoveryNode::pump(const std::shared_ptr<Conn>& c) {
 
   if (!flush()) return;
   for (int i = 0; i < 16; ++i) {
-    net::TryRead r = c->transport->try_read_frame(kMaxFrame);
-    if (r.status == net::IoStatus::blocked) {
-      if (const auto release = c->transport->retry_after())
-        arm_retry(*release);
-      break;
-    }
+    net::TryRead r = t.try_read_frame(kMaxFrame);
+    if (r.status == net::IoStatus::blocked) break;
     if (r.status != net::IoStatus::ok) {
-      close_conn(c);
+      close_inbound(c);
       return;
     }
     c->last_active = Clock::now();
     auto resp = handle_frame(r.frame);
     if (!resp) {
-      close_conn(c);
+      close_inbound(c);
       return;
     }
     c->outq.push_back(std::move(*resp));
   }
   if (!flush()) return;
-
-  // Fault-delayed transports leave the interest set; the retry timer owns
-  // the wakeup (level-triggered epoll would busy-spin otherwise).
-  if (c->transport->retry_after().has_value()) {
-    if (c->registered) {
-      loop_->remove_fd(c->fd);
-      c->registered = false;
-    }
-    return;
-  }
-  std::uint32_t want = EPOLLIN;
-  if (c->transport->want_write() || !c->outq.empty()) want |= EPOLLOUT;
-  if (!c->registered) {
-    c->registered = true;
-    c->interest = want;
-    loop_->add_fd(c->fd, want, [this, c](std::uint32_t) { pump(c); });
-  } else if (want != c->interest) {
-    c->interest = want;
-    loop_->modify_fd(c->fd, want);
-  }
+  c->conn->rearm(!c->outq.empty());
 }
 
-void DiscoveryNode::close_conn(const std::shared_ptr<Conn>& c) {
-  if (!c->transport) return;
-  if (c->retry_timer) {
-    loop_->cancel_timer(c->retry_timer);
-    c->retry_timer = 0;
-  }
-  if (c->registered) {
-    loop_->remove_fd(c->fd);
-    c->registered = false;
-  }
-  c->transport->close();
-  c->transport.reset();
-  conns_.erase(c->fd);
+void DiscoveryNode::close_inbound(const std::shared_ptr<Inbound>& c) {
+  c->conn->close();
+  inbound_.erase(c);
 }
-
-#else  // !__linux__
-
-bool DiscoveryNode::loop_start() { return false; }
-void DiscoveryNode::loop_stop() {}
-void DiscoveryNode::accept_ready() {}
-void DiscoveryNode::pump(const std::shared_ptr<Conn>&) {}
-void DiscoveryNode::close_conn(const std::shared_ptr<Conn>&) {}
-
-#endif
 
 }  // namespace fairshare::disco

@@ -25,11 +25,12 @@
 //   * status — one-frame introspection for `fairshare_cli disco status`.
 //
 // Runtime shape: one net::EventLoop thread owns the listener and every
-// inbound connection (non-blocking frame pumps, fault delays parked on
-// the timer wheel), plus the periodic gossip / re-announce / TTL-sweep
-// timers; a small util::ThreadPool performs the blocking *outbound* dials
-// (gossip rounds, replica pushes, re-announces) so the loop thread never
-// blocks on a connect.  Without epoll there is no loop, and start() fails.
+// inbound connection (a net::LoopConnection each: non-blocking frame
+// pumps, fault delays parked on a release timer off the epoll set), plus
+// the periodic gossip / re-announce / TTL-sweep timers; a small
+// util::ThreadPool performs the blocking *outbound* dials (gossip rounds,
+// replica pushes, re-announces) so the loop thread never blocks on a
+// connect.  Without epoll the loop is not valid, and start() fails.
 //
 // The node implements net::DiscoveryHook, so a PeerServer wires to it by
 // simply placing it (shared) in Config::discovery.
@@ -37,12 +38,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,12 +77,10 @@ struct NodeConfig {
   /// Blocking outbound IO bound (dials, gossip replies).
   int io_timeout_ms = 2'000;
   std::uint64_t rng_seed = 1;  ///< gossip partner selection
-  /// Inbound hook mirroring PeerServer::Config::transport_wrapper: every
+  /// Inbound hook, as PeerServer::Config::transport_wrapper: every
   /// accepted connection's Transport passes through here, so chaos tests
   /// inject faults into the lookup/gossip path.  Must be thread-safe.
-  std::function<std::unique_ptr<net::Transport>(
-      std::unique_ptr<net::Transport>)>
-      transport_wrapper;
+  net::TransportWrapper transport_wrapper;
   /// Registry for the disco instruments (lookups/gossip/members/records),
   /// labelled node=<ring id>; null = the process-wide global.
   obs::MetricsRegistry* registry = nullptr;
@@ -97,7 +95,8 @@ class DiscoveryNode : public net::DiscoveryHook {
   DiscoveryNode& operator=(const DiscoveryNode&) = delete;
 
   /// Bind, join through the configured seeds, start serving.  False when
-  /// the port cannot be bound or the event loop cannot come up.
+  /// the port cannot be bound or the event loop cannot come up.  A node
+  /// starts once: stop() is final.
   bool start();
   void stop();
 
@@ -122,7 +121,7 @@ class DiscoveryNode : public net::DiscoveryHook {
   double swarm_contribution(std::uint64_t user_id) const override;
 
  private:
-  struct Conn;
+  struct Inbound;
   struct ProviderEntry {
     wire::Provider provider;
     std::chrono::steady_clock::time_point expires;
@@ -163,12 +162,12 @@ class DiscoveryNode : public net::DiscoveryHook {
   bool join_mesh();
   void sweep_expired();
 
-  // Epoll serving core (loop thread only).
+  // Serving loop (loop thread only).
   bool loop_start();
   void loop_stop();
   void accept_ready();
-  void pump(const std::shared_ptr<Conn>& c);
-  void close_conn(const std::shared_ptr<Conn>& c);
+  void pump(const std::shared_ptr<Inbound>& c);
+  void close_inbound(const std::shared_ptr<Inbound>& c);
 
   NodeConfig config_;
   wire::Member self_;
@@ -179,7 +178,7 @@ class DiscoveryNode : public net::DiscoveryHook {
   net::Listener listener_;
   std::unique_ptr<net::EventLoop> loop_;
   std::thread loop_thread_;
-  std::unique_ptr<util::ThreadPool> outbound_;
+  util::ThreadPool outbound_{3};
   std::atomic<bool> gossip_inflight_{false};
 
   // Mesh + record state: one mutex, touched briefly from the loop thread,
@@ -195,7 +194,7 @@ class DiscoveryNode : public net::DiscoveryHook {
   alloc::FederatedLedger ledger_;
 
   // Loop-thread-only connection table.
-  std::map<int, std::shared_ptr<Conn>> conns_;
+  std::set<std::shared_ptr<Inbound>> inbound_;
 
   obs::MetricsRegistry* registry_;
   obs::Counter* m_lookups_ = nullptr;

@@ -14,6 +14,17 @@
 
 namespace fairshare::net {
 
+#ifdef __linux__
+namespace {
+
+std::uint32_t to_epoll(std::uint32_t interest) {
+  return (interest & EventLoop::kRead ? EPOLLIN : 0u) |
+         (interest & EventLoop::kWrite ? EPOLLOUT : 0u);
+}
+
+}  // namespace
+#endif
+
 bool epoll_available() {
 #ifdef __linux__
   const int fd = ::epoll_create1(0);
@@ -92,10 +103,10 @@ void EventLoop::post(std::function<void()> fn) {
   wake();
 }
 
-bool EventLoop::add_fd(int fd, std::uint32_t events, FdCallback cb) {
+bool EventLoop::add_fd(int fd, std::uint32_t interest, FdCallback cb) {
 #ifdef __linux__
   epoll_event ev{};
-  ev.events = events;
+  ev.events = to_epoll(interest);
   ev.data.fd = fd;
   const int op =
       fds_.count(fd) != 0 ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
@@ -103,34 +114,27 @@ bool EventLoop::add_fd(int fd, std::uint32_t events, FdCallback cb) {
       !(op == EPOLL_CTL_ADD && errno == EEXIST &&
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) == 0))
     return false;
-  auto entry = std::make_shared<FdEntry>();
-  entry->cb = std::move(cb);
-  entry->events = events;
-  fds_[fd] = std::move(entry);
+  fds_[fd] = std::make_shared<FdCallback>(std::move(cb));
   m_fds_->set(static_cast<double>(fds_.size()));
   return true;
 #else
   (void)fd;
-  (void)events;
+  (void)interest;
   (void)cb;
   return false;
 #endif
 }
 
-bool EventLoop::modify_fd(int fd, std::uint32_t events) {
+bool EventLoop::modify_fd(int fd, std::uint32_t interest) {
 #ifdef __linux__
-  const auto it = fds_.find(fd);
-  if (it == fds_.end()) return false;
-  if (it->second->events == events) return true;
+  if (fds_.count(fd) == 0) return false;
   epoll_event ev{};
-  ev.events = events;
+  ev.events = to_epoll(interest);
   ev.data.fd = fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) return false;
-  it->second->events = events;
-  return true;
+  return ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) == 0;
 #else
   (void)fd;
-  (void)events;
+  (void)interest;
   return false;
 #endif
 }
@@ -242,8 +246,8 @@ void EventLoop::run() {
       }
       const auto it = fds_.find(fd);
       if (it == fds_.end()) continue;
-      const std::shared_ptr<FdEntry> entry = it->second;  // keep alive
-      entry->cb(events[i].events);
+      const std::shared_ptr<FdCallback> cb = it->second;  // keep alive
+      (*cb)();
       if (stop_requested_.load(std::memory_order_acquire)) break;
     }
 

@@ -4,10 +4,16 @@
 // The paper's peers do zero coding work (coefficients never leave the
 // owner), so a live peer session is pure paced byte-shoveling — the
 // canonical event-loop workload.  One EventLoop owns every session fd of
-// a PeerServer shard: readiness callbacks drive the per-session state
-// machines, the util::TimerQueue carries the Eq. (2) pacing tick plus all
-// per-session deadlines, and an eventfd lets other threads post work or
-// stop the loop without signals or polling.
+// a PeerServer shard (and every inbound fd of a DiscoveryNode): readiness
+// callbacks drive the per-connection state machines, each connection's
+// fd registration is a net::LoopConnection (loop_connection.hpp), the
+// util::TimerQueue carries the Eq. (2) pacing tick plus all per-session
+// deadlines, and an eventfd lets other threads post work or stop the
+// loop without signals or polling.
+//
+// epoll is this class's business alone: callers speak kRead/kWrite, and
+// on a platform without epoll valid() is false, so the services built on
+// the loop fail their start() instead of carrying platform stubs.
 //
 // Threading contract:
 //  * run() turns the calling thread into the loop thread; every fd/timer
@@ -52,7 +58,12 @@ bool epoll_available();
 
 class EventLoop {
  public:
-  using FdCallback = std::function<void(std::uint32_t epoll_events)>;
+  /// Interest flags of a registered fd; epoll's own flags stay inside the
+  /// loop.  The callback runs on any readiness, errors and hang-ups
+  /// included, and reads the fd to learn which.
+  static constexpr std::uint32_t kRead = 1;
+  static constexpr std::uint32_t kWrite = 2;
+  using FdCallback = std::function<void()>;
   using TimerId = util::TimerQueue::TimerId;
 
   /// `name` labels this loop's metric series; `registry` null = global.
@@ -80,11 +91,11 @@ class EventLoop {
   }
 
   // ------------------------------------------------------------ fds
-  /// Register `fd` for `events` (EPOLLIN/EPOLLOUT/...; level-triggered).
-  /// One callback per fd; re-adding an fd replaces its registration.
-  bool add_fd(int fd, std::uint32_t events, FdCallback cb);
+  /// Register `fd` for `interest` (kRead/kWrite; level-triggered).  One
+  /// callback per fd; re-adding an fd replaces its registration.
+  bool add_fd(int fd, std::uint32_t interest, FdCallback cb);
   /// Change the interest set of a registered fd.
-  bool modify_fd(int fd, std::uint32_t events);
+  bool modify_fd(int fd, std::uint32_t interest);
   /// Forget `fd`.  Safe after the fd was closed (EPOLL_CTL_DEL failures
   /// are ignored — the kernel already dropped closed fds).
   void remove_fd(int fd);
@@ -109,10 +120,6 @@ class EventLoop {
   void post(std::function<void()> fn);
 
  private:
-  struct FdEntry {
-    FdCallback cb;
-    std::uint32_t events = 0;
-  };
   struct PeriodicState;
 
   void wake();
@@ -128,7 +135,7 @@ class EventLoop {
 
   // shared_ptr so a callback replacing or removing its own registration
   // mid-dispatch never frees the closure it is executing from.
-  std::unordered_map<int, std::shared_ptr<FdEntry>> fds_;  // loop thread only
+  std::unordered_map<int, std::shared_ptr<FdCallback>> fds_;  // loop thread
   util::TimerQueue timers_;               // loop thread only
   std::unordered_map<TimerId, std::shared_ptr<PeriodicState>> periodics_;
 

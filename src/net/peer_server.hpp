@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,13 +63,9 @@ class PeerServer {
     std::size_t max_users = 64;     ///< distinct users the ledger can track
     int pacing_quantum_ms = 20;     ///< scheduler re-allocation period
     int handshake_timeout_ms = 5000;  ///< auth + request must finish by then
-    /// Accept-path hook: every accepted connection's Transport is passed
-    /// through this before the session runs, so chaos tests can inject
-    /// server-side faults (e.g. a FaultInjector::wrap closure) without the
-    /// server knowing.  Null = serve the raw socket.  Must be thread-safe:
-    /// every event loop accepts, and calls it, concurrently.
-    std::function<std::unique_ptr<Transport>(std::unique_ptr<Transport>)>
-        transport_wrapper;
+    /// Accept-path hook (net::TransportWrapper): every accepted
+    /// connection's Transport passes through it before the session runs.
+    TransportWrapper transport_wrapper;
     /// Registry this server reports into (sessions, per-user bytes, pacing
     /// latency, spans); null = the process-wide obs global registry.
     /// Series are labelled peer=<peer_id>, so several servers can share
@@ -175,8 +170,8 @@ class PeerServer {
   /// Slot index for a user id, assigning one if unseen; nullopt when all
   /// Config::max_users slots are taken.  Requires pacing_mutex_.
   std::optional<std::size_t> user_slot_locked(std::uint64_t user_id);
-  // Reactor bring-up/teardown (peer_server_epoll.cpp; the non-Linux build
-  // stubs them out, so start() fails there).
+  // Reactor bring-up/teardown (peer_server_epoll.cpp).  Bring-up fails
+  // where EventLoop has no epoll.
   bool reactor_start();
   void reactor_stop();
 

@@ -16,9 +16,10 @@
 //  * the Eq. (2) pacing tick is a periodic timer on loop 0 running
 //    pacing_tick_locked(), which then posts a pump to every loop so
 //    sessions spend their fresh budgets;
-//  * fault-injected delays (FaultyTransport) surface as retry_after()
-//    deadlines: the fd leaves the interest set and a timer-queue entry
-//    owns the wakeup, so a delayed frame never busy-spins the loop;
+//  * each connection is a net::LoopConnection (loop_connection.hpp):
+//    every pump ends in its rearm, which parks a fault-delayed transport
+//    on a release timer, off the epoll set, so a delayed frame never
+//    busy-spins the loop;
 //  * handshake deadlines are plain timer-queue entries too;
 //  * a session streams at the rate Eq. (2) grants its user, or as fast as
 //    the socket drains on an unpaced server.  The rate a FileRequest
@@ -30,12 +31,7 @@
 // pacing_mutex_ because the pacing tick on loop 0 reads and refills it.
 #include "net/peer_server.hpp"
 
-#ifdef __linux__
-
-#include <sys/epoll.h>
-
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <span>
 #include <string>
@@ -45,6 +41,7 @@
 
 #include "crypto/chacha20.hpp"
 #include "net/event_loop.hpp"
+#include "net/loop_connection.hpp"
 #include "obs/export.hpp"
 #include "obs/signal_dump.hpp"
 #include "obs/trace.hpp"
@@ -61,8 +58,7 @@ struct PeerServer::ReactorState {
     enum class Staged { none, ctrl, data };
 
     std::uint64_t salt = 0;
-    int fd = -1;
-    std::shared_ptr<Transport> transport;
+    std::optional<LoopConnection> conn;
     Phase phase = Phase::hello;
     PerLoop* pl = nullptr;
 
@@ -90,9 +86,6 @@ struct PeerServer::ReactorState {
     Staged staged_kind = Staged::none;
 
     EventLoop::TimerId handshake_timer = 0;
-    EventLoop::TimerId retry_timer = 0;  ///< fault-injected delay release
-    bool registered = false;  ///< fd currently in the epoll set
-    std::uint32_t interest = 0;
     std::optional<obs::TraceSpan> span;
   };
 
@@ -138,9 +131,6 @@ struct PeerServer::ReactorState {
                     std::vector<std::byte> frame);
   bool pump_stream(const std::shared_ptr<Session>& s);
   void account_sent(const std::shared_ptr<Session>& s, std::size_t bytes);
-  void update_interest(const std::shared_ptr<Session>& s);
-  void arm_retry(const std::shared_ptr<Session>& s,
-                 std::chrono::steady_clock::time_point release);
   void finish(const std::shared_ptr<Session>& s, bool completed);
   void pump_streaming(PerLoop& pl);
 };
@@ -165,16 +155,10 @@ void PeerServer::ReactorState::accept_ready(PerLoop& pl) {
         static_cast<double>(srv->peak_sessions_.load()));
 
     const std::uint64_t salt = ++srv->session_counter_;
-    const int fd = client->native_handle();
-    std::unique_ptr<Transport> transport =
-        std::make_unique<Socket>(std::move(*client));
-    if (srv->config_.transport_wrapper)
-      transport = srv->config_.transport_wrapper(std::move(transport));
-
     auto s = std::make_shared<Session>();
     s->salt = salt;
-    s->fd = fd;
-    s->transport = std::move(transport);
+    s->conn.emplace(*pl.loop, std::move(*client),
+                    srv->config_.transport_wrapper, [this, s] { pump(s); });
     s->phase = srv->config_.require_auth ? Session::Phase::hello
                                          : Session::Phase::request;
     s->pl = &pl;
@@ -190,9 +174,6 @@ void PeerServer::ReactorState::accept_ready(PerLoop& pl) {
               s->phase != Session::Phase::done)
             finish(s, false);
         });
-    s->registered = true;
-    s->interest = EPOLLIN;
-    pl.loop->add_fd(fd, EPOLLIN, [this, s](std::uint32_t) { pump(s); });
     // First pump: the wrapper may already refuse (zero reset budget) or
     // hold buffered input.
     pump(s);
@@ -208,22 +189,21 @@ void PeerServer::ReactorState::pump(const std::shared_ptr<Session>& s) {
   if (!flush_staged(s)) return;
   if (!pump_read(s)) return;
   if (s->phase == Session::Phase::streaming && !pump_stream(s)) return;
-  update_interest(s);
+  s->conn->rearm(s->staged_kind != Session::Staged::none);
 }
 
 bool PeerServer::ReactorState::flush_staged(
     const std::shared_ptr<Session>& s) {
-  if (s->transport->want_write()) {
-    const IoStatus st = s->transport->try_flush();
+  Transport& t = s->conn->transport();
+  if (t.want_write()) {
+    const IoStatus st = t.try_flush();
     if (st == IoStatus::closed || st == IoStatus::error) {
       finish(s, false);
       return false;
     }
   }
-  if (s->staged_kind != Session::Staged::none &&
-      !s->transport->want_write()) {
-    const TryWrite r =
-        s->transport->try_write_frame_ext(s->staged_head, s->staged_ext);
+  if (s->staged_kind != Session::Staged::none && !t.want_write()) {
+    const TryWrite r = t.try_write_frame_ext(s->staged_head, s->staged_ext);
     if (r.status == IoStatus::closed || r.status == IoStatus::error) {
       finish(s, false);
       return false;
@@ -236,8 +216,6 @@ bool PeerServer::ReactorState::flush_staged(
       s->staged_ext = {};
       s->staged_kind = Session::Staged::none;
       if (was_data) account_sent(s, bytes);
-    } else if (const auto release = s->transport->retry_after()) {
-      arm_retry(s, *release);
     }
   }
   return true;
@@ -245,12 +223,9 @@ bool PeerServer::ReactorState::flush_staged(
 
 bool PeerServer::ReactorState::pump_read(const std::shared_ptr<Session>& s) {
   for (int i = 0; i < 32; ++i) {
-    TryRead r = s->transport->try_read_frame(PeerServer::kMaxClientFrame);
-    if (r.status == IoStatus::blocked) {
-      if (const auto release = s->transport->retry_after())
-        arm_retry(s, *release);
-      return true;
-    }
+    TryRead r =
+        s->conn->transport().try_read_frame(PeerServer::kMaxClientFrame);
+    if (r.status == IoStatus::blocked) return true;
     if (r.status != IoStatus::ok) {
       // EOF or a dead wrapper before the stream finished: the client left.
       finish(s, false);
@@ -289,7 +264,7 @@ bool PeerServer::ReactorState::handle_frame(
       s->have_authed_user = true;
       s->phase = Session::Phase::response;
       auto out = p2p::wire::encode(challenge);
-      const TryWrite r = s->transport->try_write_frame_ext(out, {});
+      const TryWrite r = s->conn->transport().try_write_frame_ext(out, {});
       if (r.status == IoStatus::closed || r.status == IoStatus::error) {
         finish(s, false);
         return false;
@@ -300,8 +275,6 @@ bool PeerServer::ReactorState::handle_frame(
         s->staged_head = std::move(out);
         s->staged_ext = {};
         s->staged_kind = Session::Staged::ctrl;
-        if (const auto release = s->transport->retry_after())
-          arm_retry(s, *release);
       }
       return true;
     }
@@ -369,12 +342,13 @@ bool PeerServer::ReactorState::handle_frame(
 
 bool PeerServer::ReactorState::pump_stream(
     const std::shared_ptr<Session>& s) {
+  Transport& t = s->conn->transport();
   int sent_this_pass = 0;
   while (s->phase == Session::Phase::streaming && srv->running_ &&
          s->staged_kind == Session::Staged::none &&
          s->next_msg < s->msg_count) {
-    if (s->transport->want_write()) {
-      const IoStatus st = s->transport->try_flush();
+    if (t.want_write()) {
+      const IoStatus st = t.try_flush();
       if (st == IoStatus::closed || st == IoStatus::error) {
         finish(s, false);
         return false;
@@ -399,7 +373,7 @@ bool PeerServer::ReactorState::pump_stream(
     head.assign(hdr.begin(), hdr.end());
     const std::span<const std::byte> ext(msg.payload);
     const std::size_t bytes = head.size() + ext.size();
-    const TryWrite r = s->transport->try_write_frame_ext(head, ext);
+    const TryWrite r = t.try_write_frame_ext(head, ext);
     if (r.status == IoStatus::closed || r.status == IoStatus::error) {
       finish(s, false);
       return false;
@@ -408,8 +382,6 @@ bool PeerServer::ReactorState::pump_stream(
       s->staged_head = std::move(head);
       s->staged_ext = ext;
       s->staged_kind = Session::Staged::data;
-      if (const auto release = s->transport->retry_after())
-        arm_retry(s, *release);
       break;
     }
     s->pl->arena_put(std::move(head));
@@ -421,8 +393,7 @@ bool PeerServer::ReactorState::pump_stream(
     }
   }
   if (s->phase == Session::Phase::streaming && s->next_msg >= s->msg_count &&
-      s->staged_kind == Session::Staged::none &&
-      !s->transport->want_write()) {
+      s->staged_kind == Session::Staged::none && !t.want_write()) {
     finish(s, true);  // whole store streamed and drained
     return false;
   }
@@ -445,52 +416,6 @@ void PeerServer::ReactorState::account_sent(
   ++s->next_msg;
 }
 
-void PeerServer::ReactorState::update_interest(
-    const std::shared_ptr<Session>& s) {
-  if (s->phase == Session::Phase::done) return;
-  // A time-gated transport (fault-injected delay) makes fd readiness
-  // meaningless; with level-triggered epoll it would busy-spin the loop.
-  // Deregister entirely and let the retry timer own the wakeup.
-  if (s->transport->retry_after().has_value()) {
-    if (s->registered) {
-      s->pl->loop->remove_fd(s->fd);
-      s->registered = false;
-    }
-    return;
-  }
-  std::uint32_t want = EPOLLIN;
-  if (s->transport->want_write() ||
-      s->staged_kind != Session::Staged::none)
-    want |= EPOLLOUT;
-  if (!s->registered) {
-    s->registered = true;
-    s->interest = want;
-    auto self = s;
-    s->pl->loop->add_fd(s->fd, want,
-                        [this, self](std::uint32_t) { pump(self); });
-  } else if (want != s->interest) {
-    s->interest = want;
-    s->pl->loop->modify_fd(s->fd, want);
-  }
-}
-
-void PeerServer::ReactorState::arm_retry(
-    const std::shared_ptr<Session>& s,
-    std::chrono::steady_clock::time_point release) {
-  if (s->retry_timer) return;  // one release timer at a time
-  const auto delay = release - std::chrono::steady_clock::now();
-  const std::int64_t ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(delay).count();
-  // Half a millisecond of cushion: firing marginally early would find the
-  // transport still gated and re-arm, wasting a timer trip.
-  const std::uint64_t delay_ns =
-      ns > 0 ? static_cast<std::uint64_t>(ns) + 500'000ull : 1;
-  s->retry_timer = s->pl->loop->add_timer_after(delay_ns, [this, s] {
-    s->retry_timer = 0;
-    pump(s);
-  });
-}
-
 void PeerServer::ReactorState::finish(const std::shared_ptr<Session>& s,
                                       bool completed) {
   if (s->phase == Session::Phase::done) return;
@@ -499,20 +424,12 @@ void PeerServer::ReactorState::finish(const std::shared_ptr<Session>& s,
     s->pl->loop->cancel_timer(s->handshake_timer);
     s->handshake_timer = 0;
   }
-  if (s->retry_timer) {
-    s->pl->loop->cancel_timer(s->retry_timer);
-    s->retry_timer = 0;
-  }
-  if (s->registered) {
-    s->pl->loop->remove_fd(s->fd);
-    s->registered = false;
-  }
   if (s->st) {
     std::lock_guard<std::mutex> lock(srv->pacing_mutex_);
     srv->sessions_.erase(s->salt);
   }
   s->pl->arena_put(std::move(s->staged_head));
-  s->transport->close();
+  s->conn->close();
   s->span.reset();
   if (completed) {
     ++srv->sessions_completed_;
@@ -557,8 +474,8 @@ bool PeerServer::reactor_start() {
   for (auto& plp : r->loops) {
     auto* pl = plp.get();
     pl->loop->post([r, pl] {
-      pl->loop->add_fd(pl->listener.native_handle(), EPOLLIN,
-                       [r, pl](std::uint32_t) { r->accept_ready(*pl); });
+      pl->loop->add_fd(pl->listener.native_handle(), EventLoop::kRead,
+                       [r, pl] { r->accept_ready(*pl); });
     });
   }
 
@@ -625,15 +542,3 @@ void PeerServer::reactor_stop() {
 }
 
 }  // namespace fairshare::net
-
-#else  // !__linux__
-
-namespace fairshare::net {
-
-// No epoll on this platform: start() fails.
-bool PeerServer::reactor_start() { return false; }
-void PeerServer::reactor_stop() { reactor_.reset(); }
-
-}  // namespace fairshare::net
-
-#endif

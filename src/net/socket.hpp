@@ -46,7 +46,6 @@ class Socket final : public Transport {
                                           std::uint16_t port);
 
   bool valid() const override { return fd_ >= 0; }
-  int fd() const { return fd_; }
   /// The raw OS handle, for event-loop registration (epoll keys on it).
   int native_handle() const { return fd_; }
   void close() override;

@@ -43,6 +43,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -175,6 +177,15 @@ class Transport {
   int send_timeout_ms_ = 0;
   bool timed_out_ = false;
 };
+
+/// Accept-path hook of the serving loops (PeerServer and DiscoveryNode):
+/// every accepted connection's Transport passes through it before it is
+/// served, so chaos tests inject server-side faults (a FaultInjector::wrap
+/// closure) without the service knowing.  Null = serve the raw socket.
+/// Must be thread-safe: every event loop accepts, and calls it,
+/// concurrently.
+using TransportWrapper =
+    std::function<std::unique_ptr<Transport>(std::unique_ptr<Transport>)>;
 
 /// Send one length-prefixed frame, waiting until it has fully left
 /// through the transport; false on error, peer close, or send timeout.

@@ -65,45 +65,6 @@ void append_labels_json(std::string& out, const LabelList& labels) {
   out += '}';
 }
 
-char sanitize_char(char c, bool digits_ok) {
-  const bool alpha =
-      (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' || c == ':';
-  const bool digit = c >= '0' && c <= '9';
-  return alpha || (digit && digits_ok) ? c : '_';
-}
-
-std::string sanitize_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (std::size_t i = 0; i < name.size(); ++i)
-    out += sanitize_char(name[i], i > 0);
-  return out.empty() ? std::string("_") : out;
-}
-
-void append_prom_labels(std::string& out, const LabelList& labels,
-                        const char* extra_key = nullptr,
-                        const std::string& extra_value = {}) {
-  if (labels.empty() && !extra_key) return;
-  out += '{';
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += sanitize_name(k);
-    out += "=\"";
-    append_escaped(out, v);
-    out += '"';
-  }
-  if (extra_key) {
-    if (!first) out += ',';
-    out += extra_key;
-    out += "=\"";
-    out += extra_value;
-    out += '"';
-  }
-  out += '}';
-}
-
 }  // namespace
 
 std::string to_json(const RegistrySnapshot& snap) {
@@ -182,79 +143,6 @@ std::string to_json(const RegistrySnapshot& snap) {
 
 std::string to_json(const MetricsRegistry& registry, std::size_t max_spans) {
   return to_json(registry.snapshot(max_spans));
-}
-
-std::string to_prometheus(const RegistrySnapshot& snap) {
-  std::string out;
-  std::string last_type_for;
-  const auto type_line = [&](const std::string& name, const char* type) {
-    if (name == last_type_for) return;  // one TYPE line per family
-    last_type_for = name;
-    out += "# TYPE ";
-    out += name;
-    out += ' ';
-    out += type;
-    out += '\n';
-  };
-  for (const auto& c : snap.counters) {
-    const std::string name = sanitize_name(c.name);
-    type_line(name, "counter");
-    out += name;
-    append_prom_labels(out, c.labels);
-    out += ' ';
-    append_u64(out, c.value);
-    out += '\n';
-  }
-  for (const auto& g : snap.gauges) {
-    const std::string name = sanitize_name(g.name);
-    type_line(name, "gauge");
-    out += name;
-    append_prom_labels(out, g.labels);
-    out += ' ';
-    append_double(out, g.value);
-    out += '\n';
-  }
-  for (const auto& h : snap.histograms) {
-    const std::string name = sanitize_name(h.name);
-    type_line(name, "histogram");
-    std::uint64_t cum = 0;
-    // The closing le="+Inf" series below covers the overflow bucket.
-    for (std::size_t b = 0; b < Histogram::kOverflowIndex; ++b) {
-      if (h.snap.buckets[b] == 0) continue;
-      cum += h.snap.buckets[b];
-      char buf[24];
-      std::snprintf(buf, sizeof buf, "%" PRIu64, Histogram::bound_of(b));
-      out += name;
-      out += "_bucket";
-      append_prom_labels(out, h.labels, "le", buf);
-      out += ' ';
-      append_u64(out, cum);
-      out += '\n';
-    }
-    out += name;
-    out += "_bucket";
-    append_prom_labels(out, h.labels, "le", "+Inf");
-    out += ' ';
-    append_u64(out, h.snap.count);
-    out += '\n';
-    out += name;
-    out += "_sum";
-    append_prom_labels(out, h.labels);
-    out += ' ';
-    append_u64(out, h.snap.sum);
-    out += '\n';
-    out += name;
-    out += "_count";
-    append_prom_labels(out, h.labels);
-    out += ' ';
-    append_u64(out, h.snap.count);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string to_prometheus(const MetricsRegistry& registry) {
-  return to_prometheus(registry.snapshot());
 }
 
 bool dump_json(const MetricsRegistry& registry, const std::string& path) {

@@ -1,6 +1,6 @@
-// Registry exporters: one JSON artifact for dumps/tools and Prometheus
-// text exposition for scrapers.  Both render a RegistrySnapshot, so a dump
-// is a coherent point-in-time view regardless of concurrent recording.
+// Registry exporter: one JSON artifact for dumps and tools.  It renders a
+// RegistrySnapshot, so a dump is a coherent point-in-time view regardless
+// of concurrent recording.
 //
 // The JSON layout is deliberately line-oriented — every sample object sits
 // alone on its own line — so `fairshare_cli stats` (and shell pipelines)
@@ -20,12 +20,6 @@ namespace fairshare::obs {
 std::string to_json(const MetricsRegistry& registry,
                     std::size_t max_spans = 256);
 std::string to_json(const RegistrySnapshot& snap);
-
-/// Prometheus text exposition format (version 0.0.4).  Histograms emit
-/// cumulative non-empty `_bucket{le=...}` series plus `_sum`/`_count`;
-/// metric and label names are sanitized to [a-zA-Z0-9_:].
-std::string to_prometheus(const MetricsRegistry& registry);
-std::string to_prometheus(const RegistrySnapshot& snap);
 
 /// Write to_json(registry) to `path` atomically (temp file + rename), so a
 /// reader signalled by SIGUSR1 never observes a half-written dump.

@@ -18,8 +18,8 @@
 // Identity: an instrument is (name, sorted labels).  Looking up the same
 // identity twice returns the same instrument; the same name with different
 // labels is a different time series (e.g. per-user byte counters).  Names
-// should already be Prometheus-shaped (snake_case, `_total` suffix on
-// counters) — the exporters only sanitize, they do not rename.
+// follow the Prometheus convention (snake_case, `_total` suffix on
+// counters); the JSON exporter writes them as they are.
 #pragma once
 
 #include <array>

@@ -18,13 +18,17 @@ void ThreadPool::spawn_up_to_locked(std::size_t want) {
     workers_.emplace_back([this] { worker_loop(); });
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { join(); }
+
+void ThreadPool::join() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
   wake_.notify_all();
-  for (auto& w : workers_) w.join();
+  // stop_ is set, so no worker spawns after this point.
+  for (auto& w : workers_)
+    if (w.joinable()) w.join();
 }
 
 void ThreadPool::worker_loop() {

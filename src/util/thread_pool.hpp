@@ -28,9 +28,13 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueue a fire-and-forget task for the workers.  Tasks may block for
-  /// a long time; at most workers() tasks run at once.  Destruction joins
-  /// running tasks but discards ones still queued.
+  /// a long time; at most workers() tasks run at once.  After join() a
+  /// task is queued and never run.
   void submit(std::function<void()> task);
+
+  /// Stop the workers: running tasks finish, queued ones are discarded
+  /// unrun.  Idempotent; the destructor calls it.
+  void join();
 
   /// Worker threads available to submit().
   std::size_t workers() const { return limit_; }

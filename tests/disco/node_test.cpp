@@ -1,16 +1,19 @@
 // DiscoveryNode over real TCP: join/gossip convergence, owner-routed
 // provider records with successor replication and TTL expiry, client
-// iterative lookups, and dead-member eviction.
+// iterative lookups, dead-member eviction, fault-delayed connections
+// parked off the loop, and stop() racing the node's own outbound work.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "disco/client.hpp"
 #include "disco/node.hpp"
+#include "net/fault_transport.hpp"
 #include "obs/metrics.hpp"
 
 namespace fairshare::disco {
@@ -300,6 +303,80 @@ TEST(DiscoveryNode, LedgerGossipConvergesAcrossTheMesh) {
            mesh.nodes[2]->swarm_contribution(42) == 1e6;
   })) << "ledger gossip did not converge";
   EXPECT_DOUBLE_EQ(mesh.nodes[0]->swarm_contribution(42), 0.0);
+}
+
+TEST(DiscoveryNode, DelayedConnectionsParkOnReleaseTimer) {
+  // Every inbound and outbound frame is held back 50 ms.  While a
+  // connection waits on that delay its fd must leave the epoll set; left
+  // registered, the level-triggered loop spins until the release.
+  net::FaultPlan plan;
+  plan.seed = 5;
+  plan.delay_rate = 1.0;
+  plan.delay_ms = 50;
+  auto injector = std::make_shared<net::FaultInjector>(plan);
+  obs::MetricsRegistry registry;
+  NodeConfig config;
+  config.ring_id = kIds[0];
+  config.gossip_period_ms = 0;
+  config.reannounce_period_ms = 0;
+  config.registry = &registry;
+  config.transport_wrapper =
+      [injector](std::unique_ptr<net::Transport> inner) {
+        return injector->wrap(std::move(inner));
+      };
+  DiscoveryNode node(std::move(config));
+  ASSERT_TRUE(node.start());
+  net::ServeEndpoint endpoint;
+  endpoint.port = 3333;
+  endpoint.peer_id = 12;
+  ASSERT_TRUE(node.announce_file(777, endpoint));  // local owner: no dial
+
+  ClientConfig client_config;
+  client_config.seeds = {node.self()};
+  const Client client(client_config);
+  const auto providers = client.resolve(777);
+  ASSERT_EQ(providers.size(), 1u);
+  EXPECT_EQ(providers[0].port, 3333u);
+  EXPECT_EQ(providers[0].peer_id, 12u);
+  const auto status = client.status(node.self());
+  ASSERT_TRUE(status);
+  EXPECT_EQ(status->provider_records, 1u);
+  const std::uint16_t port = node.port();
+  node.stop();
+
+  const std::uint64_t delayed = injector->stats().frames_delayed;
+  ASSERT_GE(delayed, 4u);  // two frames per request at the least
+  const std::uint64_t wakeups =
+      registry
+          .counter("fairshare_loop_wakeups_total",
+                   {{"loop", "disco." + std::to_string(port)}})
+          .value();
+  EXPECT_LE(wakeups, 10 * delayed) << delayed << " delayed frames";
+}
+
+TEST(DiscoveryNode, StopWhileReannouncingFilesItOwns) {
+  // Node A re-announces every millisecond.  For a file A owns, that runs
+  // handle_announce on an outbound worker, which queues the replica push
+  // on the same pool — so stop() lands while workers are submitting to
+  // the pool it is shutting down.
+  for (int round = 0; round < 20; ++round) {
+    Mesh mesh(1);
+    NodeConfig config;
+    config.ring_id = kIds[2];
+    config.reannounce_period_ms = 1;
+    config.gossip_period_ms = 0;
+    config.io_timeout_ms = 1'000;
+    config.seeds = {mesh.nodes[0]->self()};
+    DiscoveryNode a(std::move(config));
+    ASSERT_TRUE(a.start());
+    net::ServeEndpoint endpoint;
+    endpoint.port = 4000;
+    endpoint.peer_id = 3;
+    for (std::uint64_t file = 1; file <= 16; ++file)
+      a.announce_file(file * 7919, endpoint);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5 + round % 7));
+    a.stop();
+  }
 }
 
 }  // namespace

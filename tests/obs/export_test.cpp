@@ -1,8 +1,8 @@
-// JSON and Prometheus exporters against committed golden files, plus the
+// The JSON exporter against its committed golden file, plus the
 // structural guarantees downstream consumers rely on (line-oriented JSON,
-// cumulative Prometheus buckets, atomic dump_json).
+// atomic dump_json).
 //
-// Regenerate the goldens after an intentional format change with
+// Regenerate the golden after an intentional format change with
 //   FAIRSHARE_REGEN_GOLDEN=1 ./obs_export_test
 // and review the diff before committing.
 #include <gtest/gtest.h>
@@ -33,7 +33,7 @@ void fill_registry(obs::MetricsRegistry& reg) {
       .add(7);
   reg.counter("plain_total").add(1);
   reg.gauge("fairshare_demo_rate_kbps", {{"user", "2"}}).set(768.25);
-  // Exercise escaping (JSON) and name sanitization (Prometheus).
+  // Exercise escaping in names and label values.
   reg.gauge("needs sanitizing!", {{"key", "quote\"back\\slash"}}).set(-1.5);
   obs::Histogram& h = reg.histogram("fairshare_demo_latency_ns");
   for (std::uint64_t v : {0ull, 1ull, 7ull, 8ull, 9ull, 100ull, 1000ull,
@@ -81,12 +81,6 @@ TEST(Export, JsonMatchesGolden) {
   compare_golden(obs::to_json(reg), "registry.json");
 }
 
-TEST(Export, PrometheusMatchesGolden) {
-  obs::MetricsRegistry reg;
-  fill_registry(reg);
-  compare_golden(obs::to_prometheus(reg), "registry.prom");
-}
-
 TEST(Export, JsonIsLineOriented) {
   obs::MetricsRegistry reg;
   fill_registry(reg);
@@ -103,23 +97,6 @@ TEST(Export, JsonIsLineOriented) {
     EXPECT_TRUE(last == '}' || last == ',') << line;
   }
   EXPECT_EQ(samples, 3 + 2 + 1 + 2);  // counters + gauges + histogram + spans
-}
-
-TEST(Export, PrometheusBucketsAreCumulative) {
-  obs::MetricsRegistry reg;
-  obs::Histogram& h = reg.histogram("lat");
-  for (std::uint64_t v : {1ull, 1ull, 2ull, 9ull}) h.record(v);
-  const std::string text = obs::to_prometheus(reg);
-  EXPECT_NE(text.find("# TYPE lat histogram"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"1\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"2\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"9\"} 4\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 4\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_sum 13\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_count 4\n"), std::string::npos);
-  // Exactly one +Inf series per histogram family.
-  const auto first = text.find("le=\"+Inf\"");
-  EXPECT_EQ(text.find("le=\"+Inf\"", first + 1), std::string::npos);
 }
 
 TEST(Export, DumpJsonWritesAtomically) {

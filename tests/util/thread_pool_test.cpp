@@ -56,5 +56,25 @@ TEST(ThreadPool, AtMostWorkersTasksRunAtOnce) {
   EXPECT_EQ(peak.load(), 2);
 }
 
+TEST(ThreadPool, JoinWaitsForRunningTasksAndLaterSubmitsNeverRun) {
+  // The discovery node's stop(): a dial still running when the pool is
+  // joined may submit a follow-up, which must be queued, not run.
+  util::ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<int> ran{0};
+  pool.submit([&] {
+    started = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ++ran;
+  });
+  ASSERT_TRUE(eventually([&] { return started.load(); }));
+  pool.join();
+  EXPECT_EQ(ran.load(), 1);
+  pool.submit([&] { ++ran; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ran.load(), 1);
+  pool.join();  // idempotent
+}
+
 }  // namespace
 }  // namespace fairshare
