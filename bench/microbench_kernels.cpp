@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the hot kernels underlying Table II:
 // field row operations (the O(m k^2) elimination inner loop), the full
-// decode pipeline those kernels feed, scalar multiplication, hashing, and
-// the ChaCha20 coefficient stream.
+// decode pipeline those kernels feed, scalar multiplication, hashing, the
+// ChaCha20 coefficient stream, and the RSA operations of the Section III-B
+// handshake.
 //
 // Row-kernel benchmarks carry a `simd` axis: simd=0 pins the portable
 // scalar kernels (gf::scalar_field_view), simd=1 uses whatever
@@ -13,6 +14,8 @@
 // the committed BENCH_kernels.json baseline).
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <map>
 #include <vector>
 
 #include "coding/codec.hpp"
@@ -20,6 +23,7 @@
 #include "common.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/md5.hpp"
+#include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "gf/row_ops.hpp"
 #include "linalg/matrix.hpp"
@@ -239,6 +243,66 @@ void BM_ChaCha20Stream(benchmark::State& state) {
                           static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_ChaCha20Stream);
+
+// One RSA key per modulus size, generated once from a fixed seed, outside
+// every timed loop.
+const crypto::RsaKeyPair& rsa_key(std::int64_t bits) {
+  static std::map<std::int64_t, crypto::RsaKeyPair> keys;
+  auto it = keys.find(bits);
+  if (it == keys.end()) {
+    std::array<std::uint8_t, 32> seed{};
+    seed[0] = static_cast<std::uint8_t>(bits >> 8);
+    crypto::ChaCha20 rng(seed, std::array<std::uint8_t, 12>{}, 0);
+    it = keys.emplace(bits, crypto::RsaKeyPair::generate(
+                                static_cast<std::size_t>(bits), rng))
+             .first;
+  }
+  return it->second;
+}
+
+// A handshake transcript is 80 bytes before the session key is appended.
+const std::vector<std::uint8_t> kTranscript(80, 0x5A);
+
+// One private-key operation; each handshake does three in series (the
+// challenge signature, the response signature, the session-key decrypt).
+void BM_RsaPrivate(benchmark::State& state) {
+  const auto& key = rsa_key(state.range(0));
+  if (!crypto::rsa_verify(key.pub, kTranscript,
+                          crypto::rsa_sign(key, kTranscript))) {
+    state.SkipWithError("signature does not verify");
+    return;
+  }
+  for (auto _ : state) {
+    auto signature = crypto::rsa_sign(key, kTranscript);
+    benchmark::DoNotOptimize(signature.data());
+  }
+}
+BENCHMARK(BM_RsaPrivate)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->ArgNames({"bits"})
+    ->Unit(benchmark::kMicrosecond);
+
+// One public-key operation (e = 65537): a signature check.
+void BM_RsaPublic(benchmark::State& state) {
+  const auto& key = rsa_key(state.range(0));
+  const auto signature = crypto::rsa_sign(key, kTranscript);
+  if (!crypto::rsa_verify(key.pub, kTranscript, signature)) {
+    state.SkipWithError("signature does not verify");
+    return;
+  }
+  for (auto _ : state) {
+    bool ok = crypto::rsa_verify(key.pub, kTranscript, signature);
+    benchmark::DoNotOptimize(ok);
+  }
+}
+BENCHMARK(BM_RsaPublic)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->ArgNames({"bits"})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

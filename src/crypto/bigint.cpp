@@ -174,119 +174,20 @@ BigUInt BigUInt::operator-(const BigUInt& other) const {
   return out;
 }
 
-namespace {
-
-using Limbs = std::vector<std::uint32_t>;
-
-Limbs limbs_mul_school(std::span<const std::uint32_t> a,
-                       std::span<const std::uint32_t> b) {
-  Limbs out(a.size() + b.size(), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::uint64_t carry = 0;
-    const std::uint64_t ai = a[i];
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      const std::uint64_t v = ai * b[j] + out[i + j] + carry;
-      out[i + j] = static_cast<std::uint32_t>(v);
-      carry = v >> 32;
-    }
-    out[i + b.size()] = static_cast<std::uint32_t>(carry);
-  }
-  return out;
-}
-
-Limbs limbs_add(std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b) {
-  Limbs out(std::max(a.size(), b.size()) + 1, 0);
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    std::uint64_t v = carry;
-    if (i < a.size()) v += a[i];
-    if (i < b.size()) v += b[i];
-    out[i] = static_cast<std::uint32_t>(v);
-    carry = v >> 32;
-  }
-  return out;
-}
-
-// out -= sub at limb offset `shift`; out must stay non-negative.
-void limbs_sub_inplace(Limbs& out, const Limbs& sub, std::size_t shift = 0) {
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < sub.size() || borrow != 0; ++i) {
-    std::int64_t v = static_cast<std::int64_t>(out[i + shift]) - borrow;
-    if (i < sub.size()) v -= sub[i];
-    borrow = 0;
-    if (v < 0) {
-      v += static_cast<std::int64_t>(kBase);
-      borrow = 1;
-    }
-    out[i + shift] = static_cast<std::uint32_t>(v);
-  }
-}
-
-void limbs_add_inplace(Limbs& out, const Limbs& add, std::size_t shift) {
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < add.size() || carry != 0; ++i) {
-    std::uint64_t v = static_cast<std::uint64_t>(out[i + shift]) + carry;
-    if (i < add.size()) v += add[i];
-    out[i + shift] = static_cast<std::uint32_t>(v);
-    carry = v >> 32;
-  }
-}
-
-// Below this limb count, schoolbook's cache behavior wins.
-constexpr std::size_t kKaratsubaThreshold = 24;
-
-Limbs limbs_mul(std::span<const std::uint32_t> a,
-                std::span<const std::uint32_t> b) {
-  if (a.empty() || b.empty()) return {};
-  if (std::min(a.size(), b.size()) < kKaratsubaThreshold)
-    return limbs_mul_school(a, b);
-
-  // Karatsuba: split both at half the larger operand.
-  const std::size_t half = std::max(a.size(), b.size()) / 2;
-  const auto a0 = a.subspan(0, std::min(half, a.size()));
-  const auto a1 = a.size() > half ? a.subspan(half) : std::span<const std::uint32_t>{};
-  const auto b0 = b.subspan(0, std::min(half, b.size()));
-  const auto b1 = b.size() > half ? b.subspan(half) : std::span<const std::uint32_t>{};
-
-  const auto trim = [](Limbs& v) {
-    while (!v.empty() && v.back() == 0) v.pop_back();
-  };
-
-  Limbs z0 = limbs_mul(a0, b0);
-  Limbs z2 = limbs_mul(a1, b1);
-  const Limbs sa = limbs_add(a0, a1);
-  const Limbs sb = limbs_add(b0, b1);
-  Limbs z1 = limbs_mul(sa, sb);
-  limbs_sub_inplace(z1, z0);
-  limbs_sub_inplace(z1, z2);
-  // Trim leading zero limbs: the vectors carry slack capacity, and adding
-  // untrimmed zeros below would index past the exact-size output buffer.
-  trim(z0);
-  trim(z1);
-  trim(z2);
-
-  Limbs out(a.size() + b.size() + 1, 0);
-  limbs_add_inplace(out, z0, 0);
-  limbs_add_inplace(out, z1, half);
-  limbs_add_inplace(out, z2, 2 * half);
-  return out;
-}
-
-}  // namespace
-
-BigUInt mul_schoolbook(const BigUInt& a, const BigUInt& b) {
-  if (a.is_zero() || b.is_zero()) return BigUInt{};
-  BigUInt out;
-  out.limbs_ = limbs_mul_school(a.limbs_, b.limbs_);
-  out.trim();
-  return out;
-}
-
 BigUInt BigUInt::operator*(const BigUInt& other) const {
   if (is_zero() || other.is_zero()) return BigUInt{};
   BigUInt out;
-  out.limbs_ = limbs_mul(limbs_, other.limbs_);
+  out.limbs_.assign(limbs_.size() + other.limbs_.size(), 0);
+  for (std::size_t i = 0; i < limbs_.size(); ++i) {
+    std::uint64_t carry = 0;
+    const std::uint64_t ai = limbs_[i];
+    for (std::size_t j = 0; j < other.limbs_.size(); ++j) {
+      const std::uint64_t v = ai * other.limbs_[j] + out.limbs_[i + j] + carry;
+      out.limbs_[i + j] = static_cast<std::uint32_t>(v);
+      carry = v >> 32;
+    }
+    out.limbs_[i + other.limbs_.size()] = static_cast<std::uint32_t>(carry);
+  }
   out.trim();
   return out;
 }
@@ -421,18 +322,140 @@ BigUInt BigUInt::operator%(const BigUInt& other) const {
   return divmod(*this, other).remainder;
 }
 
+namespace {
+
+__extension__ typedef unsigned __int128 u128;  // GCC/Clang builtin
+
+// 32-bit limbs zero-extended into `out.size()` 64-bit limbs.
+void pack64(std::span<const std::uint32_t> in, std::span<std::uint64_t> out) {
+  std::fill(out.begin(), out.end(), 0);
+  for (std::size_t i = 0; i < in.size(); ++i)
+    out[i / 2] |= static_cast<std::uint64_t>(in[i]) << (32 * (i % 2));
+}
+
+// Montgomery multiplication modulo an odd n of s 64-bit limbs, with
+// R = 2^(64 s).  Working storage is allocated once, by the constructor.
+class Montgomery {
+ public:
+  explicit Montgomery(std::span<const std::uint32_t> n)
+      : s_((n.size() + 1) / 2), n_(s_), t_(s_ + 2) {
+    pack64(n, n_);
+    // Newton's iteration for n^-1 mod 2^64: n * n == 1 (mod 8) for odd n,
+    // and each step doubles the correct low bits (3, 6, ..., 96).
+    std::uint64_t inv = n_[0];
+    for (int i = 0; i < 5; ++i) inv *= 2 - n_[0] * inv;
+    n0inv_ = 0 - inv;
+  }
+
+  std::size_t limbs() const { return s_; }
+
+  // out = a b / R mod n, for a, b < n; out may alias a or b.  Coarsely
+  // integrated operand scanning (Koc, Acar & Kaliski): each step adds
+  // a b[i], then the multiple of n that zeroes the low limb, and drops
+  // that limb.  The sum stays below 2n, so one subtraction finishes.
+  void mul(std::uint64_t* out, const std::uint64_t* a,
+           const std::uint64_t* b) {
+    const std::size_t s = s_;
+    const std::uint64_t* n = n_.data();
+    const std::uint64_t n0inv = n0inv_;
+    std::uint64_t* t = t_.data();
+    std::fill_n(t, s + 2, 0);
+    for (std::size_t i = 0; i < s; ++i) {
+      const std::uint64_t bi = b[i];
+      std::uint64_t carry = 0;
+      for (std::size_t j = 0; j < s; ++j) {
+        const u128 p = static_cast<u128>(a[j]) * bi + t[j] + carry;
+        t[j] = static_cast<std::uint64_t>(p);
+        carry = static_cast<std::uint64_t>(p >> 64);
+      }
+      u128 p = static_cast<u128>(t[s]) + carry;
+      t[s] = static_cast<std::uint64_t>(p);
+      t[s + 1] = static_cast<std::uint64_t>(p >> 64);
+
+      const std::uint64_t m = t[0] * n0inv;
+      p = static_cast<u128>(m) * n[0] + t[0];
+      carry = static_cast<std::uint64_t>(p >> 64);
+      for (std::size_t j = 1; j < s; ++j) {
+        p = static_cast<u128>(m) * n[j] + t[j] + carry;
+        t[j - 1] = static_cast<std::uint64_t>(p);
+        carry = static_cast<std::uint64_t>(p >> 64);
+      }
+      p = static_cast<u128>(t[s]) + carry;
+      t[s - 1] = static_cast<std::uint64_t>(p);
+      t[s] = t[s + 1] + static_cast<std::uint64_t>(p >> 64);
+    }
+    std::uint64_t borrow = 0;
+    for (std::size_t j = 0; j < s; ++j) {
+      const u128 d = static_cast<u128>(t[j]) - n[j] - borrow;
+      out[j] = static_cast<std::uint64_t>(d);
+      borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+    }
+    if (t[s] == 0 && borrow != 0) std::copy_n(t, s, out);  // t < n
+  }
+
+ private:
+  std::size_t s_;
+  std::vector<std::uint64_t> n_;
+  std::uint64_t n0inv_ = 0;  // -n^-1 mod 2^64
+  std::vector<std::uint64_t> t_;
+};
+
+}  // namespace
+
 BigUInt BigUInt::mod_exp(const BigUInt& base, const BigUInt& exp,
                          const BigUInt& modulus) {
   assert(!modulus.is_zero());
   if (modulus == BigUInt{1}) return BigUInt{};
-  BigUInt result{1};
-  BigUInt b = base % modulus;
-  const std::size_t bits = exp.bit_length();
-  for (std::size_t i = 0; i < bits; ++i) {
-    if (exp.bit(i)) result = (result * b) % modulus;
-    b = (b * b) % modulus;
+  if (exp.is_zero()) return BigUInt{1};
+
+  if (!modulus.is_odd()) {
+    // Right-to-left square-and-multiply.  No protocol modulus is even.
+    BigUInt result{1};
+    BigUInt b = base % modulus;
+    for (std::size_t i = 0; i < exp.bit_length(); ++i) {
+      if (exp.bit(i)) result = (result * b) % modulus;
+      b = (b * b) % modulus;
+    }
+    return result;
   }
-  return result;
+
+  // Montgomery form x R mod n, with a fixed 4-bit window over the exponent
+  // from the top: table[w] = base^w, four squarings per window.
+  const auto window = [&exp](std::size_t i) -> std::size_t {
+    return (exp.limbs_[i / 8] >> (4 * (i % 8))) & 0xF;
+  };
+  const std::size_t windows = (exp.bit_length() + 3) / 4;
+  std::size_t top = 1;  // a short exponent such as 65537 needs base^0, base^1
+  for (std::size_t i = 0; i < windows; ++i) top = std::max(top, window(i));
+
+  Montgomery mont(modulus.limbs_);
+  const std::size_t s = mont.limbs();
+  std::vector<std::uint64_t> table(16 * s);
+  pack64(((BigUInt{1} << (64 * s)) % modulus).limbs_, {table.data(), s});
+  pack64(((base << (64 * s)) % modulus).limbs_, {table.data() + s, s});
+  for (std::size_t w = 2; w <= top; ++w)
+    mont.mul(&table[w * s], &table[(w - 1) * s], &table[s]);
+
+  std::vector<std::uint64_t> acc(s);
+  std::copy_n(&table[window(windows - 1) * s], s, acc.begin());
+  for (std::size_t i = windows - 1; i-- > 0;) {
+    for (int k = 0; k < 4; ++k) mont.mul(acc.data(), acc.data(), acc.data());
+    if (const std::size_t w = window(i); w != 0)
+      mont.mul(acc.data(), acc.data(), &table[w * s]);
+  }
+
+  // Leave Montgomery form: multiply by 1.
+  std::vector<std::uint64_t> one(s, 0);
+  one[0] = 1;
+  mont.mul(acc.data(), acc.data(), one.data());
+  BigUInt out;
+  out.limbs_.resize(2 * s);
+  for (std::size_t i = 0; i < s; ++i) {
+    out.limbs_[2 * i] = static_cast<std::uint32_t>(acc[i]);
+    out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(acc[i] >> 32);
+  }
+  out.trim();
+  return out;
 }
 
 BigUInt BigUInt::gcd(BigUInt a, BigUInt b) {

@@ -2,10 +2,12 @@
 // challenge-response handshake of Section III-B.
 //
 // Little-endian 32-bit limbs, normalized (no high zero limbs; zero is the
-// empty limb vector).  Division is Knuth's Algorithm D, so modular
-// exponentiation of the RSA sizes used in tests (512-2048 bits) runs in
-// milliseconds.  This is a protocol-fidelity substrate, not a hardened
-// crypto library: operand-dependent timing is not hidden.
+// empty limb vector).  Products are schoolbook and division is Knuth's
+// Algorithm D.  Modular exponentiation by an odd modulus (every RSA
+// modulus and prime) runs in Montgomery form over 64-bit limbs with a
+// 4-bit fixed window: no division and no allocation inside the loop.
+// This is a protocol-fidelity substrate, not a hardened crypto library:
+// operand-dependent timing is not hidden.
 #pragma once
 
 #include <compare>
@@ -64,7 +66,8 @@ class BigUInt {
   /// Quotient and remainder in one pass.  Precondition: divisor != 0.
   static DivMod divmod(const BigUInt& dividend, const BigUInt& divisor);
 
-  /// (base^exp) mod modulus.  Precondition: modulus != 0.
+  /// (base^exp) mod modulus.  Precondition: modulus != 0.  An even
+  /// modulus takes plain square-and-multiply.
   static BigUInt mod_exp(const BigUInt& base, const BigUInt& exp,
                          const BigUInt& modulus);
   static BigUInt gcd(BigUInt a, BigUInt b);
@@ -73,14 +76,9 @@ class BigUInt {
                                             const BigUInt& m);
 
  private:
-  friend BigUInt mul_schoolbook(const BigUInt& a, const BigUInt& b);
   void trim();
   std::vector<std::uint32_t> limbs_;  // little endian, normalized
 };
-
-/// Reference schoolbook product — kept public so tests and benches can
-/// cross-check the Karatsuba path operator* takes for large operands.
-BigUInt mul_schoolbook(const BigUInt& a, const BigUInt& b);
 
 /// Result of BigUInt::divmod.
 struct DivMod {

@@ -15,10 +15,13 @@ RsaKeyPair RsaKeyPair::generate(std::size_t bits, ChaCha20& rng) {
     if (p == q) continue;
     const BigUInt n = p * q;
     if (n.bit_length() != bits) continue;
-    const BigUInt phi = (p - BigUInt{1}) * (q - BigUInt{1});
-    const auto d = BigUInt::mod_inverse(e, phi);
+    const BigUInt p1 = p - BigUInt{1};
+    const BigUInt q1 = q - BigUInt{1};
+    const auto d = BigUInt::mod_inverse(e, p1 * q1);
     if (!d) continue;  // e not coprime with phi; rare but possible
-    return RsaKeyPair{RsaPublicKey{n, e}, *d};
+    // Distinct primes are coprime, so q has an inverse mod p.
+    const BigUInt qinv = *BigUInt::mod_inverse(q, p);
+    return RsaKeyPair{RsaPublicKey{n, e}, *d, p, q, *d % p1, *d % q1, qinv};
   }
 }
 
@@ -36,14 +39,29 @@ BigUInt pad_digest(const Sha256Digest& digest, std::size_t modulus_bytes) {
   return BigUInt::from_bytes_be(padded);
 }
 
+// x^d mod n by CRT: x^dp mod p and x^dq mod q, recombined by Garner's
+// formula m = m2 + q (qinv (m1 - m2) mod p).  A fault in either half
+// would leak a factor of n through the result, so the result leaves only
+// once raising it back to e gives x again.
+std::optional<BigUInt> private_op(const RsaKeyPair& key, const BigUInt& x) {
+  const BigUInt m1 = BigUInt::mod_exp(x, key.dp, key.p);
+  const BigUInt m2 = BigUInt::mod_exp(x, key.dq, key.q);
+  const BigUInt m2p = m2 % key.p;
+  const BigUInt diff = m1 >= m2p ? m1 - m2p : m1 + key.p - m2p;
+  const BigUInt m = m2 + (key.qinv * diff) % key.p * key.q;
+  if (BigUInt::mod_exp(m, key.pub.e, key.pub.n) != x) return std::nullopt;
+  return m;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> rsa_sign(const RsaKeyPair& key,
                                    std::span<const std::uint8_t> message) {
   const Sha256Digest digest = Sha256::hash(message);
   const BigUInt m = pad_digest(digest, key.pub.modulus_bytes());
-  const BigUInt s = BigUInt::mod_exp(m, key.d, key.pub.n);
-  return s.to_bytes_be(key.pub.modulus_bytes());
+  const auto s = private_op(key, m);
+  if (!s) return {};
+  return s->to_bytes_be(key.pub.modulus_bytes());
 }
 
 bool rsa_verify(const RsaPublicKey& key, std::span<const std::uint8_t> message,
@@ -73,8 +91,9 @@ std::optional<std::vector<std::uint8_t>> rsa_decrypt(
   if (ciphertext.size() != key.pub.modulus_bytes()) return std::nullopt;
   const BigUInt c = BigUInt::from_bytes_be(ciphertext);
   if (c >= key.pub.n) return std::nullopt;
-  const BigUInt m = BigUInt::mod_exp(c, key.d, key.pub.n);
-  std::vector<std::uint8_t> framed = m.to_bytes_be();
+  const auto m = private_op(key, c);
+  if (!m) return std::nullopt;
+  std::vector<std::uint8_t> framed = m->to_bytes_be();
   if (framed.empty() || framed[0] != 0x01) return std::nullopt;
   framed.erase(framed.begin());
   return framed;

@@ -28,10 +28,15 @@ struct RsaPublicKey {
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
 };
 
-/// Full RSA keypair.
+/// Full RSA keypair.  Private-key operations run on the CRT form of d.
 struct RsaKeyPair {
   RsaPublicKey pub;
-  BigUInt d;  ///< private exponent
+  BigUInt d;     ///< private exponent
+  BigUInt p;     ///< prime factors, n = p q
+  BigUInt q;
+  BigUInt dp;    ///< d mod (p - 1)
+  BigUInt dq;    ///< d mod (q - 1)
+  BigUInt qinv;  ///< q^-1 mod p
 
   /// Generate a keypair with an exactly `bits`-bit modulus, e = 65537.
   /// Randomness comes from `rng` (deterministic for a fixed seed, which
@@ -41,6 +46,8 @@ struct RsaKeyPair {
 
 /// Sign SHA-256(message) with the private key.  The digest is left-padded
 /// deterministically to the modulus size (a simplified EMSA-style pad).
+/// Returns an empty signature, which every verifier rejects, when the
+/// result fails the fault check.
 std::vector<std::uint8_t> rsa_sign(const RsaKeyPair& key,
                                    std::span<const std::uint8_t> message);
 
@@ -53,7 +60,8 @@ bool rsa_verify(const RsaPublicKey& key, std::span<const std::uint8_t> message,
 std::optional<std::vector<std::uint8_t>> rsa_encrypt(
     const RsaPublicKey& key, std::span<const std::uint8_t> plaintext);
 
-/// Inverse of rsa_encrypt.
+/// Inverse of rsa_encrypt.  nullopt on a malformed ciphertext or a result
+/// that fails the fault check.
 std::optional<std::vector<std::uint8_t>> rsa_decrypt(
     const RsaKeyPair& key, std::span<const std::uint8_t> ciphertext);
 

@@ -1,6 +1,10 @@
 // BigUInt arithmetic: identities, division correctness, modular algebra,
-// and primality testing.
+// Montgomery exponentiation against a square-and-multiply reference, and
+// primality testing.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "crypto/bigint.hpp"
 #include "crypto/chacha20.hpp"
@@ -235,23 +239,7 @@ TEST(Primality, GeneratePrimeHasRequestedSize) {
   EXPECT_TRUE(is_probable_prime(p, crng));
 }
 
-TEST(BigUInt, KaratsubaMatchesSchoolbookAtAllSizes) {
-  // operator* switches to Karatsuba above ~24 limbs; cross-check against
-  // the reference schoolbook product across the switch-over and beyond,
-  // including asymmetric operand sizes.
-  ChaCha20 crng = make_rng(20);
-  sim::SplitMix64 rng(21);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t bits_a = 32 + rng.next_below(4096);
-    const std::size_t bits_b = 32 + rng.next_below(4096);
-    const BigUInt a = BigUInt::random_bits(bits_a, crng);
-    const BigUInt b = BigUInt::random_bits(bits_b, crng);
-    EXPECT_EQ(a * b, mul_schoolbook(a, b))
-        << "bits_a=" << bits_a << " bits_b=" << bits_b;
-  }
-}
-
-TEST(BigUInt, KaratsubaAlgebraicIdentities) {
+TEST(BigUInt, MultiplicationAlgebraicIdentities) {
   ChaCha20 crng = make_rng(22);
   const BigUInt a = BigUInt::random_bits(3000, crng);
   const BigUInt b = BigUInt::random_bits(2900, crng);
@@ -265,11 +253,73 @@ TEST(BigUInt, KaratsubaAlgebraicIdentities) {
 }
 
 TEST(BigUInt, LargeModExpStillCorrect) {
-  // Fermat on a big prime exercises the Karatsuba path inside mod_exp:
-  // p = 2^521 - 1 (Mersenne).
+  // Fermat on a big prime: p = 2^521 - 1 (Mersenne) has 17 32-bit limbs,
+  // so Montgomery runs with the top 64-bit limb half empty.
   BigUInt p{1};
   p = (p << 521) - BigUInt{1};
   EXPECT_EQ(BigUInt::mod_exp(BigUInt{3}, p - BigUInt{1}, p), BigUInt{1});
+}
+
+// Right-to-left square-and-multiply from operator* and %: the reference
+// every mod_exp path must reproduce.
+BigUInt reference_mod_exp(const BigUInt& base, const BigUInt& exp,
+                          const BigUInt& modulus) {
+  BigUInt result = BigUInt{1} % modulus;
+  BigUInt b = base % modulus;
+  for (std::size_t i = 0; i < exp.bit_length(); ++i) {
+    if (exp.bit(i)) result = (result * b) % modulus;
+    b = (b * b) % modulus;
+  }
+  return result;
+}
+
+BigUInt random_odd(std::size_t bits, ChaCha20& crng) {
+  BigUInt m = BigUInt::random_bits(bits, crng);
+  return m.is_odd() ? m : m + BigUInt{1};  // stays `bits` wide
+}
+
+TEST(BigUInt, ModExpMatchesSquareAndMultiply) {
+  // 96 and 544 bits have an odd count of 32-bit limbs, which leaves the
+  // top 64-bit Montgomery limb half empty.  m + 1 is even, so it takes
+  // the square-and-multiply path instead.
+  ChaCha20 crng = make_rng(30);
+  for (std::size_t bits : {33u, 64u, 96u, 512u, 544u, 1024u, 2048u}) {
+    const int trials = bits > 1024 ? 2 : 8;
+    for (int trial = 0; trial < trials; ++trial) {
+      const BigUInt m = random_odd(bits, crng);
+      const BigUInt base = BigUInt::random_below(m, crng);
+      const BigUInt exp =
+          BigUInt::random_bits(std::min<std::size_t>(bits, 512), crng);
+      for (const BigUInt& modulus : {m, m + BigUInt{1}}) {
+        EXPECT_EQ(BigUInt::mod_exp(base, exp, modulus),
+                  reference_mod_exp(base, exp, modulus))
+            << "bits=" << bits << " trial=" << trial
+            << " modulus=" << modulus.to_hex();
+      }
+    }
+  }
+}
+
+TEST(BigUInt, ModExpHostileOperands) {
+  ChaCha20 crng = make_rng(31);
+  const BigUInt all_ones = (BigUInt{1} << 512) - BigUInt{1};  // saturated
+  for (const BigUInt& m : {BigUInt{3}, random_odd(64, crng),
+                           random_odd(544, crng), all_ones}) {
+    const BigUInt exp = BigUInt::random_bits(200, crng);
+    const BigUInt n_minus_1 = m - BigUInt{1};
+    for (const BigUInt& base :
+         {BigUInt{}, BigUInt{1}, n_minus_1, m, m + BigUInt{1},
+          (m << 700) + BigUInt::random_below(m, crng)}) {
+      SCOPED_TRACE("m=" + m.to_hex() + " base=" + base.to_hex());
+      EXPECT_EQ(BigUInt::mod_exp(base, BigUInt{}, m), BigUInt{1});
+      EXPECT_EQ(BigUInt::mod_exp(base, BigUInt{1}, m), base % m);
+      EXPECT_EQ(BigUInt::mod_exp(base, exp, m),
+                reference_mod_exp(base, exp, m));
+    }
+    // (n - 1)^e is n - 1 for odd e and 1 for even e.
+    EXPECT_EQ(BigUInt::mod_exp(n_minus_1, BigUInt{65537}, m), n_minus_1);
+    EXPECT_EQ(BigUInt::mod_exp(n_minus_1, BigUInt{65536}, m), BigUInt{1});
+  }
 }
 
 }  // namespace

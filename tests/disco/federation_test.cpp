@@ -241,7 +241,9 @@ TEST(Federation, ContributionGossipEarnsShareAtForeignServer) {
 
   // While both users stream, Eq. (2) at B splits rate proportionally to
   // its ledger: S_1 ~ epsilon + gossiped history, S_2 ~ epsilon.  Record
-  // the best concurrent sample.
+  // the best concurrent sample.  A sample taken before both users hold a
+  // granted rate says nothing about the split (it reads 0 or 1), so only
+  // samples where both rates are positive count.
   double best_user1_fraction = 0.0;
   const auto sample_deadline = std::chrono::steady_clock::now() + 30s;
   while (!done1 && !done2 &&
@@ -253,7 +255,7 @@ TEST(Federation, ContributionGossipEarnsShareAtForeignServer) {
       if (share.user_id == 2) rate2 = share.rate_kbps;
       streaming += share.active_sessions;
     }
-    if (streaming >= 2 && rate1 + rate2 > 0.0)
+    if (streaming >= 2 && rate1 > 0.0 && rate2 > 0.0)
       best_user1_fraction =
           std::max(best_user1_fraction, rate1 / (rate1 + rate2));
     std::this_thread::sleep_for(5ms);
