@@ -1,8 +1,8 @@
 #include "coding/codec.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <deque>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -27,18 +27,8 @@ CodecDecoder::CodecDecoder(const SecretKey& secret, const FileInfo& info,
       require_digests_(require_digests),
       map_(info),
       coeffs_(secret, info.file_id, info.params, map_.max_width()) {
-  classes_.reserve(map_.classes());
   for (std::size_t c = 0; c < map_.classes(); ++c)
-    classes_.push_back(ClassState{
-        linalg::ProgressiveSolver(info.params.field, map_.width(c),
-                                  info.params.m),
-        false});
-}
-
-std::size_t CodecDecoder::rank() const {
-  std::size_t sum = 0;
-  for (const ClassState& st : classes_) sum += st.solver.rank();
-  return sum;
+    classes_.emplace_back(info.params.field, map_.width(c), info.params.m);
 }
 
 bool CodecDecoder::eliminate(std::size_t cls, const std::byte* coeffs,
@@ -46,8 +36,12 @@ bool CodecDecoder::eliminate(std::size_t cls, const std::byte* coeffs,
   ClassState& st = classes_[cls];
   const std::uint64_t t0 = eliminate_ns_ ? obs::monotonic_ns() : 0;
   const bool innovative = st.solver.add_row(coeffs, payload);
+  if (innovative) rank_.fetch_add(1, std::memory_order_relaxed);
   if (eliminate_ns_) {
     eliminate_ns_->record(obs::monotonic_ns() - t0);
+    // Increments, not a set of rank(): a set from a thread that read the
+    // total just before a sibling's increment would leave it stale.
+    if (innovative) rank_gauge_->add(1);
     if (!class_rank_.empty())
       class_rank_[cls]->set(static_cast<double>(st.solver.rank()));
   }
@@ -55,34 +49,44 @@ bool CodecDecoder::eliminate(std::size_t cls, const std::byte* coeffs,
 }
 
 void CodecDecoder::mark_complete(std::size_t cls) {
-  assert(!classes_[cls].complete);
-  classes_[cls].complete = true;
-  ++classes_complete_;
+  assert(!classes_[cls].complete.load(std::memory_order_relaxed));
+  classes_[cls].complete.store(true, std::memory_order_release);
+  classes_complete_.fetch_add(1, std::memory_order_acq_rel);
   if (classes_complete_total_) classes_complete_total_->add(1);
 }
 
-void CodecDecoder::run_cascade(std::size_t ready) {
+void CodecDecoder::cascade(std::size_t ready) {
   const auto& f = gf::field_view(info_.params.field);
-  mark_complete(ready);
   std::deque<std::size_t> queue{ready};
   while (!queue.empty()) {
     const std::size_t c = queue.front();
     queue.pop_front();
-    const std::size_t start = map_.start(c);
-    const std::size_t w = map_.width(c);
-    for (std::size_t j = start; j < start + w; ++j) {
-      for (std::size_t d : map_.classes_containing(j)) {
-        if (d == c || classes_[d].complete) continue;
-        // Donate chunk j as the unit row e_{j - start(d)}.  The donor's
-        // chunk pointer stays valid because completed classes never see
-        // another add_row (add() and add_recoded() skip them).
-        std::vector<std::byte> unit(f.row_bytes(map_.width(d)));
-        f.set(unit.data(), j - map_.start(d), 1);
-        eliminate(d, unit.data(), classes_[c].solver.chunk(j - start));
-        if (classes_[d].solver.complete()) {
-          mark_complete(d);
-          queue.push_back(d);
-        }
+    const std::size_t c_start = map_.start(c);
+    const std::size_t c_end = c_start + map_.width(c);
+    // Windows are sorted by start and end, so the classes overlapping c are
+    // the contiguous run from the first holding c's first chunk to the last
+    // holding its last chunk.
+    const std::size_t lo = map_.classes_containing(c_start).front();
+    const std::size_t hi = map_.classes_containing(c_end - 1).back();
+    for (std::size_t d = lo; d <= hi; ++d) {
+      ClassState& to = classes_[d];
+      if (d == c || to.complete.load(std::memory_order_acquire)) continue;
+      const std::size_t d_start = map_.start(d);
+      const std::size_t d_end = d_start + map_.width(d);
+      std::vector<std::byte> unit(f.row_bytes(map_.width(d)));
+      std::lock_guard<std::mutex> lock(to.lock);
+      if (to.complete.load(std::memory_order_relaxed)) continue;
+      // Donate chunk j as the unit row e_{j - start(d)}.  c's chunks are
+      // read without c's lock: a complete class never takes another row.
+      for (std::size_t j = std::max(c_start, d_start);
+           j < std::min(c_end, d_end) && !to.solver.complete(); ++j) {
+        f.set(unit.data(), j - d_start, 1);
+        eliminate(d, unit.data(), classes_[c].solver.chunk(j - c_start));
+        f.set(unit.data(), j - d_start, 0);
+      }
+      if (to.solver.complete()) {
+        mark_complete(d);
+        queue.push_back(d);
       }
     }
   }
@@ -90,26 +94,37 @@ void CodecDecoder::run_cascade(std::size_t ready) {
 
 AddResult CodecDecoder::absorb(std::size_t cls, const std::byte* coeffs,
                                const std::byte* payload) {
-  const bool innovative = eliminate(cls, coeffs, payload);
-  if (classes_[cls].solver.complete()) run_cascade(cls);
-  if (rank_gauge_) rank_gauge_->set(static_cast<double>(rank()));
+  ClassState& st = classes_[cls];
+  bool innovative = false;
+  bool completed = false;
+  {
+    std::lock_guard<std::mutex> lock(st.lock);
+    // A sibling may have completed the class since the caller looked.
+    if (!st.complete.load(std::memory_order_relaxed)) {
+      innovative = eliminate(cls, coeffs, payload);
+      completed = st.solver.complete();
+      if (completed) mark_complete(cls);
+    }
+  }
+  if (completed) cascade(cls);
   if (!innovative) {
-    ++non_innovative_;
+    non_innovative_.fetch_add(1, std::memory_order_relaxed);
     return AddResult::non_innovative;
   }
-  ++accepted_;
+  accepted_.fetch_add(1, std::memory_order_relaxed);
   return AddResult::accepted;
 }
 
 AddResult CodecDecoder::add(const EncodedMessage& message) {
   if (complete()) return AddResult::already_complete;
   const AddResult verdict = authenticate(info_, require_digests_, message);
-  if (verdict == AddResult::bad_digest) ++rejected_auth_;
+  if (verdict == AddResult::bad_digest)
+    rejected_auth_.fetch_add(1, std::memory_order_relaxed);
   if (verdict != AddResult::accepted) return verdict;
 
   const std::size_t cls = map_.class_of(message.message_id);
-  if (classes_[cls].complete) {
-    ++non_innovative_;
+  if (classes_[cls].complete.load(std::memory_order_acquire)) {
+    non_innovative_.fetch_add(1, std::memory_order_relaxed);
     return AddResult::non_innovative;
   }
   const std::vector<std::byte> row =
@@ -123,19 +138,19 @@ AddResult CodecDecoder::add_recoded(const RecodedMessage& message) {
   if (message.payload.size() != info_.params.message_bytes())
     return AddResult::bad_size;
   if (message.combination.empty()) {
-    ++rejected_auth_;
+    rejected_auth_.fetch_add(1, std::memory_order_relaxed);
     return AddResult::bad_digest;
   }
   const std::size_t cls = map_.class_of(message.combination.front().first);
   for (const auto& [mid, alpha] : message.combination) {
     (void)alpha;
     if (map_.class_of(mid) != cls) {  // cross-class: malformed
-      ++rejected_auth_;
+      rejected_auth_.fetch_add(1, std::memory_order_relaxed);
       return AddResult::bad_digest;
     }
   }
-  if (classes_[cls].complete) {
-    ++non_innovative_;
+  if (classes_[cls].complete.load(std::memory_order_acquire)) {
+    non_innovative_.fetch_add(1, std::memory_order_relaxed);
     return AddResult::non_innovative;
   }
 
@@ -164,7 +179,7 @@ void CodecDecoder::enable_metrics(obs::MetricsRegistry& registry,
   classes_complete_total_ = &registry.counter(
       "fairshare_chunked_classes_complete_total", {{"file", file},
                                                    {"user", user}});
-  classes_complete_total_->add(classes_complete_);
+  classes_complete_total_->add(classes_complete());
   class_rank_.resize(map_.classes());
   for (std::size_t c = 0; c < map_.classes(); ++c) {
     class_rank_[c] = &registry.gauge(

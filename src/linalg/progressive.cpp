@@ -56,7 +56,6 @@ ProgressiveSolver::ProgressiveSolver(gf::FieldId field, std::size_t k,
   // O(m k^2) hot path).
   payload_offset_ = (coeff_bytes + 63) / 64 * 64;
   row_bytes_ = payload_offset_ + f.row_bytes(m_);
-  total_ = k_ + m_;
   rows_.assign(k_ * row_bytes_, std::byte{0});
   used_.assign(k_, false);
   scratch_.assign(row_bytes_, std::byte{0});
@@ -65,8 +64,10 @@ ProgressiveSolver::ProgressiveSolver(gf::FieldId field, std::size_t k,
 bool ProgressiveSolver::add_row(const std::byte* coeffs,
                                 const std::byte* payload) {
   const auto& f = gf::field_view(field_);
-  std::memset(scratch_.data(), 0, row_bytes_);
-  std::memcpy(scratch_.data(), coeffs, f.row_bytes(k_));
+  const std::size_t coeff_bytes = f.row_bytes(k_);
+  // The two copies cover the whole row but the alignment gap between them.
+  std::memcpy(scratch_.data(), coeffs, coeff_bytes);
+  std::memset(scratch_.data() + coeff_bytes, 0, payload_offset_ - coeff_bytes);
   std::memcpy(scratch_.data() + payload_offset_, payload, f.row_bytes(m_));
 
   // Forward-reduce the incoming row against every stored pivot row.

@@ -83,7 +83,6 @@ class ProgressiveSolver {
   gf::FieldId field_;
   std::size_t k_;
   std::size_t m_;
-  std::size_t total_;      // k + m symbols per stored row
   std::size_t row_bytes_;  // bytes of one packed [coeffs|payload] row
   std::size_t payload_offset_;  // byte offset of payload within a row
   std::size_t filled_ = 0;

@@ -95,7 +95,6 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
   // chunked files the per-class decoder; the download loop is identical.
   coding::CodecDecoder decoder(secret, info);
   decoder.enable_metrics(registry, options.user_id);
-  std::mutex decoder_mutex;
   std::atomic<bool> done{false};
   // Completion broadcast: sessions parked in a retry backoff wake the
   // moment a sibling finishes the decode, instead of sleeping it out.
@@ -185,7 +184,6 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
         pi.rejected->add(1);
         continue;
       }
-      std::lock_guard<std::mutex> lock(decoder_mutex);
       if (decoder.complete()) break;
       switch (decoder.add(*msg)) {
         case coding::AddResult::accepted:

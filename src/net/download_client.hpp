@@ -1,7 +1,11 @@
 // The user's download client: opens one authenticated TCP session per
-// peer, pulls coded messages from all of them in parallel, feeds a shared
-// decoder, and sends stop the instant rank k is reached (Section III-B
-// over real sockets).
+// peer, pulls coded messages from all of them in parallel, and sends stop
+// the instant rank k is reached (Section III-B over real sockets).  Every
+// session feeds the one shared decoder directly, with no client-side lock:
+// it checks each message's MD5 and regenerates its coefficient row on its
+// own thread, and holds only the lock of the message's class while it
+// eliminates, so sessions whose messages land in different classes decode
+// in parallel (coding/codec.hpp).
 //
 // Failure model: a peer that refuses the connection, dies mid-handshake,
 // or resets mid-stream is retried with exponential backoff + deterministic

@@ -1,15 +1,17 @@
 // Overlapping-class codec (coding/chunked.hpp): class-map geometry and
 // schedule invariants, bit-exact agreement with the dense codec, the
 // donation cascade under in-order / shuffled / recoded delivery, the one
-// decoder under both codecs' FileInfo, and the registry wiring for the
-// chunked metrics.
+// decoder under both codecs' FileInfo, the registry wiring for the
+// chunked metrics, and several threads feeding one decoder at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <latch>
 #include <map>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -486,6 +488,118 @@ TEST(Chunked, MetricsMirrorDecoderState) {
     EXPECT_EQ(h.snap.count, decoder.rank());
   }
   EXPECT_TRUE(saw_hist);
+}
+
+// ---------------------------------------------------------- concurrency
+
+// Three threads feed one decoder at once, each its own seeded shuffle of a
+// distinct k-message share of the file, with duplicates of some of its
+// messages and a few copies whose payload was corrupted.  Whatever the
+// interleaving, the file must come back byte-exact, and the decoder's
+// counters, the registry and the threads' tallies of the AddResults they
+// were handed must all agree.
+void check_concurrent_feed(CodecKind codec, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "codec=" << to_string(codec)
+                                    << " seed=" << seed);
+  constexpr std::size_t kThreads = 3;
+  const CodingParams params{gf::FieldId::gf2_32, 256};  // 1 KiB chunks
+  const auto data = random_data(64 * 1024 - 100, seed);  // k = 64
+  const auto key = secret(12);
+  const std::uint64_t file_id = 49 + seed;
+  std::vector<EncodedMessage> pool;
+  FileInfo info;
+  if (codec == CodecKind::dense) {
+    FileEncoder encoder(key, file_id, data, params);
+    pool = encoder.generate(kThreads * encoder.k());
+    info = encoder.info();
+  } else {
+    chunked::Encoder encoder(key, file_id, data, params,
+                             schedule(16, 4, seed));
+    pool = encoder.generate(kThreads * encoder.k());
+    info = encoder.info();
+  }
+  const std::size_t k = info.k;
+  const chunked::ClassMap map(info);
+  ASSERT_EQ(map.classes(), codec == CodecKind::dense ? 1u : 5u);
+
+  std::vector<std::vector<EncodedMessage>> feeds(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    sim::SplitMix64 rng(seed * 1000 + t);
+    auto& feed = feeds[t];
+    feed.assign(pool.begin() + t * k, pool.begin() + (t + 1) * k);
+    for (std::size_t i = 0; i < k; i += 4) feed.push_back(feed[i]);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EncodedMessage bad = feed[rng.next_below(k)];
+      bad.payload[rng.next_below(bad.payload.size())] ^= std::byte{0x5a};
+      feed.push_back(std::move(bad));
+    }
+    for (std::size_t i = feed.size(); i > 1; --i)
+      std::swap(feed[i - 1], feed[rng.next_below(i)]);
+  }
+
+  obs::MetricsRegistry registry;
+  CodecDecoder decoder(key, info);
+  decoder.enable_metrics(registry, /*user_id=*/3);
+  using Tally = std::array<std::size_t, 6>;  // indexed by AddResult
+  std::vector<Tally> tallies(kThreads, Tally{});
+  {
+    std::latch start(kThreads);
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (const EncodedMessage& msg : feeds[t])
+          ++tallies[t][static_cast<std::size_t>(decoder.add(msg))];
+      });
+  }
+
+  ASSERT_TRUE(decoder.complete());
+  EXPECT_EQ(decoder.reconstruct(), data);
+  std::size_t width_sum = 0;
+  for (std::size_t c = 0; c < map.classes(); ++c) width_sum += map.width(c);
+  EXPECT_EQ(decoder.rank(), width_sum);
+
+  Tally total{};
+  std::size_t fed = 0;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    fed += feeds[t].size();
+    for (std::size_t r = 0; r < total.size(); ++r) total[r] += tallies[t][r];
+  }
+  std::size_t returned = 0;
+  for (std::size_t n : total) returned += n;
+  EXPECT_EQ(returned, fed);
+  const auto count = [&](AddResult r) {
+    return total[static_cast<std::size_t>(r)];
+  };
+  EXPECT_EQ(decoder.accepted(), count(AddResult::accepted));
+  EXPECT_EQ(decoder.non_innovative(), count(AddResult::non_innovative));
+  EXPECT_EQ(decoder.rejected_auth(), count(AddResult::bad_digest));
+  EXPECT_EQ(count(AddResult::wrong_file), 0u);
+  EXPECT_EQ(count(AddResult::bad_size), 0u);
+  EXPECT_GE(decoder.accepted(), k);
+
+  bool saw_rank = false;
+  for (const auto& g : registry.snapshot().gauges) {
+    if (g.name != "fairshare_decoder_rank") continue;
+    saw_rank = true;
+    EXPECT_EQ(g.value, static_cast<double>(decoder.rank()));
+  }
+  EXPECT_TRUE(saw_rank);
+  if (codec == CodecKind::chunked) {
+    EXPECT_EQ(
+        registry.counter_total("fairshare_chunked_classes_complete_total"),
+        decoder.classes_complete());
+  }
+}
+
+TEST(Chunked, ConcurrentFeedersAgreeWithDecoder) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed)
+    check_concurrent_feed(CodecKind::chunked, seed);
+}
+
+TEST(CodecDecoder, ConcurrentFeedersAgreeOnDenseFile) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed)
+    check_concurrent_feed(CodecKind::dense, seed);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "crypto/md5.hpp"
+#include "crypto/sha256.hpp"
 
 namespace fairshare::crypto {
 namespace {
@@ -23,6 +25,24 @@ TEST(Md5, Rfc1321TestSuite) {
   EXPECT_EQ(md5_hex("1234567890123456789012345678901234567890123456789012345"
                     "6789012345678901234567890"),
             "57edf4a22be3c955ac49da2e2107b67a");
+}
+
+TEST(Md5, GoldenDigestsAcrossLengths) {
+  // Pins the block function bit for bit: the digest of a fixed byte
+  // pattern at every length from 0 to 300 (every padding case, up to five
+  // blocks) and at one 128 KiB coded-message payload, folded into one
+  // SHA-256.  The value was recorded from the table-driven round loop the
+  // unrolled one replaced.
+  std::vector<std::uint8_t> pattern(131072);
+  for (std::size_t i = 0; i < pattern.size(); ++i)
+    pattern[i] = static_cast<std::uint8_t>(i * 167 + (i >> 8) + 13);
+  Sha256 fold;
+  for (std::size_t len = 0; len <= 300; ++len)
+    fold.update(Md5::hash(std::span<const std::uint8_t>(pattern.data(), len)));
+  fold.update(Md5::hash(std::span<const std::uint8_t>(pattern)));
+  EXPECT_EQ(to_hex(fold.finish()),
+            "3fce5bad57527f5d45479ed789125f81"
+            "2c3210a746c7c80f5d30864bc2913d98");
 }
 
 TEST(Md5, IncrementalMatchesOneShot) {

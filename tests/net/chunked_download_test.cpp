@@ -1,7 +1,8 @@
 // End-to-end chunked downloads: a chunked FileInfo selects the
 // overlapping-class decoder inside download_file, and the file arrives
 // intact over the reactor's zero-copy scatter-gather serve path, from a
-// verbatim store and from an encode-on-demand MessageStore source.
+// verbatim store, from an encode-on-demand MessageStore source, and from
+// three servers whose sessions feed the one decoder at once.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -135,6 +136,55 @@ TEST(ChunkedDownload, EncodeOnDemandSourceServesChunkedSymbols) {
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.data, fx.data);
   EXPECT_GE(report.messages_accepted, fx.encoder->k());
+}
+
+TEST(ChunkedDownload, ThreeServersFeedOneDecoderConcurrently) {
+  // Each server holds a distinct k-message share of one multi-class file,
+  // so the three sessions' messages land in every class and the sessions
+  // verify and eliminate side by side, with no client-side decoder lock.
+  Fixture fx;
+  constexpr std::size_t kServers = 3;
+  const std::size_t k = fx.encoder->k();
+  const auto pool = fx.encoder->generate(kServers * k);
+  const coding::FileInfo info = fx.encoder->info();
+  ASSERT_GT(fx.encoder->class_map().classes(), 2u);
+
+  std::vector<std::unique_ptr<PeerServer>> servers;
+  std::vector<PeerEndpoint> peers;
+  for (std::size_t s = 0; s < kServers; ++s) {
+    p2p::MessageStore store;
+    for (std::size_t i = s * k; i < (s + 1) * k; ++i)
+      store.store(coding::EncodedMessage(pool[i]));
+    PeerServer::Config config;
+    config.require_auth = false;
+    servers.push_back(std::make_unique<PeerServer>(config, std::move(store)));
+    ASSERT_TRUE(servers.back()->start());
+    PeerEndpoint ep;
+    ep.port = servers.back()->port();
+    ep.peer_id = s + 1;
+    peers.push_back(ep);
+  }
+
+  obs::MetricsRegistry registry;
+  DownloadOptions options;
+  options.user_id = 9;
+  options.registry = &registry;
+  const DownloadReport report =
+      download_file(peers, fx.secret, info, options);
+  for (auto& server : servers) server->stop();
+
+  ASSERT_TRUE(report.success);
+  EXPECT_EQ(report.data, fx.data);
+  ASSERT_EQ(report.per_peer.size(), kServers);
+  std::size_t per_peer_accepted = 0;
+  for (const PeerDownloadStats& ps : report.per_peer)
+    per_peer_accepted += ps.messages_accepted;
+  EXPECT_EQ(report.messages_accepted, per_peer_accepted);
+  EXPECT_GE(report.messages_accepted, k);
+  EXPECT_EQ(report.messages_rejected, 0u);
+  EXPECT_EQ(
+      registry.counter_total("fairshare_client_messages_innovative_total"),
+      report.messages_accepted);
 }
 
 }  // namespace
