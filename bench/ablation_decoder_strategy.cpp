@@ -1,11 +1,15 @@
-// Ablation A8: progressive elimination vs the paper's literal batch
-// decode (collect k, invert the sub-matrix, multiply).
+// Ablation A8: the decoder (coefficient elimination on arrival, then one
+// blocked product) vs the paper's literal batch decode (collect k, invert
+// the sub-matrix, multiply).
 //
-// Total work is the same order, but the *latency* profiles differ: the
-// progressive decoder spreads its O(m k^2) across message arrivals, so the
-// residual work after the last message lands is one row's worth; the batch
-// decoder does everything at the end.  For streaming (Section III-D) the
-// post-arrival latency is what the user feels.
+// Total work is the same order, but the *latency* profiles differ.  The
+// decoder reduces each message's k-symbol coefficient row as it arrives,
+// so by the last arrival the inverse is built; what remains is the
+// O(m k^2) product X = T * Y, run cache-blocked on prepared scalars (on
+// every download session at once in net::download_file, on one thread
+// here).  The batch decoder does the whole inversion and the product at
+// the end.  For streaming (Section III-D) the post-arrival latency is
+// what the user feels.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -49,7 +53,7 @@ int main() {
     const std::size_t k = encoder.k();
     const auto messages = encoder.generate(k);
 
-    // Progressive: total time and "tail" (work after the last arrival).
+    // The decoder: total time and "tail" (work after the last arrival).
     auto t0 = std::chrono::steady_clock::now();
     coding::CodecDecoder progressive(secret, encoder.info());
     for (std::size_t i = 0; i + 1 < messages.size(); ++i)
@@ -74,13 +78,13 @@ int main() {
     std::printf("%s,%zu,%zu,%.4f,%.4f,%.4f\n",
                 std::string(gf::field_name(field)).c_str(), m, k, prog_total,
                 prog_tail, batch_tail);
-    if (prog_tail > 0.5 * batch_tail) tail_wins_everywhere = false;
+    if (prog_tail >= batch_tail) tail_wins_everywhere = false;
     if (prog_total > 3.0 * batch_tail) totals_comparable = false;
   }
 
   bench::shape_check(tail_wins_everywhere,
-                     "progressive decoding leaves <50% of the batch "
-                     "decoder's work for after the last message arrives "
+                     "eliminating coefficients on arrival leaves less work "
+                     "for after the last message than batch inversion does "
                      "(lower user-felt latency)");
   bench::shape_check(totals_comparable,
                      "total work stays within ~3x of batch inversion (same "

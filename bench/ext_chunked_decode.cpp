@@ -15,9 +15,10 @@
 // produce a measurable stream, the decoder is fed synthetic messages —
 // sequential ids whose coefficient rows come from the real secret-keyed
 // ChaCha generator, over one shared payload buffer — with digest checks
-// relaxed.  Elimination cost depends only on the coefficient rows, never
-// on payload content, so the timings match a real stream while setup
-// stays O(file size).
+// relaxed.  Decode cost depends only on the coefficient rows, never on
+// payload content, so the timings match a real stream while setup stays
+// O(file size).  The timed region ends after reconstruct(), so it covers
+// the whole decode whatever share of it runs after the last arrival.
 //
 // Wired into BENCH_kernels.json by the bench_baseline target as two
 // sections: runs.chunked_decode (10/100 MB, refreshed and compared in
@@ -89,6 +90,7 @@ void run_decode(benchmark::State& state, coding::CodecKind codec) {
       decoder.add(msg);
       ++consumed;
     }
+    benchmark::DoNotOptimize(decoder.reconstruct());
     classes = decoder.class_map().classes();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *

@@ -48,8 +48,11 @@ CellResult run_cell(gf::FieldId field, std::size_t m,
   t0 = std::chrono::steady_clock::now();
   coding::CodecDecoder decoder(secret, encoder.info());
   for (const auto& msg : messages) decoder.add(msg);
+  const bool complete = decoder.complete();
+  const std::vector<std::byte> decoded =
+      complete ? decoder.reconstruct() : std::vector<std::byte>{};
   const double decode_s = seconds_since(t0);
-  if (!decoder.complete() || decoder.reconstruct() != data) {
+  if (!complete || decoded != data) {
     std::fprintf(stderr, "decode mismatch at %s m=%zu\n",
                  std::string(gf::field_name(field)).c_str(), m);
     std::exit(1);

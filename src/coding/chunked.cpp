@@ -134,39 +134,63 @@ Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
 }
 
 EncodedMessage Encoder::next_message() {
-  const CodingParams& params = info_.params;
-  const auto& f = gf::field_view(params.field);
-  for (;;) {
-    const std::uint64_t candidate = next_id_++;
-    const std::size_t cls = map_.class_of(candidate);
-    const std::size_t w = map_.width(cls);
-    const std::vector<std::uint64_t> symbols = coeffs_.row_symbols(candidate);
-    const std::span<const std::uint64_t> row(symbols.data(), w);
-    if (!batch_rank_[cls].add_row(row)) continue;  // dependent; skip this id
-    if (batch_rank_[cls].full())
-      batch_rank_[cls] = linalg::IncrementalRank(params.field, w);
-
-    EncodedMessage msg;
-    msg.file_id = info_.file_id;
-    msg.message_id = candidate;
-    msg.payload.assign(chunk_bytes_, std::byte{0});
-    const std::size_t start = map_.start(cls);
-    for (std::size_t j = 0; j < w; ++j) {
-      if (symbols[j] != 0)
-        f.axpy(msg.payload.data(),
-               chunks_.data() + (start + j) * chunk_bytes_, symbols[j],
-               params.m);
-    }
-    info_.message_digests.emplace(candidate, msg.digest());
-    ++generated_;
-    return msg;
-  }
+  return std::move(generate(1).front());
 }
 
 std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
-  std::vector<EncodedMessage> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(next_message());
+  const CodingParams& params = info_.params;
+  const auto& f = gf::field_view(params.field);
+  std::vector<EncodedMessage> out(count);
+  std::vector<std::vector<std::byte>> rows(count);  // packed, class width
+  std::vector<std::vector<std::size_t>> by_class(map_.classes());
+  std::vector<std::uint64_t> symbols;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::size_t cls;
+    for (;;) {
+      const std::uint64_t candidate = next_id_++;
+      cls = map_.class_of(candidate);
+      const std::size_t w = map_.width(cls);
+      rows[i] = coeffs_.row(candidate, w);
+      symbols.resize(w);
+      for (std::size_t j = 0; j < w; ++j) symbols[j] = f.get(rows[i].data(), j);
+      if (!batch_rank_[cls].add_row(symbols)) continue;  // dependent; skip id
+      if (batch_rank_[cls].full())
+        batch_rank_[cls] = linalg::IncrementalRank(params.field, w);
+      out[i].message_id = candidate;
+      break;
+    }
+    out[i].file_id = info_.file_id;
+    out[i].payload.resize(chunk_bytes_);
+    by_class[cls].push_back(i);
+  }
+
+  // Y = B X per class: the class's chunks are the sources of one row-block
+  // product whose outputs are its new messages, cut into blocks small
+  // enough to prepare every scalar.
+  for (std::size_t cls = 0; cls < map_.classes(); ++cls) {
+    const std::size_t w = map_.width(cls);
+    std::vector<const std::byte*> src(w);
+    for (std::size_t j = 0; j < w; ++j)
+      src[j] = chunks_.data() + (map_.start(cls) + j) * chunk_bytes_;
+    const std::vector<std::size_t>& members = by_class[cls];
+    const std::size_t per_block = std::max<std::size_t>(
+        1, gf::RowBlock::kMaxPrepared / w);
+    for (std::size_t first = 0; first < members.size(); first += per_block) {
+      const std::size_t last = std::min(members.size(), first + per_block);
+      std::vector<const std::byte*> coeffs;
+      std::vector<std::byte*> dst;
+      for (std::size_t n = first; n < last; ++n) {
+        coeffs.push_back(rows[members[n]].data());
+        dst.push_back(out[members[n]].payload.data());
+      }
+      const gf::RowBlock block(f, std::move(coeffs), w);
+      f.row_block_product(block, dst.data(), src.data(), 0, chunk_bytes_);
+    }
+  }
+
+  for (const EncodedMessage& msg : out)
+    info_.message_digests.emplace(msg.message_id, msg.digest());
+  generated_ += count;
   return out;
 }
 

@@ -9,12 +9,13 @@
 // construction of Silva, Zeng & Kschischang (arXiv:0905.2796) and expander
 // chunked codes (arXiv:1307.5664), a chunked file draws every coded message
 // over one small *class* of `class_size` consecutive chunks; adjacent
-// classes share `overlap` chunks.  Decoding runs an independent progressive
-// elimination per class — O(class_size^2) rows of m symbols each, so total
-// work is O(k * class_size * m): linear in file size for fixed class
-// geometry — and completed classes donate their decoded overlap chunks to
-// incomplete neighbours as unit rows, a back-substitution cascade that
-// rescues classes short on direct messages.
+// classes share `overlap` chunks.  Each class is an independent system:
+// decoding eliminates its coefficient rows and then applies the inverse to
+// its payloads, O(class_size^2) scalars times m symbols, so total work is
+// O(k * class_size * m): linear in file size for fixed class geometry.
+// Completed classes donate their overlap chunks to incomplete neighbours
+// as unit rows, a back-substitution cascade that rescues classes short on
+// direct messages (codec.hpp).
 //
 // The dense code is this construction's one-class case: a dense FileInfo
 // maps to a single class of width k (ClassMap), so one class screens,
@@ -125,7 +126,10 @@ class Encoder {
   EncodedMessage next_message();
 
   /// Generate the next `count` messages.  The paper uploads n*k messages
-  /// total, k per peer.
+  /// total, k per peer.  Ids are screened one at a time, exactly as
+  /// next_message() would; then each class's new payloads come from one
+  /// row-block product over the class's chunks (gf/row_ops.hpp), and
+  /// next_message() is the one-message case.
   std::vector<EncodedMessage> generate(std::size_t count);
 
   /// Message ids examined so far (accepted + skipped); the skip rate is

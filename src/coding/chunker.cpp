@@ -38,6 +38,7 @@ ChunkedDecoder::ChunkedDecoder(const SecretKey& secret,
                                bool require_digests)
     : info_(info) {
   decoders_.reserve(info.units.size());
+  decoded_.resize(info.units.size());
   for (const auto& unit : info.units)
     decoders_.push_back(
         std::make_unique<CodecDecoder>(secret, unit, require_digests));
@@ -64,11 +65,12 @@ std::size_t ChunkedDecoder::next_needed_unit() const {
   return decoders_.size();
 }
 
-std::vector<std::byte> ChunkedDecoder::unit_data(std::size_t i) const {
-  return decoders_[i]->reconstruct();
+std::vector<std::byte> ChunkedDecoder::unit_data(std::size_t i) {
+  if (!decoded_[i]) decoded_[i] = decoders_[i]->reconstruct();
+  return *decoded_[i];
 }
 
-std::vector<std::byte> ChunkedDecoder::reconstruct() const {
+std::vector<std::byte> ChunkedDecoder::reconstruct() {
   std::vector<std::byte> out;
   out.reserve(info_.total_bytes);
   for (std::size_t i = 0; i < decoders_.size(); ++i) {

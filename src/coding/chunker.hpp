@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -71,14 +72,16 @@ class ChunkedDecoder {
   /// streaming consumer can hand units [0, next_needed_unit()) to playback.
   std::size_t next_needed_unit() const;
 
-  /// Decoded bytes of one completed unit.
-  std::vector<std::byte> unit_data(std::size_t i) const;
+  /// Decoded bytes of one completed unit.  The first call takes the unit
+  /// out of its decoder; later calls return the kept copy.
+  std::vector<std::byte> unit_data(std::size_t i);
   /// Whole file.  Precondition: complete().
-  std::vector<std::byte> reconstruct() const;
+  std::vector<std::byte> reconstruct();
 
  private:
   ChunkedFileInfo info_;
   std::vector<std::unique_ptr<CodecDecoder>> decoders_;
+  std::vector<std::optional<std::vector<std::byte>>> decoded_;  // per unit
 };
 
 }  // namespace fairshare::coding

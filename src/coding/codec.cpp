@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -21,24 +22,51 @@ AddResult authenticate(const FileInfo& info, bool require_digests,
                                         : AddResult::bad_digest;
 }
 
+namespace {
+
+// Bytes of payload one strip of the solve covers: every class's sources for
+// one strip (64 x 8 KiB for a 64-wide class) stay in a core's L2, and a
+// 128 KiB message splits into 16 strips for the session threads to share.
+constexpr std::size_t kStripBytes = 8192;
+
+}  // namespace
+
+CodecDecoder::ClassState::ClassState(gf::FieldId field, std::size_t width,
+                                     std::size_t chunk_bytes)
+    : solver(field, width, width),
+      weight(gf::field_view(field).row_bytes(width)),
+      rows(width),
+      donated(width, kRaw) {
+  // Allocated with the decoder but never zero-filled: a slot's pages fault
+  // when a session copies its row in, and donated slots are never touched.
+  for (auto& slot : rows)
+    slot = std::make_unique_for_overwrite<std::byte[]>(chunk_bytes);
+}
+
 CodecDecoder::CodecDecoder(const SecretKey& secret, const FileInfo& info,
                            bool require_digests)
     : info_(info),
       require_digests_(require_digests),
       map_(info),
-      coeffs_(secret, info.file_id, info.params, map_.max_width()) {
+      chunk_bytes_(info.params.message_bytes()),
+      strips_((chunk_bytes_ + kStripBytes - 1) / kStripBytes),
+      coeffs_(secret, info.file_id, info.params, map_.max_width()),
+      order_(map_.classes()) {
   for (std::size_t c = 0; c < map_.classes(); ++c)
-    classes_.emplace_back(info.params.field, map_.width(c), info.params.m);
+    classes_.emplace_back(info.params.field, map_.width(c), chunk_bytes_);
 }
 
-bool CodecDecoder::eliminate(std::size_t cls, const std::byte* coeffs,
-                             const std::byte* payload) {
+bool CodecDecoder::eliminate(std::size_t cls, const std::byte* coeffs) {
   ClassState& st = classes_[cls];
+  const auto& f = gf::field_view(info_.params.field);
+  const std::size_t slot = st.solver.rank();
+  f.set(st.weight.data(), slot, 1);
   const std::uint64_t t0 = eliminate_ns_ ? obs::monotonic_ns() : 0;
-  const bool innovative = st.solver.add_row(coeffs, payload);
+  const bool innovative = st.solver.add_row(coeffs, st.weight.data());
+  if (eliminate_ns_) eliminate_ns_->record(obs::monotonic_ns() - t0);
+  f.set(st.weight.data(), slot, 0);
   if (innovative) rank_.fetch_add(1, std::memory_order_relaxed);
   if (eliminate_ns_) {
-    eliminate_ns_->record(obs::monotonic_ns() - t0);
     // Increments, not a set of rank(): a set from a thread that read the
     // total just before a sibling's increment would leave it stale.
     if (innovative) rank_gauge_->add(1);
@@ -49,18 +77,24 @@ bool CodecDecoder::eliminate(std::size_t cls, const std::byte* coeffs,
 }
 
 void CodecDecoder::mark_complete(std::size_t cls) {
-  assert(!classes_[cls].complete.load(std::memory_order_relaxed));
-  classes_[cls].complete.store(true, std::memory_order_release);
+  ClassState& st = classes_[cls];
+  assert(!st.complete.load(std::memory_order_relaxed));
+  st.complete.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(order_lock_);
+    st.position = completed_;
+    order_[completed_++] = cls;
+  }
+  // Release: whoever reads the final count sees every order_ entry.
   classes_complete_.fetch_add(1, std::memory_order_acq_rel);
   if (classes_complete_total_) classes_complete_total_->add(1);
 }
 
 void CodecDecoder::cascade(std::size_t ready) {
   const auto& f = gf::field_view(info_.params.field);
-  std::deque<std::size_t> queue{ready};
-  while (!queue.empty()) {
-    const std::size_t c = queue.front();
-    queue.pop_front();
+  std::vector<std::size_t> completed{ready};
+  for (std::size_t next = 0; next < completed.size(); ++next) {
+    const std::size_t c = completed[next];
     const std::size_t c_start = map_.start(c);
     const std::size_t c_end = c_start + map_.width(c);
     // Windows are sorted by start and end, so the classes overlapping c are
@@ -76,19 +110,87 @@ void CodecDecoder::cascade(std::size_t ready) {
       std::vector<std::byte> unit(f.row_bytes(map_.width(d)));
       std::lock_guard<std::mutex> lock(to.lock);
       if (to.complete.load(std::memory_order_relaxed)) continue;
-      // Donate chunk j as the unit row e_{j - start(d)}.  c's chunks are
-      // read without c's lock: a complete class never takes another row.
+      // Donate chunk j as the unit row e_{j - start(d)}: its source is
+      // chunk j of the output, which c (or a class before it) computes.
       for (std::size_t j = std::max(c_start, d_start);
            j < std::min(c_end, d_end) && !to.solver.complete(); ++j) {
         f.set(unit.data(), j - d_start, 1);
-        eliminate(d, unit.data(), classes_[c].solver.chunk(j - c_start));
+        const std::size_t slot = to.solver.rank();
+        if (eliminate(d, unit.data())) to.donated[slot] = j;
         f.set(unit.data(), j - d_start, 0);
       }
       if (to.solver.complete()) {
         mark_complete(d);
-        queue.push_back(d);
+        completed.push_back(d);
       }
     }
+  }
+  // Planning prepares every scalar of a class; it runs after the cascade,
+  // so neighbours complete (and sessions may stop) without waiting on it.
+  for (const std::size_t c : completed) plan(c);
+}
+
+void CodecDecoder::claim_file() {
+  if (file_claimed_.load(std::memory_order_relaxed) ||
+      file_claimed_.exchange(true, std::memory_order_relaxed))
+    return;
+  make_file();
+}
+
+void CodecDecoder::make_file() {
+  std::call_once(file_made_, [this] { file_.resize(map_.k() * chunk_bytes_); });
+}
+
+void CodecDecoder::plan(std::size_t cls) {
+  ClassState& st = classes_[cls];
+  std::call_once(st.planned, [&] {
+    assert(st.complete.load(std::memory_order_acquire));
+    make_file();
+    std::vector<std::size_t> earlier;
+    {
+      std::lock_guard<std::mutex> lock(order_lock_);
+      earlier.assign(order_.begin(), order_.begin() + st.position);
+    }
+    const std::size_t start = map_.start(cls);
+    const std::size_t w = map_.width(cls);
+    Plan& p = st.plan;
+    std::vector<const std::byte*> t_rows;
+    for (std::size_t j = start; j < start + w; ++j) {
+      const bool computed = std::any_of(
+          earlier.begin(), earlier.end(),
+          [&](std::size_t e) { return map_.contains(e, j); });
+      if (computed) continue;
+      p.dst.push_back(file_.data() + j * chunk_bytes_);
+      t_rows.push_back(st.solver.chunk(j - start));
+    }
+    for (std::size_t slot = 0; slot < w; ++slot)
+      p.src.push_back(st.donated[slot] == kRaw
+                          ? st.rows[slot].get()
+                          : file_.data() + st.donated[slot] * chunk_bytes_);
+    p.block.emplace(gf::field_view(info_.params.field), std::move(t_rows), w);
+  });
+}
+
+void CodecDecoder::run_strip(std::size_t s) {
+  const auto& f = gf::field_view(info_.params.field);
+  const std::uint64_t t0 = solve_ns_ ? obs::monotonic_ns() : 0;
+  const std::size_t begin = s * kStripBytes;
+  const std::size_t end = std::min(begin + kStripBytes, chunk_bytes_);
+  for (const std::size_t c : order_) {
+    plan(c);
+    const Plan& p = classes_[c].plan;
+    if (!p.dst.empty())
+      f.row_block_product(*p.block, p.dst.data(), p.src.data(), begin, end);
+  }
+  if (solve_ns_) solve_ns_->record(obs::monotonic_ns() - t0);
+}
+
+void CodecDecoder::solve() {
+  if (!complete()) return;
+  for (;;) {
+    const std::size_t s = next_strip_.fetch_add(1, std::memory_order_relaxed);
+    if (s >= strips_) return;
+    run_strip(s);
   }
 }
 
@@ -101,7 +203,9 @@ AddResult CodecDecoder::absorb(std::size_t cls, const std::byte* coeffs,
     std::lock_guard<std::mutex> lock(st.lock);
     // A sibling may have completed the class since the caller looked.
     if (!st.complete.load(std::memory_order_relaxed)) {
-      innovative = eliminate(cls, coeffs, payload);
+      const std::size_t slot = st.solver.rank();
+      innovative = eliminate(cls, coeffs);
+      if (innovative) std::memcpy(st.rows[slot].get(), payload, chunk_bytes_);
       completed = st.solver.complete();
       if (completed) mark_complete(cls);
     }
@@ -117,6 +221,7 @@ AddResult CodecDecoder::absorb(std::size_t cls, const std::byte* coeffs,
 
 AddResult CodecDecoder::add(const EncodedMessage& message) {
   if (complete()) return AddResult::already_complete;
+  claim_file();
   const AddResult verdict = authenticate(info_, require_digests_, message);
   if (verdict == AddResult::bad_digest)
     rejected_auth_.fetch_add(1, std::memory_order_relaxed);
@@ -134,6 +239,7 @@ AddResult CodecDecoder::add(const EncodedMessage& message) {
 
 AddResult CodecDecoder::add_recoded(const RecodedMessage& message) {
   if (complete()) return AddResult::already_complete;
+  claim_file();
   if (message.file_id != info_.file_id) return AddResult::wrong_file;
   if (message.payload.size() != info_.params.message_bytes())
     return AddResult::bad_size;
@@ -173,6 +279,7 @@ void CodecDecoder::enable_metrics(obs::MetricsRegistry& registry,
   rank_gauge_ = &registry.gauge("fairshare_decoder_rank", labels);
   eliminate_ns_ =
       &registry.histogram("fairshare_decoder_eliminate_ns", labels);
+  solve_ns_ = &registry.histogram("fairshare_decoder_solve_ns", labels);
   rank_gauge_->set(static_cast<double>(rank()));
   if (info_.codec != CodecKind::chunked) return;
 
@@ -189,20 +296,11 @@ void CodecDecoder::enable_metrics(obs::MetricsRegistry& registry,
   }
 }
 
-std::vector<std::byte> CodecDecoder::reconstruct() const {
+std::vector<std::byte> CodecDecoder::reconstruct() {
   assert(complete());
-  const std::size_t chunk_bytes = info_.params.message_bytes();
-  std::vector<std::byte> out(map_.k() * chunk_bytes);
-  // Every class is complete, so overlap chunks are written more than once
-  // with identical bytes; walking classes avoids a per-chunk class lookup.
-  for (std::size_t c = 0; c < map_.classes(); ++c) {
-    const std::size_t start = map_.start(c);
-    for (std::size_t j = 0; j < map_.width(c); ++j)
-      std::memcpy(out.data() + (start + j) * chunk_bytes,
-                  classes_[c].solver.chunk(j), chunk_bytes);
-  }
-  out.resize(info_.original_bytes);
-  return out;
+  solve();
+  file_.resize(info_.original_bytes);
+  return std::move(file_);
 }
 
 }  // namespace fairshare::coding

@@ -36,7 +36,7 @@ class CoefficientGenerator {
   std::vector<std::byte> row(std::uint64_t message_id,
                              std::size_t width) const;
 
-  /// Same row as unpacked symbols, for rank screening and tests.
+  /// Same row as unpacked symbols, for tests.
   std::vector<std::uint64_t> row_symbols(std::uint64_t message_id) const;
 
   std::size_t k() const { return k_; }

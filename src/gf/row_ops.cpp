@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "gf/field.hpp"
@@ -269,17 +270,22 @@ bool scalar_kernels_forced() {
 }
 
 const FieldView& scalar_field_view(FieldId id) {
+  using detail::axpy_row_block;
   static const FieldView views[4] = {
       {FieldId::gf2_4, 4, 16, &scalar_mul<4>, &scalar_inv<4>, &scalar_pow<4>,
-       &gf4_row_bytes, &gf4_get, &gf4_set, &gf4_axpy, &gf4_scale, "scalar"},
+       &gf4_row_bytes, &gf4_get, &gf4_set, &gf4_axpy, &gf4_scale,
+       &axpy_row_block<4, &gf4_axpy>, false, "scalar"},
       {FieldId::gf2_8, 8, 256, &scalar_mul<8>, &scalar_inv<8>, &scalar_pow<8>,
-       &gf8_row_bytes, &gf8_get, &gf8_set, &gf8_axpy, &gf8_scale, "scalar"},
+       &gf8_row_bytes, &gf8_get, &gf8_set, &gf8_axpy, &gf8_scale,
+       &axpy_row_block<8, &gf8_axpy>, false, "scalar"},
       {FieldId::gf2_16, 16, 65536, &scalar_mul<16>, &scalar_inv<16>,
        &scalar_pow<16>, &wide_row_bytes<16>, &wide_get<16>, &wide_set<16>,
-       &wide_axpy<16>, &wide_scale<16>, "scalar"},
+       &wide_axpy<16>, &wide_scale<16>, &axpy_row_block<16, &wide_axpy<16>>,
+       false, "scalar"},
       {FieldId::gf2_32, 32, std::uint64_t{1} << 32, &scalar_mul<32>,
        &scalar_inv<32>, &scalar_pow<32>, &wide_row_bytes<32>, &wide_get<32>,
-       &wide_set<32>, &wide_axpy<32>, &wide_scale<32>, "scalar"},
+       &wide_set<32>, &wide_axpy<32>, &wide_scale<32>,
+       &axpy_row_block<32, &wide_axpy<32>>, false, "scalar"},
   };
   return views[static_cast<std::size_t>(id)];
 }
@@ -299,12 +305,40 @@ const FieldView& field_view(FieldId id) {
       if (k.axpy != nullptr) {
         fv.axpy = k.axpy;
         fv.scale = k.scale;
+        fv.row_block_product = k.row_block_product;
+        fv.row_block_matrices = k.row_block_matrices;
         fv.kernel = k.name;
       }
     }
     return v;
   }();
   return views[static_cast<std::size_t>(id)];
+}
+
+namespace {
+
+template <unsigned Bits>
+void append_matrices(std::vector<std::uint64_t>& out, std::uint64_t c) {
+  const detail::GfniMatrices<Bits> gm(
+      static_cast<typename GF<Bits>::Elem>(c));
+  out.insert(out.end(), &gm.m[0][0], &gm.m[0][0] + (Bits / 8) * (Bits / 8));
+}
+
+}  // namespace
+
+RowBlock::RowBlock(const FieldView& f, std::vector<const std::byte*> rows,
+                   std::size_t inputs)
+    : get_(f.get), rows_(std::move(rows)), inputs_(inputs) {
+  if (!f.row_block_matrices || outputs() * inputs_ > kMaxPrepared) return;
+  words_ = (f.bits / 8) * (f.bits / 8);
+  matrices_.reserve(outputs() * inputs_ * words_);
+  for (std::size_t i = 0; i < outputs(); ++i)
+    for (std::size_t j = 0; j < inputs_; ++j) {
+      if (f.bits == 16)
+        append_matrices<16>(matrices_, scalar(i, j));
+      else
+        append_matrices<32>(matrices_, scalar(i, j));
+    }
 }
 
 }  // namespace fairshare::gf

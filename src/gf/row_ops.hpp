@@ -24,6 +24,13 @@
 //     deinterleaved byte planes ("avx2"), per-scalar window tables consumed
 //     64 bits per load on little-endian hosts ("window64"), and the
 //     symbol-at-a-time scalar window path everywhere else.
+// The row-block product, dst_i = sum_j c_ij * src_j over a byte range of
+// every row, is the decoder's and encoder's payload kernel (Section III-B's
+// "multiply by the inverse").  Its scalars are prepared once per block
+// (RowBlock) and reused for every strip of the same rows.  The gfni512 tier
+// transposes each source strip to byte planes once and keeps each output's
+// planes in registers across all sources; every other tier is a loop over
+// its own axpy, which is also the bit-identical reference.
 // Setting the FAIRSHARE_FORCE_SCALAR_KERNELS environment variable (or the
 // CMake option of the same name) pins every field to the portable scalar
 // path; `scalar_field_view()` exposes that path unconditionally so tests
@@ -35,10 +42,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "gf/field_id.hpp"
 
 namespace fairshare::gf {
+
+class RowBlock;
 
 /// Runtime-dispatched field interface.  Obtain with `field_view(id)`;
 /// the returned reference has static storage duration.
@@ -68,11 +78,64 @@ struct FieldView {
                std::size_t n);
   /// row *= c over n symbols.
   void (*scale)(std::byte* row, std::uint64_t c, std::size_t n);
+  /// Row-block product over the byte range [begin, end) of every row:
+  /// dst[i] = sum_j block.scalar(i, j) * src[j] for i < block.outputs(),
+  /// j < block.inputs().  Both bounds are multiples of the symbol size (any
+  /// byte for GF(2^4), whose padding nibble is multiplied like axpy's).
+  /// The kernel sweeps the range in strips of a few KiB, so any length
+  /// works.  No dst row may overlap a src row or another dst row.
+  void (*row_block_product)(const RowBlock& block, std::byte* const* dst,
+                            const std::byte* const* src, std::size_t begin,
+                            std::size_t end);
+  /// True when row_block_product consumes RowBlock's prepared bit
+  /// matrices (the gfni512 tier), so blocks built for this view prepare
+  /// them.
+  bool row_block_matrices;
 
-  /// Name of the row-kernel variant axpy/scale dispatched to: "scalar",
+  /// Name of the row-kernel variant axpy/scale/row_block_product
+  /// dispatched to: "scalar",
   /// "ssse3", "avx2", "window64", or "gfni512".  Diagnostic only — perf
   /// reports use it to attribute numbers to a code path.
   const char* kernel;
+};
+
+/// The scalars c_ij of one row-block product, prepared once for a
+/// FieldView's kernel and then shared, read-only, by every thread and
+/// every strip that runs the same rows.  Row i of the block is a packed
+/// row of inputs() scalars that the caller owns and keeps alive and
+/// unchanged for the block's lifetime.
+///
+/// Preparation is bounded: a block of at most kMaxPrepared scalars
+/// prepares all of them (a 64-wide class is 4096 scalars, 512 KiB of
+/// GF(2^32) bit matrices); a larger one keeps only its row pointers, and
+/// the kernel prepares one output row at a time, so a dense class as wide
+/// as k = 8192 never holds k^2 prepared scalars.
+class RowBlock {
+ public:
+  static constexpr std::size_t kMaxPrepared = std::size_t{1} << 14;
+
+  RowBlock(const FieldView& f, std::vector<const std::byte*> rows,
+           std::size_t inputs);
+
+  std::size_t outputs() const { return rows_.size(); }
+  std::size_t inputs() const { return inputs_; }
+  std::uint64_t scalar(std::size_t i, std::size_t j) const {
+    return get_(rows_[i], j);
+  }
+  /// The bit matrices of scalar (i, j), (bits/8)^2 qwords in
+  /// detail::GfniMatrices order, or nullptr when the block holds none.
+  const std::uint64_t* matrices(std::size_t i, std::size_t j) const {
+    return matrices_.empty()
+               ? nullptr
+               : matrices_.data() + (i * inputs_ + j) * words_;
+  }
+
+ private:
+  std::uint64_t (*get_)(const std::byte* row, std::size_t i);
+  std::vector<const std::byte*> rows_;
+  std::size_t inputs_;
+  std::size_t words_ = 0;  // qwords per prepared scalar
+  std::vector<std::uint64_t> matrices_;
 };
 
 /// CPU features relevant to kernel dispatch, detected once at runtime.

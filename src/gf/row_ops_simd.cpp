@@ -26,18 +26,21 @@
 //         the byte-extraction shifts to index the right window.
 //     The byte-plane transpose permutes symbols within a block, which is
 //     harmless: products are per-symbol independent and the reinterleave
-//     applies the exact inverse permutation.  Tails fall back to exact
-//     per-symbol products — any correct GF(2^w) multiply is bit-identical,
-//     so vector body and tail may use different table shapes.
+//     applies the exact inverse permutation.  The avx2 tier's tails fall
+//     back to exact per-symbol products — any correct GF(2^w) multiply is
+//     bit-identical, so vector body and tail may use different table
+//     shapes; gfni512 runs its last partial block masked instead.
 //
 // Every kernel here is bit-identical to its scalar counterpart, including
 // the multiplied padding nibble of an odd-length GF(2^4) row — the
 // differential suite (tests/gf/simd_dispatch_test.cpp) diffs whole buffers.
 #include "gf/row_ops_simd.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
+#include <vector>
 
 #include "gf/field.hpp"
 #include "gf/window_tables.hpp"
@@ -633,16 +636,137 @@ void gf32_scale_avx2(std::byte* row, std::uint64_t c, std::size_t n) {
 // Same byte-plane transpose as the AVX2 tier (identical per 128-bit lane,
 // four lanes per zmm), but each plane's contribution to an output byte is
 // a single gf2p8affineqb with the 8x8 bit-block of the multiply-by-c
-// matrix — no table memory, near-zero setup.  Tails use the exact scalar
-// product from GF<Bits>::mul.
+// matrix — no table memory, near-zero setup.
+//
+// A block is 64 symbols.  GfniPlanes<Bits>::load turns one into kBytes
+// planes (plane p = byte p of every symbol, in a lane-local order) and
+// store() applies the inverse permutation.  A row's last, partial block
+// goes through the same code with masked loads (zero padding) and masked
+// stores, so short rows such as coefficient rows run at vector speed and
+// no symbol falls back to a scalar product.
 
+template <unsigned Bits>
+struct GfniPlanes {
+  static constexpr unsigned kBytes = Bits / 8;
+  static constexpr std::size_t kBlock = 64 * kBytes;  // bytes per block
+
+  /// Byte mask of register r of a block whose first `len` bytes are live.
+  static __mmask64 live(std::size_t len, unsigned r) {
+    const std::size_t lo = 64 * r;
+    if (len >= lo + 64) return ~__mmask64{0};
+    return len > lo ? (__mmask64{1} << (len - lo)) - 1 : 0;
+  }
+
+  /// The planes of the block at p, of which the first `len` bytes are read
+  /// (all of them when len >= kBlock).
+  FAIRSHARE_TARGET("gfni,avx512f,avx512bw")
+  static void load(const std::byte* p, std::size_t len, __m512i* pl) {
+    __m512i v[kBytes];
+    if (len >= kBlock) {
+      for (unsigned r = 0; r < kBytes; ++r)
+        v[r] = _mm512_loadu_si512(p + 64 * r);
+    } else {
+      for (unsigned r = 0; r < kBytes; ++r)
+        v[r] = _mm512_maskz_loadu_epi8(live(len, r), p + 64 * r);
+    }
+    if constexpr (Bits == 16) {
+      const __m512i deint = _mm512_broadcast_i32x4(
+          _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15));
+      const __m512i t0 = _mm512_shuffle_epi8(v[0], deint);
+      const __m512i t1 = _mm512_shuffle_epi8(v[1], deint);
+      pl[0] = _mm512_unpacklo_epi64(t0, t1);
+      pl[1] = _mm512_unpackhi_epi64(t0, t1);
+    } else {
+      static_assert(Bits == 32);
+      const __m512i deint = _mm512_broadcast_i32x4(
+          _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
+      __m512i t[4];
+      for (int r = 0; r < 4; ++r) t[r] = _mm512_shuffle_epi8(v[r], deint);
+      const __m512i u0 = _mm512_unpacklo_epi32(t[0], t[1]);
+      const __m512i u1 = _mm512_unpackhi_epi32(t[0], t[1]);
+      const __m512i u2 = _mm512_unpacklo_epi32(t[2], t[3]);
+      const __m512i u3 = _mm512_unpackhi_epi32(t[2], t[3]);
+      pl[0] = _mm512_unpacklo_epi64(u0, u2);
+      pl[1] = _mm512_unpackhi_epi64(u0, u2);
+      pl[2] = _mm512_unpacklo_epi64(u1, u3);
+      pl[3] = _mm512_unpackhi_epi64(u1, u3);
+    }
+  }
+
+  /// Re-interleave planes `q` into symbol order and write the first `len`
+  /// bytes of the block at p (all of them when len >= kBlock), xored into
+  /// what is there unless `overwrite`.
+  FAIRSHARE_TARGET("gfni,avx512f,avx512bw")
+  static void store(const __m512i* q, std::byte* p, std::size_t len,
+                    bool overwrite) {
+    __m512i z[kBytes];
+    if constexpr (Bits == 16) {
+      z[0] = _mm512_unpacklo_epi8(q[0], q[1]);
+      z[1] = _mm512_unpackhi_epi8(q[0], q[1]);
+    } else {
+      const __m512i w0 = _mm512_unpacklo_epi8(q[0], q[1]);
+      const __m512i w1 = _mm512_unpacklo_epi8(q[2], q[3]);
+      const __m512i w2 = _mm512_unpackhi_epi8(q[0], q[1]);
+      const __m512i w3 = _mm512_unpackhi_epi8(q[2], q[3]);
+      z[0] = _mm512_unpacklo_epi16(w0, w1);
+      z[1] = _mm512_unpackhi_epi16(w0, w1);
+      z[2] = _mm512_unpacklo_epi16(w2, w3);
+      z[3] = _mm512_unpackhi_epi16(w2, w3);
+    }
+    if (len >= kBlock) {
+      for (unsigned r = 0; r < kBytes; ++r) {
+        std::byte* at = p + 64 * r;
+        if (!overwrite) z[r] = _mm512_xor_si512(z[r], _mm512_loadu_si512(at));
+        _mm512_storeu_si512(at, z[r]);
+      }
+      return;
+    }
+    for (unsigned r = 0; r < kBytes; ++r) {
+      std::byte* at = p + 64 * r;
+      const __mmask64 m = live(len, r);
+      if (!overwrite)
+        z[r] = _mm512_xor_si512(z[r], _mm512_maskz_loadu_epi8(m, at));
+      _mm512_mask_storeu_epi8(at, m, z[r]);
+    }
+  }
+};
+
+/// The multiply-by-c matrices of one scalar, broadcast.
+template <unsigned Bits>
+struct GfniScalar {
+  static constexpr unsigned kBytes = Bits / 8;
+  __m512i m[kBytes][kBytes];
+
+  FAIRSHARE_TARGET("gfni,avx512f,avx512bw")
+  explicit GfniScalar(std::uint64_t c) {
+    const GfniMatrices<Bits> gm(static_cast<typename GF<Bits>::Elem>(c));
+    for (unsigned o = 0; o < kBytes; ++o)
+      for (unsigned p = 0; p < kBytes; ++p)
+        m[o][p] = _mm512_set1_epi64(static_cast<long long>(gm.m[o][p]));
+  }
+
+  /// q[o] = sum_p m[o][p] * pl[p]: one block times the scalar.
+  FAIRSHARE_TARGET("gfni,avx512f,avx512bw")
+  void apply(const __m512i* pl, __m512i* q) const {
+    for (unsigned o = 0; o < kBytes; ++o) {
+      __m512i acc = _mm512_gf2p8affine_epi64_epi8(pl[0], m[o][0], 0);
+      for (unsigned p = 1; p < kBytes; ++p)
+        acc = _mm512_xor_si512(
+            acc, _mm512_gf2p8affine_epi64_epi8(pl[p], m[o][p], 0));
+      q[o] = acc;
+    }
+  }
+};
+
+template <unsigned Bits>
 FAIRSHARE_TARGET("gfni,avx512f,avx512bw")
-void gf16_axpy_gfni512(std::byte* dst, const std::byte* src, std::uint64_t c,
+void wide_axpy_gfni512(std::byte* dst, const std::byte* src, std::uint64_t c,
                        std::size_t n) {
+  using P = GfniPlanes<Bits>;
   if (c == 0) return;
-  const std::size_t nb = n * 2;
-  std::size_t i = 0;
+  const std::size_t nb = n * P::kBytes;
   if (c == 1) {
+    std::size_t i = 0;
     for (; i + 64 <= nb; i += 64) {
       const __m512i s = _mm512_loadu_si512(src + i);
       const __m512i d = _mm512_loadu_si512(dst + i);
@@ -651,202 +775,145 @@ void gf16_axpy_gfni512(std::byte* dst, const std::byte* src, std::uint64_t c,
     for (; i < nb; ++i) dst[i] ^= src[i];
     return;
   }
-  const GfniMatrices<16> gm(static_cast<std::uint16_t>(c));
-  const __m512i m00 = _mm512_set1_epi64(static_cast<long long>(gm.m[0][0]));
-  const __m512i m01 = _mm512_set1_epi64(static_cast<long long>(gm.m[0][1]));
-  const __m512i m10 = _mm512_set1_epi64(static_cast<long long>(gm.m[1][0]));
-  const __m512i m11 = _mm512_set1_epi64(static_cast<long long>(gm.m[1][1]));
-  const __m512i deint = _mm512_broadcast_i32x4(
-      _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15));
-  for (; i + 128 <= nb; i += 128) {
-    const __m512i v0 = _mm512_loadu_si512(src + i);
-    const __m512i v1 = _mm512_loadu_si512(src + i + 64);
-    const __m512i t0 = _mm512_shuffle_epi8(v0, deint);
-    const __m512i t1 = _mm512_shuffle_epi8(v1, deint);
-    const __m512i lo = _mm512_unpacklo_epi64(t0, t1);
-    const __m512i hi = _mm512_unpackhi_epi64(t0, t1);
-    const __m512i p0 =
-        _mm512_xor_si512(_mm512_gf2p8affine_epi64_epi8(lo, m00, 0),
-                         _mm512_gf2p8affine_epi64_epi8(hi, m01, 0));
-    const __m512i p1 =
-        _mm512_xor_si512(_mm512_gf2p8affine_epi64_epi8(lo, m10, 0),
-                         _mm512_gf2p8affine_epi64_epi8(hi, m11, 0));
-    const __m512i r0 = _mm512_unpacklo_epi8(p0, p1);
-    const __m512i r1 = _mm512_unpackhi_epi8(p0, p1);
-    const __m512i d0 = _mm512_loadu_si512(dst + i);
-    const __m512i d1 = _mm512_loadu_si512(dst + i + 64);
-    _mm512_storeu_si512(dst + i, _mm512_xor_si512(d0, r0));
-    _mm512_storeu_si512(dst + i + 64, _mm512_xor_si512(d1, r1));
-  }
-  for (; i < nb; i += 2) {
-    std::uint16_t x, y;
-    std::memcpy(&x, src + i, 2);
-    std::memcpy(&y, dst + i, 2);
-    y = static_cast<std::uint16_t>(
-        y ^ GF<16>::mul(static_cast<std::uint16_t>(c), x));
-    std::memcpy(dst + i, &y, 2);
+  const GfniScalar<Bits> k(c);
+  for (std::size_t i = 0; i < nb; i += P::kBlock) {
+    const std::size_t len = std::min(P::kBlock, nb - i);
+    __m512i pl[P::kBytes], q[P::kBytes];
+    P::load(src + i, len, pl);
+    k.apply(pl, q);
+    P::store(q, dst + i, len, /*overwrite=*/false);
   }
 }
 
+template <unsigned Bits>
 FAIRSHARE_TARGET("gfni,avx512f,avx512bw")
-void gf16_scale_gfni512(std::byte* row, std::uint64_t c, std::size_t n) {
+void wide_scale_gfni512(std::byte* row, std::uint64_t c, std::size_t n) {
+  using P = GfniPlanes<Bits>;
   if (c == 1) return;
+  const std::size_t nb = n * P::kBytes;
   if (c == 0) {
-    std::memset(row, 0, n * 2);
+    std::memset(row, 0, nb);
     return;
   }
-  const GfniMatrices<16> gm(static_cast<std::uint16_t>(c));
-  const __m512i m00 = _mm512_set1_epi64(static_cast<long long>(gm.m[0][0]));
-  const __m512i m01 = _mm512_set1_epi64(static_cast<long long>(gm.m[0][1]));
-  const __m512i m10 = _mm512_set1_epi64(static_cast<long long>(gm.m[1][0]));
-  const __m512i m11 = _mm512_set1_epi64(static_cast<long long>(gm.m[1][1]));
-  const __m512i deint = _mm512_broadcast_i32x4(
-      _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15));
-  const std::size_t nb = n * 2;
-  std::size_t i = 0;
-  for (; i + 128 <= nb; i += 128) {
-    const __m512i v0 = _mm512_loadu_si512(row + i);
-    const __m512i v1 = _mm512_loadu_si512(row + i + 64);
-    const __m512i t0 = _mm512_shuffle_epi8(v0, deint);
-    const __m512i t1 = _mm512_shuffle_epi8(v1, deint);
-    const __m512i lo = _mm512_unpacklo_epi64(t0, t1);
-    const __m512i hi = _mm512_unpackhi_epi64(t0, t1);
-    const __m512i p0 =
-        _mm512_xor_si512(_mm512_gf2p8affine_epi64_epi8(lo, m00, 0),
-                         _mm512_gf2p8affine_epi64_epi8(hi, m01, 0));
-    const __m512i p1 =
-        _mm512_xor_si512(_mm512_gf2p8affine_epi64_epi8(lo, m10, 0),
-                         _mm512_gf2p8affine_epi64_epi8(hi, m11, 0));
-    _mm512_storeu_si512(row + i, _mm512_unpacklo_epi8(p0, p1));
-    _mm512_storeu_si512(row + i + 64, _mm512_unpackhi_epi8(p0, p1));
-  }
-  for (; i < nb; i += 2) {
-    std::uint16_t x;
-    std::memcpy(&x, row + i, 2);
-    x = GF<16>::mul(static_cast<std::uint16_t>(c), x);
-    std::memcpy(row + i, &x, 2);
+  const GfniScalar<Bits> k(c);
+  for (std::size_t i = 0; i < nb; i += P::kBlock) {
+    const std::size_t len = std::min(P::kBlock, nb - i);
+    __m512i pl[P::kBytes], q[P::kBytes];
+    P::load(row + i, len, pl);
+    k.apply(pl, q);
+    P::store(q, row + i, len, /*overwrite=*/true);
   }
 }
 
+// Row-block product.  The range is swept in strips of kStrip bytes; each
+// strip transposes up to kTile sources to planes once (a thread-local
+// scratch of one strip per source, at most 256 KiB), and then every group
+// of up to four outputs keeps its planes in registers across those
+// sources, sharing each plane load, and re-interleaves once per block.
+// Partial sums fold in two products per vpternlogq.  A block wider than
+// kTile sources accumulates tile by tile: the first tile stores, later
+// tiles xor into the output.  A RowBlock without prepared matrices gets
+// each output row's matrices built per tile and strip.
+struct alignas(64) PlaneBlock {
+  std::uint64_t q[8];
+};
+
+/// One block of `Rows` outputs: out_r = sum_j sum_p M_rj * plane_j[p] over
+/// the jn sources whose planes start at `pl`, stored (or, unless `first`,
+/// xored) into the first `len` bytes at d[r].
+template <unsigned Bits, unsigned Rows>
 FAIRSHARE_TARGET("gfni,avx512f,avx512bw")
-void gf32_axpy_gfni512(std::byte* dst, const std::byte* src, std::uint64_t c,
-                       std::size_t n) {
-  if (c == 0) return;
-  const std::size_t nb = n * 4;
-  std::size_t i = 0;
-  if (c == 1) {
-    for (; i + 64 <= nb; i += 64) {
-      const __m512i s = _mm512_loadu_si512(src + i);
-      const __m512i d = _mm512_loadu_si512(dst + i);
-      _mm512_storeu_si512(dst + i, _mm512_xor_si512(d, s));
-    }
-    for (; i < nb; ++i) dst[i] ^= src[i];
-    return;
-  }
-  const GfniMatrices<32> gm(static_cast<std::uint32_t>(c));
-  __m512i M[4][4];
-  for (int o = 0; o < 4; ++o)
-    for (int k = 0; k < 4; ++k)
-      M[o][k] = _mm512_set1_epi64(static_cast<long long>(gm.m[o][k]));
-  const __m512i deint = _mm512_broadcast_i32x4(
-      _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
-  for (; i + 256 <= nb; i += 256) {
-    __m512i t[4];
-    for (int r = 0; r < 4; ++r)
-      t[r] = _mm512_shuffle_epi8(
-          _mm512_loadu_si512(src + i + 64 * static_cast<std::size_t>(r)),
-          deint);
-    const __m512i u0 = _mm512_unpacklo_epi32(t[0], t[1]);
-    const __m512i u1 = _mm512_unpackhi_epi32(t[0], t[1]);
-    const __m512i u2 = _mm512_unpacklo_epi32(t[2], t[3]);
-    const __m512i u3 = _mm512_unpackhi_epi32(t[2], t[3]);
-    const __m512i pl[4] = {_mm512_unpacklo_epi64(u0, u2),
-                           _mm512_unpackhi_epi64(u0, u2),
-                           _mm512_unpacklo_epi64(u1, u3),
-                           _mm512_unpackhi_epi64(u1, u3)};
-    __m512i q[4];
-    for (int o = 0; o < 4; ++o) {
-      __m512i acc = _mm512_gf2p8affine_epi64_epi8(pl[0], M[o][0], 0);
-      for (int k = 1; k < 4; ++k)
-        acc = _mm512_xor_si512(acc,
-                               _mm512_gf2p8affine_epi64_epi8(pl[k], M[o][k], 0));
-      q[o] = acc;
-    }
-    const __m512i w0 = _mm512_unpacklo_epi8(q[0], q[1]);
-    const __m512i w1 = _mm512_unpacklo_epi8(q[2], q[3]);
-    const __m512i w2 = _mm512_unpackhi_epi8(q[0], q[1]);
-    const __m512i w3 = _mm512_unpackhi_epi8(q[2], q[3]);
-    const __m512i z[4] = {_mm512_unpacklo_epi16(w0, w1),
-                          _mm512_unpackhi_epi16(w0, w1),
-                          _mm512_unpacklo_epi16(w2, w3),
-                          _mm512_unpackhi_epi16(w2, w3)};
-    for (int r = 0; r < 4; ++r) {
-      std::byte* p = dst + i + 64 * static_cast<std::size_t>(r);
-      const __m512i d = _mm512_loadu_si512(p);
-      _mm512_storeu_si512(p, _mm512_xor_si512(d, z[r]));
+inline void gfni_product_block(const __m512i* pl, std::size_t jn,
+                               const std::uint64_t* const* mats,
+                               std::byte* const* d, std::size_t len,
+                               bool first) {
+  using P = GfniPlanes<Bits>;
+  constexpr unsigned kBytes = P::kBytes;
+  constexpr unsigned kWords = kBytes * kBytes;
+  __m512i acc[Rows][kBytes];
+  for (unsigned r = 0; r < Rows; ++r)
+    for (unsigned o = 0; o < kBytes; ++o) acc[r][o] = _mm512_setzero_si512();
+  for (std::size_t j = 0; j < jn; ++j, pl += kBytes) {
+    __m512i x[kBytes];
+    for (unsigned p = 0; p < kBytes; ++p) x[p] = _mm512_load_si512(pl + p);
+    for (unsigned r = 0; r < Rows; ++r) {
+      const std::uint64_t* m = mats[r] + j * kWords;
+      for (unsigned o = 0; o < kBytes; ++o)
+        for (unsigned p = 0; p < kBytes; p += 2) {
+          const __m512i a = _mm512_gf2p8affine_epi64_epi8(
+              x[p], _mm512_set1_epi64(static_cast<long long>(m[o * kBytes + p])),
+              0);
+          const __m512i b = _mm512_gf2p8affine_epi64_epi8(
+              x[p + 1],
+              _mm512_set1_epi64(static_cast<long long>(m[o * kBytes + p + 1])),
+              0);
+          acc[r][o] = _mm512_ternarylogic_epi64(acc[r][o], a, b, 0x96);
+        }
     }
   }
-  for (; i < nb; i += 4) {
-    std::uint32_t x, y;
-    std::memcpy(&x, src + i, 4);
-    std::memcpy(&y, dst + i, 4);
-    y ^= GF<32>::mul(static_cast<std::uint32_t>(c), x);
-    std::memcpy(dst + i, &y, 4);
-  }
+  for (unsigned r = 0; r < Rows; ++r) P::store(acc[r], d[r], len, first);
 }
 
+template <unsigned Bits>
 FAIRSHARE_TARGET("gfni,avx512f,avx512bw")
-void gf32_scale_gfni512(std::byte* row, std::uint64_t c, std::size_t n) {
-  if (c == 1) return;
-  if (c == 0) {
-    std::memset(row, 0, n * 4);
-    return;
-  }
-  const GfniMatrices<32> gm(static_cast<std::uint32_t>(c));
-  __m512i M[4][4];
-  for (int o = 0; o < 4; ++o)
-    for (int k = 0; k < 4; ++k)
-      M[o][k] = _mm512_set1_epi64(static_cast<long long>(gm.m[o][k]));
-  const __m512i deint = _mm512_broadcast_i32x4(
-      _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
-  const std::size_t nb = n * 4;
-  std::size_t i = 0;
-  for (; i + 256 <= nb; i += 256) {
-    __m512i t[4];
-    for (int r = 0; r < 4; ++r)
-      t[r] = _mm512_shuffle_epi8(
-          _mm512_loadu_si512(row + i + 64 * static_cast<std::size_t>(r)),
-          deint);
-    const __m512i u0 = _mm512_unpacklo_epi32(t[0], t[1]);
-    const __m512i u1 = _mm512_unpackhi_epi32(t[0], t[1]);
-    const __m512i u2 = _mm512_unpacklo_epi32(t[2], t[3]);
-    const __m512i u3 = _mm512_unpackhi_epi32(t[2], t[3]);
-    const __m512i pl[4] = {_mm512_unpacklo_epi64(u0, u2),
-                           _mm512_unpackhi_epi64(u0, u2),
-                           _mm512_unpacklo_epi64(u1, u3),
-                           _mm512_unpackhi_epi64(u1, u3)};
-    __m512i q[4];
-    for (int o = 0; o < 4; ++o) {
-      __m512i acc = _mm512_gf2p8affine_epi64_epi8(pl[0], M[o][0], 0);
-      for (int k = 1; k < 4; ++k)
-        acc = _mm512_xor_si512(acc,
-                               _mm512_gf2p8affine_epi64_epi8(pl[k], M[o][k], 0));
-      q[o] = acc;
+void wide_row_block_gfni512(const RowBlock& block, std::byte* const* dst,
+                            const std::byte* const* src, std::size_t begin,
+                            std::size_t end) {
+  using P = GfniPlanes<Bits>;
+  constexpr unsigned kBytes = P::kBytes;
+  constexpr unsigned kWords = kBytes * kBytes;
+  constexpr std::size_t kTile = 64;
+  constexpr std::size_t kRows = 4;
+  constexpr std::size_t kStrip = 4096;
+  static_assert(kStrip % P::kBlock == 0);
+  const std::size_t outputs = block.outputs();
+  const std::size_t inputs = block.inputs();
+
+  thread_local std::vector<PlaneBlock> scratch;
+  const std::size_t need = std::min(kTile, inputs) * kStrip / 64;
+  if (scratch.size() < need) scratch.resize(need);
+  __m512i* const planes = reinterpret_cast<__m512i*>(scratch.data());
+  std::uint64_t built[kRows][kTile * kWords];
+  for (std::size_t s0 = begin; s0 < end; s0 += kStrip) {
+    const std::size_t s1 = std::min(s0 + kStrip, end);
+    const std::size_t blocks = (s1 - s0 + P::kBlock - 1) / P::kBlock;
+    for (std::size_t j0 = 0; j0 < inputs; j0 += kTile) {
+      const std::size_t jn = std::min(kTile, inputs - j0);
+      // planes[(b * jn + j) * kBytes + p]: block b's sources side by side.
+      for (std::size_t j = 0; j < jn; ++j)
+        for (std::size_t b = 0; b < blocks; ++b) {
+          const std::size_t at = s0 + b * P::kBlock;
+          P::load(src[j0 + j] + at, s1 - at, planes + (b * jn + j) * kBytes);
+        }
+      for (std::size_t i = 0; i < outputs; i += kRows) {
+        const std::size_t rows = std::min(kRows, outputs - i);
+        const std::uint64_t* mats[kRows];
+        for (std::size_t r = 0; r < rows; ++r) {
+          mats[r] = block.matrices(i + r, j0);
+          if (mats[r] != nullptr) continue;
+          for (std::size_t j = 0; j < jn; ++j) {
+            const GfniMatrices<Bits> gm(static_cast<typename GF<Bits>::Elem>(
+                block.scalar(i + r, j0 + j)));
+            std::memcpy(built[r] + j * kWords, gm.m, sizeof gm.m);
+          }
+          mats[r] = built[r];
+        }
+        for (std::size_t b = 0; b < blocks; ++b) {
+          const __m512i* pl = planes + b * jn * kBytes;
+          const std::size_t at = s0 + b * P::kBlock;
+          std::byte* d[kRows];
+          for (std::size_t r = 0; r < rows; ++r) d[r] = dst[i + r] + at;
+          const std::size_t len = s1 - at;
+          const bool first = j0 == 0;
+          switch (rows) {
+            case 4: gfni_product_block<Bits, 4>(pl, jn, mats, d, len, first); break;
+            case 3: gfni_product_block<Bits, 3>(pl, jn, mats, d, len, first); break;
+            case 2: gfni_product_block<Bits, 2>(pl, jn, mats, d, len, first); break;
+            default: gfni_product_block<Bits, 1>(pl, jn, mats, d, len, first);
+          }
+        }
+      }
     }
-    const __m512i w0 = _mm512_unpacklo_epi8(q[0], q[1]);
-    const __m512i w1 = _mm512_unpacklo_epi8(q[2], q[3]);
-    const __m512i w2 = _mm512_unpackhi_epi8(q[0], q[1]);
-    const __m512i w3 = _mm512_unpackhi_epi8(q[2], q[3]);
-    _mm512_storeu_si512(row + i, _mm512_unpacklo_epi16(w0, w1));
-    _mm512_storeu_si512(row + i + 64, _mm512_unpackhi_epi16(w0, w1));
-    _mm512_storeu_si512(row + i + 128, _mm512_unpacklo_epi16(w2, w3));
-    _mm512_storeu_si512(row + i + 192, _mm512_unpackhi_epi16(w2, w3));
-  }
-  for (; i < nb; i += 4) {
-    std::uint32_t x;
-    std::memcpy(&x, row + i, 4);
-    x = GF<32>::mul(static_cast<std::uint32_t>(c), x);
-    std::memcpy(row + i, &x, 4);
   }
 }
 
@@ -977,33 +1044,41 @@ RowKernels accelerated_row_kernels(FieldId id, const CpuFeatures& feat) {
   switch (id) {
     case FieldId::gf2_4:
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.avx2) return {&gf4_axpy_avx2, &gf4_scale_avx2, "avx2"};
-      if (feat.ssse3) return {&gf4_axpy_ssse3, &gf4_scale_ssse3, "ssse3"};
+      if (feat.avx2) return axpy_tier<4, &gf4_axpy_avx2, &gf4_scale_avx2>("avx2");
+      if (feat.ssse3)
+        return axpy_tier<4, &gf4_axpy_ssse3, &gf4_scale_ssse3>("ssse3");
 #endif
       break;
     case FieldId::gf2_8:
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.avx2) return {&gf8_axpy_avx2, &gf8_scale_avx2, "avx2"};
-      if (feat.ssse3) return {&gf8_axpy_ssse3, &gf8_scale_ssse3, "ssse3"};
+      if (feat.avx2) return axpy_tier<8, &gf8_axpy_avx2, &gf8_scale_avx2>("avx2");
+      if (feat.ssse3)
+        return axpy_tier<8, &gf8_axpy_ssse3, &gf8_scale_ssse3>("ssse3");
 #endif
       break;
     case FieldId::gf2_16:
 #if FAIRSHARE_HAVE_X86_KERNELS
       if (feat.gfni && feat.avx512f && feat.avx512bw)
-        return {&gf16_axpy_gfni512, &gf16_scale_gfni512, "gfni512"};
-      if (feat.avx2) return {&gf16_axpy_avx2, &gf16_scale_avx2, "avx2"};
+        return {&wide_axpy_gfni512<16>, &wide_scale_gfni512<16>,
+                &wide_row_block_gfni512<16>, true, "gfni512"};
+      if (feat.avx2)
+        return axpy_tier<16, &gf16_axpy_avx2, &gf16_scale_avx2>("avx2");
 #endif
       if constexpr (std::endian::native == std::endian::little)
-        return {&wide_axpy_win64<16>, &wide_scale_win64<16>, "window64"};
+        return axpy_tier<16, &wide_axpy_win64<16>, &wide_scale_win64<16>>(
+            "window64");
       break;
     case FieldId::gf2_32:
 #if FAIRSHARE_HAVE_X86_KERNELS
       if (feat.gfni && feat.avx512f && feat.avx512bw)
-        return {&gf32_axpy_gfni512, &gf32_scale_gfni512, "gfni512"};
-      if (feat.avx2) return {&gf32_axpy_avx2, &gf32_scale_avx2, "avx2"};
+        return {&wide_axpy_gfni512<32>, &wide_scale_gfni512<32>,
+                &wide_row_block_gfni512<32>, true, "gfni512"};
+      if (feat.avx2)
+        return axpy_tier<32, &gf32_axpy_avx2, &gf32_scale_avx2>("avx2");
 #endif
       if constexpr (std::endian::native == std::endian::little)
-        return {&wide_axpy_win64<32>, &wide_scale_win64<32>, "window64"};
+        return axpy_tier<32, &wide_axpy_win64<32>, &wide_scale_win64<32>>(
+            "window64");
       break;
   }
   (void)feat;

@@ -7,21 +7,51 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "gf/field_id.hpp"
 #include "gf/row_ops.hpp"
 
 namespace fairshare::gf::detail {
 
-/// One axpy/scale pair plus the name reported through FieldView::kernel.
-/// `axpy == nullptr` means no accelerated variant applies and the caller
-/// keeps the scalar kernels.
+using AxpyFn = void (*)(std::byte* dst, const std::byte* src, std::uint64_t c,
+                        std::size_t n);
+using ScaleFn = void (*)(std::byte* row, std::uint64_t c, std::size_t n);
+using RowBlockFn = void (*)(const RowBlock& block, std::byte* const* dst,
+                            const std::byte* const* src, std::size_t begin,
+                            std::size_t end);
+
+/// One tier's axpy/scale/row-block kernels plus the name reported through
+/// FieldView::kernel.  `axpy == nullptr` means no accelerated variant
+/// applies and the caller keeps the scalar kernels.
 struct RowKernels {
-  void (*axpy)(std::byte* dst, const std::byte* src, std::uint64_t c,
-               std::size_t n) = nullptr;
-  void (*scale)(std::byte* row, std::uint64_t c, std::size_t n) = nullptr;
+  AxpyFn axpy = nullptr;
+  ScaleFn scale = nullptr;
+  RowBlockFn row_block_product = nullptr;
+  bool row_block_matrices = false;  ///< see FieldView::row_block_matrices
   const char* name = nullptr;
 };
+
+/// The reference row-block product: clear each output's range, then one
+/// `Axpy` per scalar over it.  Every tier but gfni512 runs this over its
+/// own axpy, so it is bit-identical to repeated axpy by construction.
+template <unsigned Bits, AxpyFn Axpy>
+void axpy_row_block(const RowBlock& block, std::byte* const* dst,
+                    const std::byte* const* src, std::size_t begin,
+                    std::size_t end) {
+  const std::size_t n = (end - begin) * 8 / Bits;
+  for (std::size_t i = 0; i < block.outputs(); ++i) {
+    std::byte* d = dst[i] + begin;
+    std::memset(d, 0, end - begin);
+    for (std::size_t j = 0; j < block.inputs(); ++j)
+      Axpy(d, src[j] + begin, block.scalar(i, j), n);
+  }
+}
+
+template <unsigned Bits, AxpyFn Axpy, ScaleFn Scale>
+constexpr RowKernels axpy_tier(const char* name) {
+  return {Axpy, Scale, &axpy_row_block<Bits, Axpy>, false, name};
+}
 
 /// Best accelerated kernel pair for `id` given the detected `feat`:
 /// pshufb split-nibble kernels for GF(2^4)/GF(2^8) (AVX2 preferred over

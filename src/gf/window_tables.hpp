@@ -103,25 +103,43 @@ struct NibbleTables {
   }
 };
 
+/// Transpose of an 8x8 bit matrix held one row per byte (bit c of byte r
+/// is element (r, c)): three rounds of delta swaps (Hacker's Delight 7-3).
+constexpr std::uint64_t transpose8x8(std::uint64_t x) {
+  x = (x & 0xAA55AA55AA55AA55ull) | ((x & 0x00AA00AA00AA00AAull) << 7) |
+      ((x >> 7) & 0x00AA00AA00AA00AAull);
+  x = (x & 0xCCCC3333CCCC3333ull) | ((x & 0x0000CCCC0000CCCCull) << 14) |
+      ((x >> 14) & 0x0000CCCC0000CCCCull);
+  x = (x & 0xF0F0F0F00F0F0F0Full) | ((x & 0x00000000F0F0F0F0ull) << 28) |
+      ((x >> 28) & 0x00000000F0F0F0F0ull);
+  return x;
+}
+
+/// Byte reverse of a qword (compilers lower it to bswap).
+constexpr std::uint64_t reverse_bytes(std::uint64_t x) {
+  x = ((x & 0x00FF00FF00FF00FFull) << 8) | ((x >> 8) & 0x00FF00FF00FF00FFull);
+  x = ((x & 0x0000FFFF0000FFFFull) << 16) |
+      ((x >> 16) & 0x0000FFFF0000FFFFull);
+  return (x << 32) | (x >> 32);
+}
+
 template <unsigned Bits>
 struct GfniMatrices {
   using Elem = typename GF<Bits>::Elem;
   static constexpr unsigned kBytes = Bits / 8;
   std::uint64_t m[kBytes][kBytes];
 
+  // Gathering byte o of cx[8k + j] into byte j gives block (o, k) with one
+  // input bit per row; its transpose has one output bit per row, and the
+  // byte reverse puts output bit i at qword byte 7 - i.
   explicit GfniMatrices(Elem c) {
     const auto cx = cx_powers<Bits>(c);
     for (unsigned o = 0; o < kBytes; ++o)
       for (unsigned k = 0; k < kBytes; ++k) {
         std::uint64_t q = 0;
-        for (unsigned i = 0; i < 8; ++i) {
-          std::uint8_t row = 0;
-          for (unsigned j = 0; j < 8; ++j)
-            row |= static_cast<std::uint8_t>(
-                ((cx[8 * k + j] >> (8 * o + i)) & 1) << j);
-          q |= static_cast<std::uint64_t>(row) << (8 * (7 - i));
-        }
-        m[o][k] = q;
+        for (unsigned j = 0; j < 8; ++j)
+          q |= ((cx[8 * k + j] >> (8 * o)) & 0xFF) << (8 * j);
+        m[o][k] = reverse_bytes(transpose8x8(q));
       }
   }
 };

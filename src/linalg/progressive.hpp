@@ -5,9 +5,11 @@
 //    independence before accepting them (Section III-A: "the encoding peer
 //    can guarantee that exactly k messages will suffice to decode a file by
 //    simply testing generated rows for linear independence");
-//  * the decoder folds messages in as they arrive from multiple peers and
-//    stops (sends the paper's "stop transmission") the moment rank k is
-//    reached (Section III-B).
+//  * the decoder folds each message's coefficient row in as it arrives
+//    from multiple peers and stops (sends the paper's "stop transmission")
+//    the moment rank k is reached (Section III-B).  Its solver carries the
+//    row's unit source weight as the payload, so at rank k the payload half
+//    is the inverse that coding/codec.hpp then applies to the raw payloads.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +52,8 @@ class IncrementalRank {
 /// at a time.  Rows are kept in reduced row-echelon form over the
 /// concatenated [coeffs | payload] buffer, so when rank reaches k the
 /// payload parts *are* the recovered chunks — no separate back-substitution
-/// pass.  This is the decoder core measured in Table II.
+/// pass.  Table II's coefficient-only column runs it with a one-symbol
+/// payload, and the decoder with a class-width weight payload.
 class ProgressiveSolver {
  public:
   /// k: number of unknowns (chunks); payload_symbols: m.

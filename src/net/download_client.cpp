@@ -91,8 +91,8 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
     instruments.push_back(
         make_instruments(registry, options.user_id, peer.peer_id));
   obs::TraceSpan download_span(&registry.spans(), "client.download");
-  // Codec selected per FileInfo: dense files get the progressive solver,
-  // chunked files the per-class decoder; the download loop is identical.
+  // One decoder for either codec (a dense file is one class); the download
+  // loop is identical.
   coding::CodecDecoder decoder(secret, info);
   decoder.enable_metrics(registry, options.user_id);
   std::atomic<bool> done{false};
@@ -267,12 +267,15 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
       ++ps.sessions_retried;
       pi.retries->add(1);
     }
+    // However this session ended, it joins the payload product (a no-op
+    // unless the decode completed); a late one finds fewer strips left.
+    decoder.solve();
   };
 
   // One thread per peer; each session keeps its thread across all retry
   // attempts, so re-dialing a flaky peer reuses the thread it already has.
-  // The jthreads join when the block closes, before the report is
-  // aggregated.
+  // The jthreads join when the block closes, after the payload product, so
+  // reconstruct() below only hands the file over.
   {
     std::vector<std::jthread> threads;
     threads.reserve(peers.size());

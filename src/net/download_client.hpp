@@ -4,8 +4,11 @@
 // session feeds the one shared decoder directly, with no client-side lock:
 // it checks each message's MD5 and regenerates its coefficient row on its
 // own thread, and holds only the lock of the message's class while it
-// eliminates, so sessions whose messages land in different classes decode
-// in parallel (coding/codec.hpp).
+// eliminates that row, so sessions whose messages land in different
+// classes decode in parallel (coding/codec.hpp).  After its stop frame
+// each session joins the decoder's payload product, claiming strips until
+// none is left, so the sessions share the solve and the file is written
+// in place into DownloadReport::data.
 //
 // Failure model: a peer that refuses the connection, dies mid-handshake,
 // or resets mid-stream is retried with exponential backoff + deterministic

@@ -400,6 +400,12 @@ TEST(CodecDecoder, DispatchesOnFileInfoCodec) {
     EXPECT_EQ(dense_dec.add(msg), AddResult::accepted);
   ASSERT_TRUE(dense_dec.complete());
   EXPECT_EQ(dense_dec.rank(), dense_enc.k());
+  const obs::LabelList dense_labels = {
+      {"codec", "dense"}, {"file", "47"}, {"user", "1"}};
+  // The payload product runs after the last arrival, inside reconstruct().
+  EXPECT_EQ(
+      registry.histogram("fairshare_decoder_solve_ns", dense_labels).count(),
+      0u);
   EXPECT_EQ(dense_dec.reconstruct(), data);
   // A dense decode exports only the codec="dense" decoder series.
   const auto snap = registry.snapshot();
@@ -409,7 +415,15 @@ TEST(CodecDecoder, DispatchesOnFileInfoCodec) {
   for (const auto& h : snap.histograms) names.push_back(h.name);
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"fairshare_decoder_eliminate_ns",
-                                             "fairshare_decoder_rank"}));
+                                             "fairshare_decoder_rank",
+                                             "fairshare_decoder_solve_ns"}));
+  // 64-byte chunks are one strip of the product: one timed sample.
+  for (const auto& h : snap.histograms) {
+    if (h.name != "fairshare_decoder_solve_ns") continue;
+    EXPECT_EQ(h.labels, dense_labels);
+    EXPECT_EQ(h.snap.count, 1u);
+    EXPECT_GT(h.snap.sum, 0u);
+  }
 
   chunked::Encoder chunked_enc(key, 47, data, params, schedule(16, 4));
   ASSERT_EQ(chunked_enc.info().codec, CodecKind::chunked);
@@ -477,17 +491,24 @@ TEST(Chunked, MetricsMirrorDecoderState) {
   // elimination was innovative — k coded rows plus the donated overlap
   // rows — so the sample count equals the total rank exactly.
   ASSERT_EQ(decoder.non_innovative(), 0u);
+  const obs::LabelList want = {{"codec", "chunked"},
+                               {"file", "48"},
+                               {"user", "9"}};
   bool saw_hist = false;
   for (const auto& h : snap.histograms) {
     if (h.name != "fairshare_decoder_eliminate_ns") continue;
     saw_hist = true;
-    const obs::LabelList want = {{"codec", "chunked"},
-                                 {"file", "48"},
-                                 {"user", "9"}};
     EXPECT_EQ(h.labels, want);
     EXPECT_EQ(h.snap.count, decoder.rank());
   }
   EXPECT_TRUE(saw_hist);
+
+  // The payload product is timed per strip, under the same labels, and
+  // only once the file is rebuilt: 256-byte chunks make one strip.
+  obs::Histogram& solve_ns = registry.histogram("fairshare_decoder_solve_ns", want);
+  EXPECT_EQ(solve_ns.count(), 0u);
+  EXPECT_EQ(decoder.reconstruct(), data);
+  EXPECT_EQ(solve_ns.count(), 1u);
 }
 
 // ---------------------------------------------------------- concurrency
@@ -550,6 +571,10 @@ void check_concurrent_feed(CodecKind codec, std::uint64_t seed) {
         start.arrive_and_wait();
         for (const EncodedMessage& msg : feeds[t])
           ++tallies[t][static_cast<std::size_t>(decoder.add(msg))];
+        // Each feeder then joins the payload product, as a download
+        // session does after its stop frame; strips go to whichever
+        // feeder claims them first, possibly while siblings still add.
+        decoder.solve();
       });
   }
 

@@ -90,6 +90,45 @@ TEST(Encoder, GoldenDenseStreams) {
   }
 }
 
+// The chunked stream is pinned the same way, over overlapping classes of
+// 16 chunks sharing 4 (so several classes take each batch and the last
+// class is short).  The payload lengths leave a tail past the SIMD
+// kernels' block on every field.  Recorded from the encoder that computed
+// each payload with one axpy per class chunk.
+TEST(Encoder, GoldenChunkedStreams) {
+  SecretKey key{};
+  key[0] = 0x61;
+  key[31] = 0x2c;
+  const GoldenStream streams[] = {
+      {gf::FieldId::gf2_8, 72, 3500, 44, 0x602C8, 49, {{0, 98}},
+       "6d951fe58957aa2d45598270506115af"},
+      {gf::FieldId::gf2_16, 100, 9000, 45, 0x602C16, 45, {{0, 90}},
+       "3442260249a02ffbb06b371f6c3fa4f6"},
+      {gf::FieldId::gf2_32, 96, 19000, 46, 0x602C32, 50, {{0, 100}},
+       "253fb9cbfd3106e1386089be16efb9ef"},
+  };
+  for (const GoldenStream& g : streams) {
+    SCOPED_TRACE(gf::field_name(g.field));
+    const auto data = blob(g.bytes, g.data_seed);
+    chunked::Encoder enc(key, g.file_id, data, CodingParams{g.field, g.m},
+                         ChunkedSchedule{16, 4, 7});
+    ASSERT_EQ(enc.k(), g.k);
+    ASSERT_GT(enc.class_map().classes(), 3u);
+    std::vector<std::uint64_t> want_ids;
+    for (const auto& [first, last] : g.id_runs)
+      for (std::uint64_t id = first; id < last; ++id) want_ids.push_back(id);
+
+    std::vector<std::uint64_t> ids;
+    crypto::Md5 md5;
+    for (const EncodedMessage& msg : enc.generate(2 * g.k)) {
+      ids.push_back(msg.message_id);
+      md5.update(std::span<const std::byte>(msg.serialize()));
+    }
+    EXPECT_EQ(ids, want_ids);
+    EXPECT_EQ(crypto::to_hex(md5.finish()), g.md5);
+  }
+}
+
 TEST(Encoder, PayloadDependsOnData) {
   const auto d1 = blob(3000, 2);
   auto d2 = d1;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "gf/row_ops.hpp"
+#include "gf/window_tables.hpp"
 #include "sim/rng.hpp"
 
 namespace fairshare::gf {
@@ -173,6 +174,45 @@ INSTANTIATE_TEST_SUITE_P(AllFields, RowOpsTest,
                              default: return "GF2pow32";
                            }
                          });
+
+// The GFNI bit matrices are built by transposing byte-gathered blocks of
+// cx_powers.  The oracle is the construction they replaced: one bit
+// extraction per matrix entry, straight from the operand layout (row i of
+// block (o, k) at qword byte 7 - i, row bit j = bit 8o + i of c * x^(8k + j)).
+template <unsigned Bits>
+void expect_gfni_matrices_match_bitwise(std::uint64_t c) {
+  using M = detail::GfniMatrices<Bits>;
+  const M got(static_cast<typename M::Elem>(c));
+  const auto cx = detail::cx_powers<Bits>(c);
+  for (unsigned o = 0; o < M::kBytes; ++o)
+    for (unsigned k = 0; k < M::kBytes; ++k) {
+      std::uint64_t want = 0;
+      for (unsigned i = 0; i < 8; ++i) {
+        std::uint64_t row = 0;
+        for (unsigned j = 0; j < 8; ++j)
+          row |= ((cx[8 * k + j] >> (8 * o + i)) & 1) << j;
+        want |= row << (8 * (7 - i));
+      }
+      ASSERT_EQ(got.m[o][k], want)
+          << "GF(2^" << Bits << ") c=" << c << " block " << o << "," << k;
+    }
+}
+
+TEST(GfniMatrices, MatchBitwiseConstruction) {
+  sim::SplitMix64 rng(77);
+  for (const std::uint64_t c : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{2}, std::uint64_t{0xFFFF}}) {
+    expect_gfni_matrices_match_bitwise<16>(c);
+  }
+  for (const std::uint64_t c : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{2}, std::uint64_t{0xFFFFFFFF}}) {
+    expect_gfni_matrices_match_bitwise<32>(c);
+  }
+  for (int i = 0; i < 500; ++i) {
+    expect_gfni_matrices_match_bitwise<16>(rng.next() & 0xFFFF);
+    expect_gfni_matrices_match_bitwise<32>(rng.next() & 0xFFFFFFFF);
+  }
+}
 
 }  // namespace
 }  // namespace fairshare::gf

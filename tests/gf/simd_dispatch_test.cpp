@@ -2,11 +2,14 @@
 // dispatched to (avx2 / ssse3 / window64, or scalar when forced) must be
 // bit-for-bit identical to scalar_field_view() on whole buffers — including
 // the multiplied padding nibble of an odd-length GF(2^4) row and rows that
-// start at unaligned byte offsets.  CI runs this binary twice: once with
+// start at unaligned byte offsets — and its row-block product must equal
+// repeated scalar axpy.  CI runs this binary twice: once with
 // native dispatch and once under FAIRSHARE_FORCE_SCALAR_KERNELS=1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -63,6 +66,62 @@ class SimdDispatchTest : public ::testing::TestWithParam<FieldId> {
 
   std::uint64_t random_scalar(sim::SplitMix64& rng) const {
     return rng.next() & (scalar().order - 1);
+  }
+
+  // The row-block product of `outputs` x `inputs` scalars over n symbols
+  // must equal clearing each output and adding one scalar-path axpy per
+  // source.  Every row sits at its own unaligned offset; the product runs
+  // over the byte range [begin, begin + row_bytes(n)) of each row and must
+  // leave the bytes around it alone.  Scalars cycle through 0, 1 and
+  // random values.  The block is built for the dispatched view, and again
+  // for the scalar view (which prepares nothing), so a prepared kernel is
+  // held to its unprepared path too.
+  void diff_row_block(std::size_t outputs, std::size_t inputs, std::size_t n,
+                      std::size_t begin, sim::SplitMix64& rng) {
+    const std::size_t nb = scalar().row_bytes(n);
+    const std::size_t span = begin + nb + 7;  // 7 guard bytes after the range
+    std::vector<std::vector<std::byte>> srcs, coeffs;
+    std::vector<const std::byte*> src, rows;
+    for (std::size_t j = 0; j < inputs; ++j) {
+      srcs.push_back(random_bytes(span + kOffsets[j % 4], rng));
+      src.push_back(srcs.back().data() + kOffsets[j % 4]);
+    }
+    for (std::size_t i = 0; i < outputs; ++i) {
+      coeffs.emplace_back(scalar().row_bytes(inputs));
+      for (std::size_t j = 0; j < inputs; ++j) {
+        const std::size_t pick = (i + 3 * j) % 4;
+        scalar().set(coeffs.back().data(), j,
+                     pick == 0 ? 0 : pick == 1 ? 1 : random_scalar(rng));
+      }
+      rows.push_back(coeffs.back().data());
+    }
+    std::vector<std::vector<std::byte>> want;
+    for (std::size_t i = 0; i < outputs; ++i) {
+      want.push_back(random_bytes(span + kOffsets[(i + 1) % 4], rng));
+      std::byte* d = want.back().data() + kOffsets[(i + 1) % 4] + begin;
+      std::memset(d, 0, nb);
+      for (std::size_t j = 0; j < inputs; ++j)
+        scalar().axpy(d, src[j] + begin, scalar().get(rows[i], j), n);
+    }
+    for (const FieldView* built_for : {&dispatched(), &scalar()}) {
+      const RowBlock block(*built_for, rows, inputs);
+      auto got = want;
+      std::vector<std::byte*> dst;
+      for (std::size_t i = 0; i < outputs; ++i) {
+        std::byte* d = got[i].data() + kOffsets[(i + 1) % 4];
+        for (std::size_t b = begin; b < begin + nb; ++b)
+          d[b] = std::byte{0xEE};  // the product must overwrite the range
+        dst.push_back(d);
+      }
+      dispatched().row_block_product(block, dst.data(), src.data(), begin,
+                                     begin + nb);
+      for (std::size_t i = 0; i < outputs; ++i)
+        ASSERT_EQ(want[i], got[i])
+            << "row block " << outputs << "x" << inputs << " n=" << n
+            << " begin=" << begin << " output " << i
+            << " kernel=" << dispatched().kernel
+            << " block built for " << built_for->kernel;
+    }
   }
 };
 
@@ -153,6 +212,40 @@ TEST_P(SimdDispatchTest, Gf4TrailingNibbleMatches) {
     diff_axpy(n, random_scalar(rng), 0, 0, rng);
     diff_scale(n, random_scalar(rng), 0, rng);
   }
+}
+
+TEST_P(SimdDispatchTest, RowBlockProductMatchesRepeatedAxpy) {
+  sim::SplitMix64 rng(0xB10C + static_cast<std::uint64_t>(GetParam()));
+  // Symbol counts around the gfni512 block (64 symbols) and its 4 KiB
+  // strip, including odd GF(2^4) tails.
+  const std::size_t symbol_bytes = std::max(1u, scalar().bits / 8);
+  const std::size_t strip = 4096 / symbol_bytes;
+  for (const std::size_t inputs : {1u, 2u, 64u, 65u})
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{3}, std::size_t{63}, std::size_t{64},
+          std::size_t{65}, std::size_t{127}, std::size_t{128},
+          std::size_t{129}, std::size_t{255}, std::size_t{256},
+          std::size_t{257}, std::size_t{511}, strip, strip + 64 + 1}) {
+      diff_row_block(3, inputs, n, 0, rng);
+    }
+  // A range that starts past the row's first block, as a decoder strip does.
+  for (const std::size_t inputs : {2u, 65u})
+    diff_row_block(2, inputs, 2 * strip + 100, 64 * symbol_bytes, rng);
+  // More scalars than a block prepares: the kernel prepares per output row.
+  diff_row_block(RowBlock::kMaxPrepared / 64 + 1, 65, 300, 0, rng);
+}
+
+TEST_P(SimdDispatchTest, RowBlockPreparesOnlyWithinBound) {
+  const FieldView& f = dispatched();
+  std::vector<std::byte> row(f.row_bytes(64));
+  const RowBlock small(f, std::vector<const std::byte*>(64, row.data()), 64);
+  const RowBlock large(
+      f, std::vector<const std::byte*>(RowBlock::kMaxPrepared / 64 + 1,
+                                       row.data()),
+      64);
+  EXPECT_EQ(small.matrices(0, 0) != nullptr, f.row_block_matrices);
+  EXPECT_EQ(large.matrices(0, 0), nullptr);
+  EXPECT_EQ(RowBlock(scalar(), {row.data()}, 64).matrices(0, 0), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFields, SimdDispatchTest,

@@ -185,6 +185,12 @@ TEST(ChunkedDownload, ThreeServersFeedOneDecoderConcurrently) {
   EXPECT_EQ(
       registry.counter_total("fairshare_client_messages_innovative_total"),
       report.messages_accepted);
+  // The sessions ran the payload product after their stop frames.
+  const obs::LabelList labels = {{"file", std::to_string(info.file_id)},
+                                 {"user", "9"},
+                                 {"codec", "chunked"}};
+  EXPECT_GE(registry.histogram("fairshare_decoder_solve_ns", labels).count(),
+            1u);
 }
 
 }  // namespace

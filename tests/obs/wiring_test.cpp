@@ -263,6 +263,17 @@ TEST(ObsWiring, DecoderMetricsTrackRankAndEliminations) {
       registry.histogram("fairshare_decoder_eliminate_ns", labels).count();
   EXPECT_GE(eliminations, decoder.rank());
   EXPECT_LE(eliminations, added);
+  // The payload product is timed apart, one sample per strip, once the
+  // file is rebuilt; a second solve() finds no strip left to time.
+  obs::Histogram& solve_ns =
+      registry.histogram("fairshare_decoder_solve_ns", labels);
+  EXPECT_EQ(solve_ns.count(), 0u);
+  EXPECT_EQ(decoder.reconstruct(), data);
+  const std::uint64_t strips = solve_ns.count();
+  EXPECT_GE(strips, 1u);
+  EXPECT_GT(solve_ns.snapshot().sum, 0u);
+  decoder.solve();
+  EXPECT_EQ(solve_ns.count(), strips);
 }
 
 TEST(ObsWiring, SimulatorBridgesIntoRegistry) {
