@@ -35,21 +35,23 @@ int main() {
     const auto& f = gf::field_view(field);
     sim::SplitMix64 rng(static_cast<std::uint64_t>(field) + 100);
 
-    // Unscreened: random rows into a rank tracker until full; count
-    // dependent draws.  (Worst-case dependent probability at rank k-1 is
+    // Unscreened: random rows into a rank tracker (a solver with no
+    // payload, as the encoder screens) until full; count dependent
+    // draws.  (Worst-case dependent probability at rank k-1 is
     // q^{-1}; earlier ranks are far smaller, so the mean rate is < 1/q.)
     std::size_t dependent = 0, draws = 0;
     double msgs_total = 0;
     const int trials = field == gf::FieldId::gf2_4 ? 2000 : 200;
     for (int t = 0; t < trials; ++t) {
-      linalg::IncrementalRank tracker(field, k);
+      linalg::ProgressiveSolver tracker(field, k, 0);
       std::size_t msgs = 0;
-      while (!tracker.full()) {
-        std::vector<std::uint64_t> row(k);
-        for (auto& v : row) v = rng.next() & (f.order - 1);
+      while (!tracker.complete()) {
+        std::vector<std::byte> row(f.row_bytes(k));
+        for (std::size_t j = 0; j < k; ++j)
+          f.set(row.data(), j, rng.next() & (f.order - 1));
         ++draws;
         ++msgs;
-        if (!tracker.add_row(row)) ++dependent;
+        if (!tracker.add_row(row.data(), nullptr)) ++dependent;
       }
       msgs_total += static_cast<double>(msgs);
     }

@@ -7,6 +7,12 @@
 // sustains real-time (>= 1 MB/s) decoding.  Also reports the coefficient-
 // matrix (k x k) share of the work — negligible, as the paper argues
 // ("the matrix inversion time was negligible", ablation A3).
+//
+// Each cell's decode and its coefficient-only elimination are timed as the
+// median of kTimedRuns decodes after one untimed warm-up: the small-k cells
+// take a few milliseconds, and a single cold decode there is mostly
+// first-touch page faults, which would let noise flip the 15% shape checks.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -26,6 +32,23 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+constexpr int kTimedRuns = 5;
+
+// Median seconds of kTimedRuns calls of `run`, after one untimed warm-up.
+template <typename Fn>
+double median_seconds(Fn&& run) {
+  run();
+  std::vector<double> samples;
+  for (int i = 0; i < kTimedRuns; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    run();
+    samples.push_back(seconds_since(t0));
+  }
+  std::nth_element(samples.begin(), samples.begin() + kTimedRuns / 2,
+                   samples.end());
+  return samples[kTimedRuns / 2];
+}
+
 struct CellResult {
   std::size_t k;
   double encode_s;
@@ -39,36 +62,33 @@ CellResult run_cell(gf::FieldId field, std::size_t m,
   coding::SecretKey secret{};
   secret[0] = 7;
 
-  auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   coding::FileEncoder encoder(secret, 1, data, params);
   const std::size_t k = encoder.k();
   const auto messages = encoder.generate(k);
   const double encode_s = seconds_since(t0);
 
-  t0 = std::chrono::steady_clock::now();
-  coding::CodecDecoder decoder(secret, encoder.info());
-  for (const auto& msg : messages) decoder.add(msg);
-  const bool complete = decoder.complete();
-  const std::vector<std::byte> decoded =
-      complete ? decoder.reconstruct() : std::vector<std::byte>{};
-  const double decode_s = seconds_since(t0);
-  if (!complete || decoded != data) {
+  std::vector<std::byte> decoded;
+  const double decode_s = median_seconds([&] {
+    coding::CodecDecoder decoder(secret, encoder.info());
+    for (const auto& msg : messages) decoder.add(msg);
+    decoded = decoder.complete() ? decoder.reconstruct()
+                                 : std::vector<std::byte>{};
+  });
+  if (decoded != data) {
     std::fprintf(stderr, "decode mismatch at %s m=%zu\n",
                  std::string(gf::field_name(field)).c_str(), m);
     std::exit(1);
   }
 
   // Coefficient-only elimination (payload length 1 symbol ~ pure k x k).
-  t0 = std::chrono::steady_clock::now();
-  {
+  const coding::CoefficientGenerator gen(secret, 1, params, k);
+  const std::vector<std::byte> tiny(gf::field_view(field).row_bytes(1));
+  const double coeff_only_s = median_seconds([&] {
     linalg::ProgressiveSolver solver(field, k, 1);
-    coding::CoefficientGenerator gen(secret, 1, params, k);
-    const auto& f = gf::field_view(field);
-    std::vector<std::byte> tiny(f.row_bytes(1), std::byte{0});
     for (const auto& msg : messages)
       solver.add_row(gen.row(msg.message_id).data(), tiny.data());
-  }
-  const double coeff_only_s = seconds_since(t0);
+  });
 
   return {k, encode_s, decode_s, coeff_only_s};
 }
@@ -102,7 +122,7 @@ int main() {
       worst_coeff_share =
           std::max(worst_coeff_share, r.coeff_only_s / r.decode_s);
       char cell[32];
-      std::snprintf(cell, sizeof cell, "%.3f(%zu)", r.decode_s, r.k);
+      std::snprintf(cell, sizeof cell, "%.4f(%zu)", r.decode_s, r.k);
       std::printf("%14s", cell);
     }
     std::printf("\n");

@@ -130,7 +130,7 @@ Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
 
   batch_rank_.reserve(map_.classes());
   for (std::size_t c = 0; c < map_.classes(); ++c)
-    batch_rank_.emplace_back(params.field, map_.width(c));
+    batch_rank_.emplace_back(params.field, map_.width(c), 0);
 }
 
 EncodedMessage Encoder::next_message() {
@@ -143,7 +143,6 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
   std::vector<EncodedMessage> out(count);
   std::vector<std::vector<std::byte>> rows(count);  // packed, class width
   std::vector<std::vector<std::size_t>> by_class(map_.classes());
-  std::vector<std::uint64_t> symbols;
   for (std::size_t i = 0; i < count; ++i) {
     std::size_t cls;
     for (;;) {
@@ -151,11 +150,10 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
       cls = map_.class_of(candidate);
       const std::size_t w = map_.width(cls);
       rows[i] = coeffs_.row(candidate, w);
-      symbols.resize(w);
-      for (std::size_t j = 0; j < w; ++j) symbols[j] = f.get(rows[i].data(), j);
-      if (!batch_rank_[cls].add_row(symbols)) continue;  // dependent; skip id
-      if (batch_rank_[cls].full())
-        batch_rank_[cls] = linalg::IncrementalRank(params.field, w);
+      if (!batch_rank_[cls].add_row(rows[i].data(), nullptr))
+        continue;  // dependent; skip id
+      if (batch_rank_[cls].complete())
+        batch_rank_[cls] = linalg::ProgressiveSolver(params.field, w, 0);
       out[i].message_id = candidate;
       break;
     }

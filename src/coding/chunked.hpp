@@ -151,7 +151,8 @@ class Encoder {
   std::size_t chunk_bytes_;
   std::vector<std::byte> chunks_;  // k rows of m packed symbols
   CoefficientGenerator coeffs_;    // sized to max class width, truncated
-  std::vector<linalg::IncrementalRank> batch_rank_;  // one per class
+  // One per class: screens the current batch's coefficient rows.
+  std::vector<linalg::ProgressiveSolver> batch_rank_;
   std::uint64_t next_id_ = 0;
   std::uint64_t generated_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -225,94 +224,49 @@ CpuFeatures cpu_features() {
 #endif
 }
 
-const char* kernel_tier_cap() {
-  static const char* cap = []() -> const char* {
-    const char* v = std::getenv("FAIRSHARE_KERNEL_CAP");
-    if (v == nullptr || v[0] == '\0') return nullptr;
-    for (const char* known : {"avx2", "ssse3", "window64"})
-      if (std::strcmp(v, known) == 0) return known;
-    return nullptr;
-  }();
-  return cap;
-}
-
-namespace {
-
-// Features visible to dispatch: the raw detection masked by the tier cap.
-// The cap only ever removes capabilities, so a capped run is always a
-// configuration some real host has — the same dispatch code paths, not a
-// synthetic mode.
-CpuFeatures dispatch_features() {
-  CpuFeatures f = cpu_features();
-  const char* cap = kernel_tier_cap();
-  if (cap == nullptr) return f;
-  // Every named cap disables the AVX-512/GFNI tier.
-  f.gfni = f.avx512f = f.avx512bw = false;
-  if (std::strcmp(cap, "avx2") == 0) return f;
-  f.avx2 = false;
-  if (std::strcmp(cap, "ssse3") == 0) return f;
-  f.ssse3 = false;  // "window64": wide fields keep it, narrow go scalar
-  return f;
-}
-
-}  // namespace
-
-bool scalar_kernels_forced() {
-#ifdef FAIRSHARE_FORCE_SCALAR_KERNELS
-  return true;
-#else
-  static const bool forced = [] {
-    const char* v = std::getenv("FAIRSHARE_FORCE_SCALAR_KERNELS");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-  }();
-  return forced;
-#endif
-}
-
-const FieldView& scalar_field_view(FieldId id) {
+std::span<const FieldView> kernel_tiers(FieldId id) {
   using detail::axpy_row_block;
-  static const FieldView views[4] = {
-      {FieldId::gf2_4, 4, 16, &scalar_mul<4>, &scalar_inv<4>, &scalar_pow<4>,
-       &gf4_row_bytes, &gf4_get, &gf4_set, &gf4_axpy, &gf4_scale,
-       &axpy_row_block<4, &gf4_axpy>, false, "scalar"},
-      {FieldId::gf2_8, 8, 256, &scalar_mul<8>, &scalar_inv<8>, &scalar_pow<8>,
-       &gf8_row_bytes, &gf8_get, &gf8_set, &gf8_axpy, &gf8_scale,
-       &axpy_row_block<8, &gf8_axpy>, false, "scalar"},
-      {FieldId::gf2_16, 16, 65536, &scalar_mul<16>, &scalar_inv<16>,
-       &scalar_pow<16>, &wide_row_bytes<16>, &wide_get<16>, &wide_set<16>,
-       &wide_axpy<16>, &wide_scale<16>, &axpy_row_block<16, &wide_axpy<16>>,
-       false, "scalar"},
-      {FieldId::gf2_32, 32, std::uint64_t{1} << 32, &scalar_mul<32>,
-       &scalar_inv<32>, &scalar_pow<32>, &wide_row_bytes<32>, &wide_get<32>,
-       &wide_set<32>, &wide_axpy<32>, &wide_scale<32>,
-       &axpy_row_block<32, &wide_axpy<32>>, false, "scalar"},
-  };
-  return views[static_cast<std::size_t>(id)];
-}
-
-const FieldView& field_view(FieldId id) {
-  // Dispatch runs exactly once (thread-safe magic static): start from the
-  // scalar views and overlay the best accelerated axpy/scale per field.
-  static const std::array<FieldView, 4> views = [] {
-    std::array<FieldView, 4> v{
-        scalar_field_view(FieldId::gf2_4), scalar_field_view(FieldId::gf2_8),
-        scalar_field_view(FieldId::gf2_16),
-        scalar_field_view(FieldId::gf2_32)};
-    if (scalar_kernels_forced()) return v;
-    const CpuFeatures feat = dispatch_features();
-    for (auto& fv : v) {
-      const detail::RowKernels k = detail::accelerated_row_kernels(fv.id, feat);
-      if (k.axpy != nullptr) {
-        fv.axpy = k.axpy;
-        fv.scale = k.scale;
-        fv.row_block_product = k.row_block_product;
-        fv.row_block_matrices = k.row_block_matrices;
-        fv.kernel = k.name;
+  // Built exactly once (thread-safe magic static): each field's scalar
+  // view, then one copy of it per accelerated tier the host supports, with
+  // that tier's row kernels overlaid.
+  static const std::array<std::vector<FieldView>, 4> tiers = [] {
+    std::array<std::vector<FieldView>, 4> t{{
+        {{FieldId::gf2_4, 4, 16, &scalar_mul<4>, &scalar_inv<4>,
+          &scalar_pow<4>, &gf4_row_bytes, &gf4_get, &gf4_set, &gf4_axpy,
+          &gf4_scale, &axpy_row_block<4, &gf4_axpy>, false, "scalar"}},
+        {{FieldId::gf2_8, 8, 256, &scalar_mul<8>, &scalar_inv<8>,
+          &scalar_pow<8>, &gf8_row_bytes, &gf8_get, &gf8_set, &gf8_axpy,
+          &gf8_scale, &axpy_row_block<8, &gf8_axpy>, false, "scalar"}},
+        {{FieldId::gf2_16, 16, 65536, &scalar_mul<16>, &scalar_inv<16>,
+          &scalar_pow<16>, &wide_row_bytes<16>, &wide_get<16>,
+          &wide_set<16>, &wide_axpy<16>, &wide_scale<16>,
+          &axpy_row_block<16, &wide_axpy<16>>, false, "scalar"}},
+        {{FieldId::gf2_32, 32, std::uint64_t{1} << 32, &scalar_mul<32>,
+          &scalar_inv<32>, &scalar_pow<32>, &wide_row_bytes<32>,
+          &wide_get<32>, &wide_set<32>, &wide_axpy<32>, &wide_scale<32>,
+          &axpy_row_block<32, &wide_axpy<32>>, false, "scalar"}},
+    }};
+    for (auto& views : t) {
+      for (const detail::RowKernels& k :
+           detail::accelerated_row_kernels(views.front().id, cpu_features())) {
+        FieldView v = views.front();
+        v.axpy = k.axpy;
+        v.scale = k.scale;
+        v.row_block_product = k.row_block_product;
+        v.row_block_matrices = k.row_block_matrices;
+        v.kernel = k.name;
+        views.push_back(v);
       }
     }
-    return v;
+    return t;
   }();
-  return views[static_cast<std::size_t>(id)];
+  return tiers[static_cast<std::size_t>(id)];
+}
+
+const FieldView& field_view(FieldId id) { return kernel_tiers(id).back(); }
+
+const FieldView& scalar_field_view(FieldId id) {
+  return kernel_tiers(id).front();
 }
 
 namespace {

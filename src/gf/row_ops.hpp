@@ -14,8 +14,8 @@
 //
 // Row operations are where virtually all decode time is spent (the paper's
 // Table II cost O(m k^2) dominates the O(k^3) coefficient inversion), so
-// `field_view()` dispatches each field's axpy/scale to the fastest kernel
-// the host supports, selected once at first use:
+// each field's axpy/scale runs on the fastest kernel tier the host
+// supports, selected once at first use:
 //   * GF(2^4)/GF(2^8): SSSE3/AVX2 split-nibble shuffle kernels (two
 //     16-entry pshufb tables per scalar, 16/32 bytes per step) on x86,
 //     falling back to premultiplied byte tables (one lookup+xor/byte);
@@ -31,17 +31,14 @@
 // transposes each source strip to byte planes once and keeps each output's
 // planes in registers across all sources; every other tier is a loop over
 // its own axpy, which is also the bit-identical reference.
-// Setting the FAIRSHARE_FORCE_SCALAR_KERNELS environment variable (or the
-// CMake option of the same name) pins every field to the portable scalar
-// path; `scalar_field_view()` exposes that path unconditionally so tests
-// and benchmarks can compare the two in one process.  Setting
-// FAIRSHARE_KERNEL_CAP to a tier name ("avx2", "ssse3", "window64")
-// disables every tier above it, so the differential suite can exercise
-// lower tiers on hosts whose dispatch would otherwise shadow them.
+// `kernel_tiers()` lists every tier the host can run, scalar first and the
+// dispatched one last, so tests and benchmarks compare tiers in one
+// process; `field_view()` is its last entry and what everything else uses.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gf/field_id.hpp"
@@ -50,8 +47,9 @@ namespace fairshare::gf {
 
 class RowBlock;
 
-/// Runtime-dispatched field interface.  Obtain with `field_view(id)`;
-/// the returned reference has static storage duration.
+/// Runtime-dispatched field interface.  Obtain with `field_view(id)` (or
+/// one tier of `kernel_tiers(id)`); the returned reference has static
+/// storage duration.
 ///
 /// Scalar values are passed as uint64_t holding an element in the low
 /// `bits` bits.  Row buffers are raw bytes in the packed representation
@@ -92,10 +90,9 @@ struct FieldView {
   /// them.
   bool row_block_matrices;
 
-  /// Name of the row-kernel variant axpy/scale/row_block_product
-  /// dispatched to: "scalar",
-  /// "ssse3", "avx2", "window64", or "gfni512".  Diagnostic only — perf
-  /// reports use it to attribute numbers to a code path.
+  /// Name of the row-kernel tier axpy/scale/row_block_product run on:
+  /// "scalar", "ssse3", "avx2", "window64", or "gfni512".  Diagnostic only
+  /// — perf reports use it to attribute numbers to a code path.
   const char* kernel;
 };
 
@@ -149,30 +146,20 @@ struct CpuFeatures {
 };
 
 /// Detected features of the host CPU (cached after the first call).
-/// Reports the raw hardware; the FAIRSHARE_KERNEL_CAP tier cap is applied
-/// separately during dispatch (see kernel_tier_cap()).
 CpuFeatures cpu_features();
 
-/// The FAIRSHARE_KERNEL_CAP environment value ("avx2", "ssse3",
-/// "window64") read once at first use, or nullptr when unset.  Dispatch
-/// treats every tier above the cap as unsupported; unknown values behave
-/// as unset.  Diagnostic surface for `fairshare_cli caps` and tests.
-const char* kernel_tier_cap();
-
-/// True when kernel dispatch is pinned to the portable scalar path, either
-/// by compiling with -DFAIRSHARE_FORCE_SCALAR_KERNELS=ON or by setting the
-/// FAIRSHARE_FORCE_SCALAR_KERNELS environment variable to anything but
-/// "0"/"" before the first field_view() call.
-bool scalar_kernels_forced();
+/// Every FieldView this host can run for `id`, one per row-kernel tier in
+/// ascending order: the portable scalar view first, the dispatched (fastest
+/// supported) tier last.  The views differ only in their row kernels.
+/// Built once, thread-safely, on first use; the span has static storage
+/// duration.
+std::span<const FieldView> kernel_tiers(FieldId id);
 
 /// The shared FieldView for `id` with axpy/scale dispatched to the fastest
-/// supported kernel.  Thread-safe; dispatch runs once and tables are built
-/// lazily on first use.
+/// supported kernel: kernel_tiers(id).back().
 const FieldView& field_view(FieldId id);
 
-/// The portable scalar FieldView for `id`, regardless of dispatch.  The
-/// differential tests and the benchmark scalar-vs-SIMD axis diff this
-/// against field_view(); everything else should use field_view().
+/// The portable scalar FieldView for `id`: kernel_tiers(id).front().
 const FieldView& scalar_field_view(FieldId id);
 
 }  // namespace fairshare::gf

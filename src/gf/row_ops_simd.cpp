@@ -1040,49 +1040,60 @@ void wide_scale_win64(std::byte* row, std::uint64_t c, std::size_t n) {
 
 }  // namespace
 
-RowKernels accelerated_row_kernels(FieldId id, const CpuFeatures& feat) {
+std::vector<RowKernels> accelerated_row_kernels(FieldId id,
+                                                const CpuFeatures& feat) {
+  constexpr bool little = std::endian::native == std::endian::little;
+  std::vector<RowKernels> tiers;
   switch (id) {
     case FieldId::gf2_4:
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.avx2) return axpy_tier<4, &gf4_axpy_avx2, &gf4_scale_avx2>("avx2");
       if (feat.ssse3)
-        return axpy_tier<4, &gf4_axpy_ssse3, &gf4_scale_ssse3>("ssse3");
+        tiers.push_back(
+            axpy_tier<4, &gf4_axpy_ssse3, &gf4_scale_ssse3>("ssse3"));
+      if (feat.avx2)
+        tiers.push_back(axpy_tier<4, &gf4_axpy_avx2, &gf4_scale_avx2>("avx2"));
 #endif
       break;
     case FieldId::gf2_8:
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.avx2) return axpy_tier<8, &gf8_axpy_avx2, &gf8_scale_avx2>("avx2");
       if (feat.ssse3)
-        return axpy_tier<8, &gf8_axpy_ssse3, &gf8_scale_ssse3>("ssse3");
+        tiers.push_back(
+            axpy_tier<8, &gf8_axpy_ssse3, &gf8_scale_ssse3>("ssse3"));
+      if (feat.avx2)
+        tiers.push_back(axpy_tier<8, &gf8_axpy_avx2, &gf8_scale_avx2>("avx2"));
 #endif
       break;
     case FieldId::gf2_16:
+      if constexpr (little)
+        tiers.push_back(
+            axpy_tier<16, &wide_axpy_win64<16>, &wide_scale_win64<16>>(
+                "window64"));
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.gfni && feat.avx512f && feat.avx512bw)
-        return {&wide_axpy_gfni512<16>, &wide_scale_gfni512<16>,
-                &wide_row_block_gfni512<16>, true, "gfni512"};
       if (feat.avx2)
-        return axpy_tier<16, &gf16_axpy_avx2, &gf16_scale_avx2>("avx2");
+        tiers.push_back(
+            axpy_tier<16, &gf16_axpy_avx2, &gf16_scale_avx2>("avx2"));
+      if (feat.gfni && feat.avx512f && feat.avx512bw)
+        tiers.push_back({&wide_axpy_gfni512<16>, &wide_scale_gfni512<16>,
+                         &wide_row_block_gfni512<16>, true, "gfni512"});
 #endif
-      if constexpr (std::endian::native == std::endian::little)
-        return axpy_tier<16, &wide_axpy_win64<16>, &wide_scale_win64<16>>(
-            "window64");
       break;
     case FieldId::gf2_32:
+      if constexpr (little)
+        tiers.push_back(
+            axpy_tier<32, &wide_axpy_win64<32>, &wide_scale_win64<32>>(
+                "window64"));
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.gfni && feat.avx512f && feat.avx512bw)
-        return {&wide_axpy_gfni512<32>, &wide_scale_gfni512<32>,
-                &wide_row_block_gfni512<32>, true, "gfni512"};
       if (feat.avx2)
-        return axpy_tier<32, &gf32_axpy_avx2, &gf32_scale_avx2>("avx2");
+        tiers.push_back(
+            axpy_tier<32, &gf32_axpy_avx2, &gf32_scale_avx2>("avx2"));
+      if (feat.gfni && feat.avx512f && feat.avx512bw)
+        tiers.push_back({&wide_axpy_gfni512<32>, &wide_scale_gfni512<32>,
+                         &wide_row_block_gfni512<32>, true, "gfni512"});
 #endif
-      if constexpr (std::endian::native == std::endian::little)
-        return axpy_tier<32, &wide_axpy_win64<32>, &wide_scale_win64<32>>(
-            "window64");
       break;
   }
   (void)feat;
-  return {};
+  return tiers;
 }
 
 }  // namespace fairshare::gf::detail

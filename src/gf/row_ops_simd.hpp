@@ -1,13 +1,14 @@
 // Internal: accelerated row-kernel variants behind runtime CPU dispatch.
 //
 // row_ops.cpp calls accelerated_row_kernels() once per field while building
-// the dispatched FieldView table; this header is not installed and must not
-// be included outside src/gf.
+// the kernel_tiers() table; this header is not installed and must not be
+// included outside src/gf.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "gf/field_id.hpp"
 #include "gf/row_ops.hpp"
@@ -22,8 +23,7 @@ using RowBlockFn = void (*)(const RowBlock& block, std::byte* const* dst,
                             std::size_t end);
 
 /// One tier's axpy/scale/row-block kernels plus the name reported through
-/// FieldView::kernel.  `axpy == nullptr` means no accelerated variant
-/// applies and the caller keeps the scalar kernels.
+/// FieldView::kernel.
 struct RowKernels {
   AxpyFn axpy = nullptr;
   ScaleFn scale = nullptr;
@@ -53,11 +53,12 @@ constexpr RowKernels axpy_tier(const char* name) {
   return {Axpy, Scale, &axpy_row_block<Bits, Axpy>, false, name};
 }
 
-/// Best accelerated kernel pair for `id` given the detected `feat`:
-/// pshufb split-nibble kernels for GF(2^4)/GF(2^8) (AVX2 preferred over
-/// SSSE3), widened 64-bit window kernels for GF(2^16)/GF(2^32) on
-/// little-endian hosts.  Every variant returned here is bit-identical to
-/// the scalar kernels (tests/gf/simd_dispatch_test.cpp holds them to it).
-RowKernels accelerated_row_kernels(FieldId id, const CpuFeatures& feat);
+/// Every accelerated tier for `id` that the detected `feat` (and the host's
+/// byte order) allows, slowest first: ssse3 then avx2 for GF(2^4)/GF(2^8);
+/// window64 (little-endian hosts only), avx2, then gfni512 for
+/// GF(2^16)/GF(2^32).  Every tier returned here is bit-identical to the
+/// scalar kernels (tests/gf/simd_dispatch_test.cpp holds each to it).
+std::vector<RowKernels> accelerated_row_kernels(FieldId id,
+                                                const CpuFeatures& feat);
 
 }  // namespace fairshare::gf::detail

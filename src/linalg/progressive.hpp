@@ -4,7 +4,8 @@
 //  * the encoder screens freshly generated coefficient rows for linear
 //    independence before accepting them (Section III-A: "the encoding peer
 //    can guarantee that exactly k messages will suffice to decode a file by
-//    simply testing generated rows for linear independence");
+//    simply testing generated rows for linear independence"), with an
+//    empty payload;
 //  * the decoder folds each message's coefficient row in as it arrives
 //    from multiple peers and stops (sends the paper's "stop transmission")
 //    the moment rank k is reached (Section III-B).  Its solver carries the
@@ -14,55 +15,30 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "gf/row_ops.hpp"
 
 namespace fairshare::linalg {
 
-/// Tracks the rank of a growing set of length-`cols` coefficient rows.
-///
-/// add_row() runs one step of reduced row-echelon maintenance; it is
-/// O(rank * cols) field operations per call.
-class IncrementalRank {
- public:
-  IncrementalRank(gf::FieldId field, std::size_t cols);
-
-  /// Reduce `coeffs` (one symbol per entry, length cols) against the
-  /// current basis.  Returns true and absorbs the row if it is linearly
-  /// independent of everything added so far; returns false (row discarded)
-  /// otherwise.
-  bool add_row(std::span<const std::uint64_t> coeffs);
-
-  std::size_t rank() const { return pivots_.size(); }
-  std::size_t cols() const { return cols_; }
-  bool full() const { return rank() == cols_; }
-
- private:
-  gf::FieldId field_;
-  std::size_t cols_;
-  std::size_t row_bytes_;
-  std::vector<std::byte> rows_;        // packed basis rows, rref
-  std::vector<std::size_t> pivots_;    // pivots_[i] = pivot column of row i
-  std::vector<std::byte> scratch_;     // one packed row
-};
-
 /// Online solver for B * X = Y fed one (coefficient row, payload row) pair
 /// at a time.  Rows are kept in reduced row-echelon form over the
 /// concatenated [coeffs | payload] buffer, so when rank reaches k the
 /// payload parts *are* the recovered chunks — no separate back-substitution
-/// pass.  Table II's coefficient-only column runs it with a one-symbol
-/// payload, and the decoder with a class-width weight payload.
+/// pass.  The encoder's screening runs it with no payload, Table II's
+/// coefficient-only column with a one-symbol payload, and the decoder with
+/// a class-width weight payload.  Each add_row is O(k * (k + m)) field
+/// operations.
 class ProgressiveSolver {
  public:
-  /// k: number of unknowns (chunks); payload_symbols: m.
+  /// k: number of unknowns (chunks); payload_symbols: m, possibly 0.
   ProgressiveSolver(gf::FieldId field, std::size_t k,
                     std::size_t payload_symbols);
 
   /// Fold in one received row.  `coeffs` is the packed coefficient row
-  /// (k symbols); `payload` the packed message payload (m symbols).
-  /// Returns true when the row was innovative (rank increased).
+  /// (k symbols); `payload` the packed message payload (m symbols; unread,
+  /// and may be null, when m is 0).  Returns true when the row was
+  /// innovative (rank increased).
   bool add_row(const std::byte* coeffs, const std::byte* payload);
 
   std::size_t rank() const { return filled_; }
@@ -87,6 +63,7 @@ class ProgressiveSolver {
   std::size_t k_;
   std::size_t m_;
   std::size_t row_bytes_;  // bytes of one packed [coeffs|payload] row
+  std::size_t row_symbols_;     // symbols that span row_bytes_
   std::size_t payload_offset_;  // byte offset of payload within a row
   std::size_t filled_ = 0;
   std::vector<std::byte> rows_;     // k slots indexed by pivot column

@@ -202,11 +202,11 @@ TEST(Encoder, ManyBatchesStayDecodableIndividually) {
   const std::size_t k = enc.k();
   const CoefficientGenerator gen(secret(1), 1, params, k);
   for (int batch = 0; batch < 8; ++batch) {
-    linalg::IncrementalRank tracker(params.field, k);
+    linalg::ProgressiveSolver tracker(params.field, k, 0);
     for (const auto& msg : enc.generate(k))
-      EXPECT_TRUE(tracker.add_row(gen.row_symbols(msg.message_id)))
+      EXPECT_TRUE(tracker.add_row(gen.row(msg.message_id).data(), nullptr))
           << "batch " << batch;
-    EXPECT_TRUE(tracker.full());
+    EXPECT_TRUE(tracker.complete());
   }
 }
 

@@ -21,55 +21,66 @@ std::vector<std::uint64_t> random_symbols(FieldId field, std::size_t n,
   return out;
 }
 
-class IncrementalRankTest : public ::testing::TestWithParam<FieldId> {};
+// Incremental rank as the encoder's screening uses it: a ProgressiveSolver
+// with no payload, fed packed coefficient rows.
+class IncrementalRankTest : public ::testing::TestWithParam<FieldId> {
+ protected:
+  bool add(ProgressiveSolver& tracker, const std::vector<std::uint64_t>& row) {
+    const auto& f = gf::field_view(GetParam());
+    std::vector<std::byte> packed(f.row_bytes(row.size()));
+    for (std::size_t i = 0; i < row.size(); ++i)
+      f.set(packed.data(), i, row[i]);
+    return tracker.add_row(packed.data(), nullptr);
+  }
+};
 
 TEST_P(IncrementalRankTest, AcceptsIndependentRows) {
-  IncrementalRank tracker(GetParam(), 4);
+  ProgressiveSolver tracker(GetParam(), 4, 0);
   // Unit vectors are independent.
   for (std::size_t i = 0; i < 4; ++i) {
     std::vector<std::uint64_t> row(4, 0);
     row[i] = 1;
-    EXPECT_TRUE(tracker.add_row(row)) << i;
+    EXPECT_TRUE(add(tracker, row)) << i;
     EXPECT_EQ(tracker.rank(), i + 1);
   }
-  EXPECT_TRUE(tracker.full());
+  EXPECT_TRUE(tracker.complete());
 }
 
 TEST_P(IncrementalRankTest, RejectsZeroRow) {
-  IncrementalRank tracker(GetParam(), 3);
-  EXPECT_FALSE(tracker.add_row(std::vector<std::uint64_t>{0, 0, 0}));
+  ProgressiveSolver tracker(GetParam(), 3, 0);
+  EXPECT_FALSE(add(tracker, {0, 0, 0}));
   EXPECT_EQ(tracker.rank(), 0u);
 }
 
 TEST_P(IncrementalRankTest, RejectsDuplicateRow) {
-  IncrementalRank tracker(GetParam(), 3);
+  ProgressiveSolver tracker(GetParam(), 3, 0);
   const std::vector<std::uint64_t> row{1, 2, 3};
-  EXPECT_TRUE(tracker.add_row(row));
-  EXPECT_FALSE(tracker.add_row(row));
+  EXPECT_TRUE(add(tracker, row));
+  EXPECT_FALSE(add(tracker, row));
   EXPECT_EQ(tracker.rank(), 1u);
 }
 
 TEST_P(IncrementalRankTest, RejectsScaledRow) {
   const auto& f = gf::field_view(GetParam());
-  IncrementalRank tracker(GetParam(), 3);
+  ProgressiveSolver tracker(GetParam(), 3, 0);
   std::vector<std::uint64_t> row{1, 2, 3};
-  EXPECT_TRUE(tracker.add_row(row));
+  EXPECT_TRUE(add(tracker, row));
   std::vector<std::uint64_t> scaled(3);
   const std::uint64_t c = f.order - 1;  // nonzero scalar
   for (int i = 0; i < 3; ++i) scaled[i] = f.mul(c, row[i]);
-  EXPECT_FALSE(tracker.add_row(scaled));
+  EXPECT_FALSE(add(tracker, scaled));
 }
 
 TEST_P(IncrementalRankTest, RejectsLinearCombination) {
   const auto& f = gf::field_view(GetParam());
-  IncrementalRank tracker(GetParam(), 4);
+  ProgressiveSolver tracker(GetParam(), 4, 0);
   const auto r1 = std::vector<std::uint64_t>{1, 0, 5 & (f.order - 1), 1};
   const auto r2 = std::vector<std::uint64_t>{0, 1, 1, 7 & (f.order - 1)};
-  ASSERT_TRUE(tracker.add_row(r1));
-  ASSERT_TRUE(tracker.add_row(r2));
+  ASSERT_TRUE(add(tracker, r1));
+  ASSERT_TRUE(add(tracker, r2));
   std::vector<std::uint64_t> combo(4);
   for (int i = 0; i < 4; ++i) combo[i] = r1[i] ^ f.mul(3 & (f.order - 1), r2[i]);
-  EXPECT_FALSE(tracker.add_row(combo));
+  EXPECT_FALSE(add(tracker, combo));
   EXPECT_EQ(tracker.rank(), 2u);
 }
 
@@ -78,12 +89,12 @@ TEST_P(IncrementalRankTest, AgreesWithBatchRankOnRandomRows) {
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t cols = 6;
     const std::size_t rows = 9;
-    IncrementalRank tracker(GetParam(), cols);
+    ProgressiveSolver tracker(GetParam(), cols, 0);
     Matrix m(GetParam(), rows, cols);
     for (std::size_t r = 0; r < rows; ++r) {
       const auto row = random_symbols(GetParam(), cols, rng);
       for (std::size_t c = 0; c < cols; ++c) m.set(r, c, row[c]);
-      tracker.add_row(row);
+      add(tracker, row);
     }
     EXPECT_EQ(tracker.rank(), rank(m));
   }

@@ -2,17 +2,16 @@
 """Condense google-benchmark JSON output into the committed perf baseline.
 
 Usage:
-  bench_to_json.py NATIVE.json [--scalar SCALAR.json] [--merge NAME=RUN.json ...] [-o BENCH_kernels.json]
-  bench_to_json.py NATIVE.json [--scalar SCALAR.json] [--merge NAME=RUN.json ...] --compare BENCH_kernels.json
+  bench_to_json.py NATIVE.json [--merge NAME=RUN.json ...] [-o BENCH_kernels.json]
+  bench_to_json.py NATIVE.json [--merge NAME=RUN.json ...] --compare BENCH_kernels.json
 
-NATIVE.json is a --benchmark_out=json run with the host's dispatched
-kernels; SCALAR.json is the same binary re-run under
-FAIRSHARE_FORCE_SCALAR_KERNELS=1 (the in-process `simd` axis covers the
-row kernels, but BM_DecodePipeline exercises the process-wide dispatch and
-needs the second run).  The output strips volatile context (dates, load
+NATIVE.json is a --benchmark_out=json run of microbench_kernels.  Its
+row-kernel benchmarks carry a `simd` axis (0 = the scalar tier, 1 = the
+dispatched one, both in the same process), and the output records the
+simd:0 / simd:1 time of each pair as a speedup, so regressions are a
+single number to eyeball.  The output strips volatile context (dates, load
 average, paths) so diffs against the committed baseline show perf drift,
-not noise, and records per-benchmark speedups so regressions are a single
-number to eyeball.
+not noise.
 
 Typically invoked via the `bench_baseline` CMake target, which writes
 BENCH_kernels.json at the repo root.
@@ -103,9 +102,8 @@ def by_name(entries):
     return {e["name"]: e for e in entries}
 
 
-def speedups(native, scalar):
-    """SIMD-over-scalar ratios: in-run for the simd axis, cross-run for the
-    dispatched pipeline."""
+def speedups(native):
+    """Dispatched-over-scalar ratios of each simd:1 / simd:0 pair."""
     out = {}
     native_by = by_name(native)
     for name, entry in sorted(native_by.items()):
@@ -113,13 +111,6 @@ def speedups(native, scalar):
             base = native_by.get(name.replace("/simd:1", "/simd:0"))
             if base and entry["real_time_ns"] > 0:
                 out[name] = round(base["real_time_ns"] / entry["real_time_ns"], 2)
-    if scalar:
-        scalar_by = by_name(scalar)
-        for name, entry in sorted(native_by.items()):
-            if name.startswith("BM_DecodePipeline"):
-                base = scalar_by.get(name)
-                if base and entry["real_time_ns"] > 0:
-                    out[name] = round(base["real_time_ns"] / entry["real_time_ns"], 2)
     return out
 
 
@@ -152,19 +143,13 @@ def compare_runs(run_name, fresh, baseline_entries, threshold_pct):
     return regressed, missing
 
 
-def run_compare(args, native, scalar, merged):
+def run_compare(args, native, merged):
     baseline = load_run(args.compare)
     runs = baseline.get("runs", {})
     if not runs.get("native"):
         sys.exit("no runs.native entries in baseline " + args.compare)
     regressed, missing = compare_runs("native", native, runs["native"],
                                       args.threshold)
-    if scalar and runs.get("forced_scalar"):
-        print()
-        more_regressed, more_missing = compare_runs(
-            "forced_scalar", scalar, runs["forced_scalar"], args.threshold)
-        regressed += more_regressed
-        missing += more_missing
     for name, entries in merged.items():
         print()
         if not runs.get(name):
@@ -203,9 +188,7 @@ def run_compare(args, native, scalar, merged):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("native", help="benchmark JSON from the dispatched run")
-    ap.add_argument("--scalar", help="benchmark JSON from the "
-                    "FAIRSHARE_FORCE_SCALAR_KERNELS=1 run")
+    ap.add_argument("native", help="benchmark JSON from microbench_kernels")
     ap.add_argument("--merge", action="append", default=[],
                     metavar="NAME=RUN.json",
                     help="condense an extra benchmark run into runs.NAME "
@@ -242,10 +225,7 @@ def main():
                      % spec)
 
     native_doc = load_run(args.native)
-    scalar_doc = load_run(args.scalar) if args.scalar else None
-
     native = condense_entries(native_doc)
-    scalar = condense_entries(scalar_doc) if scalar_doc else []
     if not native:
         sys.exit("no benchmark entries in " + args.native)
 
@@ -254,7 +234,7 @@ def main():
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             sys.exit("--merge expects NAME=RUN.json, got %r" % spec)
-        if name in ("native", "forced_scalar") or name in merged:
+        if name == "native" or name in merged:
             sys.exit("--merge run name %r collides with an existing run"
                      % name)
         entries = condense_entries(load_run(path))
@@ -263,7 +243,7 @@ def main():
         merged[name] = entries
 
     if args.compare:
-        run_compare(args, native, scalar, merged)
+        run_compare(args, native, merged)
         return
 
     host = host_context(native_doc)
@@ -277,18 +257,16 @@ def main():
         "schema": 1,
         "generated_by": "tools/bench_to_json.py (cmake --build build --target bench_baseline)",
         "host": host,
-        "speedup_simd_over_scalar": speedups(native, scalar),
+        "speedup_simd_over_scalar": speedups(native),
         "runs": {"native": native},
     }
-    if scalar:
-        baseline["runs"]["forced_scalar"] = scalar
     baseline["runs"].update(merged)
 
     with open(args.output, "w") as fh:
         json.dump(baseline, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    print("wrote %s (%d native entries, %d forced-scalar entries)"
-          % (args.output, len(native), len(scalar)))
+    print("wrote %s (%d native entries, %d merged runs)"
+          % (args.output, len(native), len(merged)))
 
 
 if __name__ == "__main__":

@@ -22,10 +22,10 @@
 // prints the normalized trace text instead of running anything.
 //
 // caps prints the build version, detected CPU features (including the
-// GFNI/AVX-512 bits the wide-field kernels key on), any active
-// FAIRSHARE_KERNEL_CAP tier cap, the row-kernel variant each field
-// dispatched to, and whether epoll (which PeerServer requires) is
-// available, so perf reports are attributable to a code path.
+// GFNI/AVX-512 bits the wide-field kernels key on), the row-kernel tier
+// each field dispatched to followed by the lower tiers this host can also
+// run, and whether epoll (which PeerServer requires) is available, so perf
+// reports are attributable to a code path.
 //
 // stats pretty-prints a registry dump written by the obs JSON exporter
 // (e.g. PeerServer::Config::stats_json_path).  With --pid it first sends
@@ -905,16 +905,19 @@ int cmd_caps() {
               feat.ssse3 ? "yes" : "no", feat.avx2 ? "yes" : "no",
               feat.gfni ? "yes" : "no", feat.avx512f ? "yes" : "no",
               feat.avx512bw ? "yes" : "no");
-  std::printf("kernel tier cap: %s\n",
-              gf::kernel_tier_cap() ? gf::kernel_tier_cap()
-                                    : "none (FAIRSHARE_KERNEL_CAP unset)");
-  std::printf("scalar forced  : %s\n", gf::scalar_kernels_forced()
-                                           ? "yes (env/CMake pin)"
-                                           : "no");
   std::printf("row kernels    :\n");
-  for (const gf::FieldId id : gf::kAllFields)
-    std::printf("  %-9s -> %s\n", std::string(gf::field_name(id)).c_str(),
-                gf::field_view(id).kernel);
+  for (const gf::FieldId id : gf::kAllFields) {
+    const auto tiers = gf::kernel_tiers(id);
+    std::printf("  %-9s -> %s", std::string(gf::field_name(id)).c_str(),
+                tiers.back().kernel);
+    if (tiers.size() > 1) {
+      std::printf(" (also:");
+      for (auto t = tiers.rbegin() + 1; t != tiers.rend(); ++t)
+        std::printf(" %s", t->kernel);
+      std::printf(")");
+    }
+    std::printf("\n");
+  }
   std::printf("epoll          : %s\n",
               net::epoll_available() ? "available" : "unavailable");
   std::printf("codecs         : dense chunked (chunked default geometry: "
