@@ -13,6 +13,7 @@
 // committed BENCH_kernels.json baseline.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <vector>
@@ -256,6 +257,33 @@ void BM_Md5(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Md5)->Arg(1 << 17)->ArgNames({"bytes"});
+
+// md5_many on the dispatched tier: `lanes` coded messages (16 id bytes plus
+// a `bytes` payload) per call.  Per-message time is real_time / lanes; the
+// label names the tier, as the row kernels' do.
+void BM_Md5Many(benchmark::State& state) {
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
+  const std::array<std::byte, 16> head{};
+  std::vector<std::vector<std::byte>> bodies(lanes,
+                                             std::vector<std::byte>(n));
+  std::vector<crypto::Md5Input> inputs;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    std::fill(bodies[i].begin(), bodies[i].end(),
+              std::byte{static_cast<std::uint8_t>(0xAB + i)});
+    inputs.push_back({head, bodies[i]});
+  }
+  for (auto _ : state) {
+    auto d = crypto::md5_many(inputs);
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(lanes * (16 + n)));
+  state.SetLabel(crypto::md5_tiers().back().name);
+}
+BENCHMARK(BM_Md5Many)
+    ->ArgsProduct({{2, 16}, {1 << 17}})
+    ->ArgNames({"lanes", "bytes"});
 
 void BM_Sha256(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

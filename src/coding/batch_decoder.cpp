@@ -15,7 +15,9 @@ BatchDecoder::BatchDecoder(const SecretKey& secret, const FileInfo& info,
       coeffs_(secret, info.file_id, info.params, info.k) {}
 
 AddResult BatchDecoder::add(const EncodedMessage& message) {
-  const AddResult verdict = authenticate(info_, require_digests_, message);
+  const EncodedMessageView view = message.view();
+  const AddResult verdict =
+      authenticate(info_, require_digests_, std::span(&view, 1)).front();
   if (verdict != AddResult::accepted) return verdict;
   const bool duplicate = std::any_of(
       messages_.begin(), messages_.end(), [&](const EncodedMessage& m) {

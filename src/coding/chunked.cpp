@@ -186,8 +186,13 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
     }
   }
 
-  for (const EncodedMessage& msg : out)
-    info_.message_digests.emplace(msg.message_id, msg.digest());
+  // The owner's digest table: the whole batch in one multi-lane MD5 pass.
+  std::vector<EncodedMessageView> views;
+  views.reserve(count);
+  for (const EncodedMessage& msg : out) views.push_back(msg.view());
+  const std::vector<crypto::Md5Digest> digests = digest_many(views);
+  for (std::size_t i = 0; i < count; ++i)
+    info_.message_digests.emplace(out[i].message_id, digests[i]);
   generated_ += count;
   return out;
 }

@@ -128,8 +128,9 @@ class Encoder {
   /// Generate the next `count` messages.  The paper uploads n*k messages
   /// total, k per peer.  Ids are screened one at a time, exactly as
   /// next_message() would; then each class's new payloads come from one
-  /// row-block product over the class's chunks (gf/row_ops.hpp), and
-  /// next_message() is the one-message case.
+  /// row-block product over the class's chunks (gf/row_ops.hpp), and the
+  /// batch's digests from one crypto::md5_many call (equal to each
+  /// message's digest()).  next_message() is the one-message case.
   std::vector<EncodedMessage> generate(std::size_t count);
 
   /// Message ids examined so far (accepted + skipped); the skip rate is

@@ -10,16 +10,34 @@
 
 namespace fairshare::coding {
 
-AddResult authenticate(const FileInfo& info, bool require_digests,
-                       const EncodedMessage& message) {
-  if (message.file_id != info.file_id) return AddResult::wrong_file;
-  if (message.payload.size() != info.params.message_bytes())
-    return AddResult::bad_size;
-  const auto it = info.message_digests.find(message.message_id);
-  if (it == info.message_digests.end())
-    return require_digests ? AddResult::bad_digest : AddResult::accepted;
-  return message.digest() == it->second ? AddResult::accepted
-                                        : AddResult::bad_digest;
+std::vector<AddResult> authenticate(
+    const FileInfo& info, bool require_digests,
+    std::span<const EncodedMessageView> messages) {
+  std::vector<AddResult> out(messages.size(), AddResult::accepted);
+  // The messages with a digest on file, where they sit in the batch, and
+  // the digest each must match.
+  std::vector<EncodedMessageView> hashed;
+  std::vector<std::size_t> at;
+  std::vector<const crypto::Md5Digest*> expected;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const EncodedMessageView& m = messages[i];
+    if (m.file_id != info.file_id) {
+      out[i] = AddResult::wrong_file;
+    } else if (m.payload.size() != info.params.message_bytes()) {
+      out[i] = AddResult::bad_size;
+    } else if (const auto it = info.message_digests.find(m.message_id);
+               it != info.message_digests.end()) {
+      hashed.push_back(m);
+      at.push_back(i);
+      expected.push_back(&it->second);
+    } else if (require_digests) {
+      out[i] = AddResult::bad_digest;
+    }
+  }
+  const std::vector<crypto::Md5Digest> digests = digest_many(hashed);
+  for (std::size_t j = 0; j < hashed.size(); ++j)
+    if (digests[j] != *expected[j]) out[at[j]] = AddResult::bad_digest;
+  return out;
 }
 
 namespace {
@@ -52,8 +70,10 @@ CodecDecoder::CodecDecoder(const SecretKey& secret, const FileInfo& info,
       strips_((chunk_bytes_ + kStripBytes - 1) / kStripBytes),
       coeffs_(secret, info.file_id, info.params, map_.max_width()),
       order_(map_.classes()) {
-  for (std::size_t c = 0; c < map_.classes(); ++c)
+  for (std::size_t c = 0; c < map_.classes(); ++c) {
     classes_.emplace_back(info.params.field, map_.width(c), chunk_bytes_);
+    width_sum_ += map_.width(c);
+  }
 }
 
 bool CodecDecoder::eliminate(std::size_t cls, const std::byte* coeffs) {
@@ -219,22 +239,36 @@ AddResult CodecDecoder::absorb(std::size_t cls, const std::byte* coeffs,
   return AddResult::accepted;
 }
 
-AddResult CodecDecoder::add(const EncodedMessage& message) {
-  if (complete()) return AddResult::already_complete;
+std::vector<AddResult> CodecDecoder::add(
+    std::span<const EncodedMessageView> batch) {
+  std::vector<AddResult> out(batch.size(), AddResult::already_complete);
+  if (complete()) return out;
   claim_file();
-  const AddResult verdict = authenticate(info_, require_digests_, message);
-  if (verdict == AddResult::bad_digest)
-    rejected_auth_.fetch_add(1, std::memory_order_relaxed);
-  if (verdict != AddResult::accepted) return verdict;
+  const std::vector<AddResult> verdicts =
+      authenticate(info_, require_digests_, batch);
+  for (std::size_t i = 0; i < batch.size() && !complete(); ++i) {
+    out[i] = verdicts[i];
+    if (verdicts[i] == AddResult::bad_digest)
+      rejected_auth_.fetch_add(1, std::memory_order_relaxed);
+    if (verdicts[i] != AddResult::accepted) continue;
 
-  const std::size_t cls = map_.class_of(message.message_id);
-  if (classes_[cls].complete.load(std::memory_order_acquire)) {
-    non_innovative_.fetch_add(1, std::memory_order_relaxed);
-    return AddResult::non_innovative;
+    const EncodedMessageView& message = batch[i];
+    const std::size_t cls = map_.class_of(message.message_id);
+    if (classes_[cls].complete.load(std::memory_order_acquire)) {
+      non_innovative_.fetch_add(1, std::memory_order_relaxed);
+      out[i] = AddResult::non_innovative;
+      continue;
+    }
+    const std::vector<std::byte> row =
+        coeffs_.row(message.message_id, map_.width(cls));
+    out[i] = absorb(cls, row.data(), message.payload.data());
   }
-  const std::vector<std::byte> row =
-      coeffs_.row(message.message_id, map_.width(cls));
-  return absorb(cls, row.data(), message.payload.data());
+  return out;
+}
+
+AddResult CodecDecoder::add(const EncodedMessage& message) {
+  const EncodedMessageView view = message.view();
+  return add(std::span(&view, 1)).front();
 }
 
 AddResult CodecDecoder::add_recoded(const RecodedMessage& message) {

@@ -35,26 +35,32 @@
 // Authentication: when the FileInfo carries per-message MD5 digests, every
 // incoming message is checked before it touches a class, so a malicious
 // peer "injecting fake messages into the network" (Section III-C) is
-// rejected rather than corrupting the decode.
+// rejected rather than corrupting the decode.  add() takes a batch of
+// messages read in place (EncodedMessageView, e.g. straight from received
+// frames) and checks every digest of the batch in one multi-lane MD5 pass
+// (crypto::md5_many) before any of its messages touches a class; each
+// message is judged on its own digest.  The one-message add() is the batch
+// of one.
 //
 // Concurrency: add() and add_recoded() may run on every session thread at
 // once, next to the const accessors (complete(), rank(), accepted(), ...).
-// A caller's thread authenticates its message (file id, size, digest
-// lookup, MD5) and regenerates the class's coefficient row with no lock
-// held; only the coefficient elimination and the payload copy lock, and
-// only the message's class.  A class is published complete under its lock,
-// and the cascade that follows locks each recipient on its own, so no
-// thread ever holds two class locks.  The first add() makes the file
-// buffer, and each innovative row is copied into a slot allocated (but not
-// zero-filled) with the decoder, so their page faults land on the session
-// threads during reception.  solve() may then run on any number of threads
-// at once: each claims strips from an atomic counter until none is left,
-// so a late caller simply finds fewer.  add() calls still in flight when
-// complete() flips only read flags and counters, so they may overlap the
-// solve.  reconstruct() runs whatever strips no solve() claimed and hands
-// the file over; it must not overlap add() or solve().  add_digest() and
-// enable_metrics() must not overlap any other call: they write what add()
-// reads.
+// A caller's thread authenticates its batch (file id, size, digest lookup,
+// MD5) and regenerates each message's coefficient row with no lock held;
+// only the coefficient elimination and the payload copy lock, and only the
+// message's class.  A class is published complete under its lock, and the
+// cascade that follows locks each recipient on its own, so no thread ever
+// holds two class locks.  The first add() makes the file buffer, and each
+// innovative row is copied into a slot allocated (but not zero-filled) with
+// the decoder, so their page faults land on the session threads during
+// reception.  solve() may then run on any number of threads at once
+// (download_file runs it on every session thread after its stop frame and on
+// the thread that started the download): each claims strips from an atomic
+// counter until none is left, so a late caller simply finds fewer.  add()
+// calls still in flight when complete() flips only read flags and counters,
+// so they may overlap the solve.  reconstruct() runs whatever strips no
+// solve() claimed and hands the file over; it must not overlap add() or
+// solve().  add_digest() and enable_metrics() must not overlap any other
+// call: they write what add() reads.
 #pragma once
 
 #include <atomic>
@@ -87,15 +93,18 @@ enum class AddResult {
   already_complete ///< decode finished; message ignored
 };
 
-/// The checks a message passes before it may touch any decoder state: the
-/// file id, the payload size, then the digest policy.  With
+/// The checks each message passes before it may touch any decoder state:
+/// the file id, the payload size, then the digest policy.  With
 /// `require_digests`, a message whose id has no digest in `info` is
 /// rejected (the paper's download-time authentication); without it, only
-/// ids the table knows are verified.  Returns `accepted` when the message
-/// may proceed, else wrong_file, bad_size or bad_digest.  Reads only its
-/// arguments, so sessions may call it concurrently.
-AddResult authenticate(const FileInfo& info, bool require_digests,
-                       const EncodedMessage& message);
+/// ids the table knows are verified.  Returns, per message, `accepted` when
+/// it may proceed, else wrong_file, bad_size or bad_digest.  Every message
+/// that reaches the digest check is hashed in one digest_many call, and a
+/// message is judged on its own digest only.  Reads only its arguments, so
+/// sessions may call it concurrently.
+std::vector<AddResult> authenticate(
+    const FileInfo& info, bool require_digests,
+    std::span<const EncodedMessageView> messages);
 
 /// Per-class coefficient elimination with cross-class substitution, then
 /// one strip-parallel product per class (see the header comment).
@@ -107,9 +116,19 @@ class CodecDecoder {
   CodecDecoder(const SecretKey& secret, const FileInfo& info,
                bool require_digests = true);
 
-  /// Thread-safe.  Checks run in a fixed order: decode complete
-  /// (already_complete), then authentication, then the message's class —
-  /// so a corrupt message for a finished class still reports bad_digest.
+  /// Thread-safe.  Feeds `batch` in order and returns one verdict per
+  /// message: the verdicts, and the counters, that add() of each message in
+  /// turn would give.  The whole batch is authenticated first, its digests
+  /// in one multi-lane MD5 pass (authenticate()), so no payload reaches a
+  /// class before its own digest has matched, and a message that fails
+  /// leaves its neighbours unaffected.  Then, per message, checks run in a
+  /// fixed order: decode complete (already_complete), then the
+  /// authentication verdict, then the message's class — so a corrupt
+  /// message for a finished class still reports bad_digest.  Payloads are
+  /// read in place and need only outlive the call.
+  std::vector<AddResult> add(std::span<const EncodedMessageView> batch);
+
+  /// The batch of one.
   AddResult add(const EncodedMessage& message);
 
   /// Fold in a peer-recoded packet (recoding.hpp).  Every source id must
@@ -150,6 +169,9 @@ class CodecDecoder {
   /// dense file, >= k for a chunked one, the overlap counted once per
   /// class) when complete.
   std::size_t rank() const { return rank_.load(std::memory_order_relaxed); }
+  /// Coefficient rows still missing before complete(): the sum of class
+  /// widths minus rank().
+  std::size_t rows_missing() const { return width_sum_ - rank(); }
   std::size_t k() const { return info_.k; }
   std::size_t classes_complete() const {
     return classes_complete_.load(std::memory_order_acquire);
@@ -239,6 +261,7 @@ class CodecDecoder {
   FileInfo info_;
   bool require_digests_;
   chunked::ClassMap map_;
+  std::size_t width_sum_ = 0;  // rank() at completion
   std::size_t chunk_bytes_;
   std::size_t strips_;
   CoefficientGenerator coeffs_;  // sized to max class width

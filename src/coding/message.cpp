@@ -24,4 +24,16 @@ crypto::Md5Digest EncodedMessage::digest() const {
   return h.finish();
 }
 
+std::vector<crypto::Md5Digest> digest_many(
+    std::span<const EncodedMessageView> messages) {
+  std::vector<std::array<std::byte, 16>> heads(messages.size());
+  std::vector<crypto::Md5Input> inputs(messages.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    util::store_le(heads[i].data(), messages[i].file_id);
+    util::store_le(heads[i].data() + 8, messages[i].message_id);
+    inputs[i] = {heads[i], messages[i].payload};
+  }
+  return crypto::md5_many(inputs);
+}
+
 }  // namespace fairshare::coding

@@ -23,6 +23,15 @@ namespace fairshare::coding {
 /// 256-bit secret known only to the encoding peer (Section III-A).
 using SecretKey = std::array<std::uint8_t, 32>;
 
+/// A coded message read in place: its ids, and a view of payload bytes
+/// that stay where they already are (a received wire frame, a stored
+/// message).  Valid only while those bytes are.
+struct EncodedMessageView {
+  std::uint64_t file_id = 0;
+  std::uint64_t message_id = 0;
+  std::span<const std::byte> payload;
+};
+
 /// One coded message Y_i (Equation 1) plus its plain-text identifiers.
 struct EncodedMessage {
   std::uint64_t file_id = 0;
@@ -40,7 +49,15 @@ struct EncodedMessage {
   /// MD5 over the full wire image; this is the digest the owner stores per
   /// message for download-time authentication (Section III-C).
   crypto::Md5Digest digest() const;
+
+  /// This message as a view over its own payload.
+  EncodedMessageView view() const { return {file_id, message_id, payload}; }
 };
+
+/// Every message's digest() in one crypto::md5_many call, in order.  Every
+/// payload must be of one length (a file's messages all are).
+std::vector<crypto::Md5Digest> digest_many(
+    std::span<const EncodedMessageView> messages);
 
 /// Everything a user must carry to decode a file remotely: the public
 /// geometry plus, if the owning peer is offline, the per-message MD5

@@ -18,7 +18,8 @@ namespace fairshare::net {
 
 namespace {
 
-constexpr std::size_t kMaxServerFrame = 64 << 20;  // generous payload bound
+// Frames a session hands the decoder at once: one pass of the 16-lane MD5.
+constexpr std::size_t kMaxBatchFrames = 16;
 
 /// How one connection attempt ended.
 enum class Outcome {
@@ -97,9 +98,11 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
   decoder.enable_metrics(registry, options.user_id);
   std::atomic<bool> done{false};
   // Completion broadcast: sessions parked in a retry backoff wake the
-  // moment a sibling finishes the decode, instead of sleeping it out.
+  // moment a sibling finishes the decode, instead of sleeping it out, and
+  // the calling thread wakes to join the payload product.
   std::mutex done_mutex;
   std::condition_variable done_cv;
+  std::size_t live_sessions = peers.size();  // guarded by done_mutex
   const auto mark_done = [&] {
     {
       std::lock_guard<std::mutex> lock(done_mutex);
@@ -163,58 +166,88 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
     // recv timeout lets a session blocked on a quiet peer notice that a
     // sibling finished the decode, so every session reaches the stop frame
     // below instead of hanging until the peer happens to send again.
+    //
+    // After each blocking receive, frames that have already arrived join
+    // the batch without waiting: at most kMaxBatchFrames, and no more than
+    // this session's share of the rows still missing, so one session does
+    // not take every frame its peer pushed ahead of its siblings.  The
+    // decoder verifies a batch in one multi-lane MD5 pass, reading each
+    // message in place from its frame.
     transport->set_recv_timeout(options.recv_timeout_ms);
+    std::vector<std::vector<std::byte>> frames;
+    std::vector<coding::EncodedMessageView> batch;
     while (!done.load()) {
-      const auto frame = recv_frame(*transport, kMaxServerFrame);
-      if (!frame) {
+      auto first = recv_frame(*transport, p2p::wire::kMaxCodedFrameBytes);
+      if (!first) {
         if (transport->timed_out()) continue;  // re-check done and retry
         // Reset or premature EOF: retryable — a reconnect re-streams the
         // peer's store, and messages already decoded fall out as
         // non-innovative (no double-count).
         return fail_retryable();
       }
-      ps.bytes_received += frame->size();
-      pi.frames->add(1);
-      pi.bytes->add(frame->size());
-      const auto msg = p2p::wire::decode_coded_message(*frame);
-      if (!msg) {
-        ++ps.frames_corrupt;
-        ++ps.messages_rejected;
-        pi.corrupt->add(1);
-        pi.rejected->add(1);
-        continue;
-      }
-      if (decoder.complete()) break;
-      switch (decoder.add(*msg)) {
-        case coding::AddResult::accepted:
-          ++ps.messages_accepted;
-          pi.innovative->add(1);
+      frames.clear();
+      frames.push_back(std::move(*first));
+      const std::size_t share =
+          (decoder.rows_missing() + peers.size() - 1) / peers.size();
+      bool broken = false;  // the drain met a dead connection
+      while (frames.size() < std::min(kMaxBatchFrames, share)) {
+        TryRead next =
+            transport->try_read_frame(p2p::wire::kMaxCodedFrameBytes);
+        if (next.status != IoStatus::ok) {
+          broken = next.status != IoStatus::blocked;
           break;
-        case coding::AddResult::bad_digest:
-          // The paper's on-the-fly authentication: a flipped byte anywhere
-          // in the frame fails the owner's MD5 and never touches the
-          // solver.
+        }
+        frames.push_back(std::move(next.frame));
+      }
+      batch.clear();
+      for (const std::vector<std::byte>& frame : frames) {
+        ps.bytes_received += frame.size();
+        pi.frames->add(1);
+        pi.bytes->add(frame.size());
+        const auto msg = p2p::wire::view_coded_message(frame);
+        if (!msg) {
           ++ps.frames_corrupt;
           ++ps.messages_rejected;
           pi.corrupt->add(1);
           pi.rejected->add(1);
-          break;
-        case coding::AddResult::wrong_file:
-        case coding::AddResult::bad_size:
-          ++ps.messages_rejected;
-          pi.rejected->add(1);
-          break;
-        case coding::AddResult::non_innovative:
-          ++ps.messages_redundant;
-          pi.redundant->add(1);
-          break;
-        case coding::AddResult::already_complete:
-          break;
+          continue;
+        }
+        batch.push_back(*msg);
+      }
+      if (decoder.complete()) break;
+      for (const coding::AddResult result : decoder.add(batch)) {
+        switch (result) {
+          case coding::AddResult::accepted:
+            ++ps.messages_accepted;
+            pi.innovative->add(1);
+            break;
+          case coding::AddResult::bad_digest:
+            // The paper's on-the-fly authentication: a flipped byte
+            // anywhere in the frame fails the owner's MD5 and never
+            // touches the solver.
+            ++ps.frames_corrupt;
+            ++ps.messages_rejected;
+            pi.corrupt->add(1);
+            pi.rejected->add(1);
+            break;
+          case coding::AddResult::wrong_file:
+          case coding::AddResult::bad_size:
+            ++ps.messages_rejected;
+            pi.rejected->add(1);
+            break;
+          case coding::AddResult::non_innovative:
+            ++ps.messages_redundant;
+            pi.redundant->add(1);
+            break;
+          case coding::AddResult::already_complete:
+            break;
+        }
       }
       if (decoder.complete()) {
         mark_done();
         break;
       }
+      if (broken) return fail_retryable();
     }
     // Transmission "5": stop.
     p2p::wire::StopTransmission stop;
@@ -267,6 +300,11 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
       ++ps.sessions_retried;
       pi.retries->add(1);
     }
+    {
+      std::lock_guard<std::mutex> lock(done_mutex);
+      --live_sessions;
+    }
+    done_cv.notify_all();
     // However this session ended, it joins the payload product (a no-op
     // unless the decode completed); a late one finds fewer strips left.
     decoder.solve();
@@ -274,13 +312,20 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
 
   // One thread per peer; each session keeps its thread across all retry
   // attempts, so re-dialing a flaky peer reuses the thread it already has.
-  // The jthreads join when the block closes, after the payload product, so
-  // reconstruct() below only hands the file over.
+  // The calling thread waits until the decode completes or every session
+  // has ended, then claims strips of the payload product beside the
+  // sessions.  The jthreads join when the block closes, after the product,
+  // so reconstruct() below only hands the file over.
   {
     std::vector<std::jthread> threads;
     threads.reserve(peers.size());
     for (std::size_t i = 0; i < peers.size(); ++i)
       threads.emplace_back(session, i);
+    {
+      std::unique_lock<std::mutex> lock(done_mutex);
+      done_cv.wait(lock, [&] { return done.load() || live_sessions == 0; });
+    }
+    decoder.solve();
   }
 
   report.seconds =

@@ -1,14 +1,19 @@
 // The user's download client: opens one authenticated TCP session per
 // peer, pulls coded messages from all of them in parallel, and sends stop
 // the instant rank k is reached (Section III-B over real sockets).  Every
-// session feeds the one shared decoder directly, with no client-side lock:
-// it checks each message's MD5 and regenerates its coefficient row on its
-// own thread, and holds only the lock of the message's class while it
-// eliminates that row, so sessions whose messages land in different
-// classes decode in parallel (coding/codec.hpp).  After its stop frame
-// each session joins the decoder's payload product, claiming strips until
-// none is left, so the sessions share the solve and the file is written
-// in place into DownloadReport::data.
+// session feeds the one shared decoder directly, with no client-side lock.
+// After each blocking receive a session also takes the frames already
+// complete on its connection (up to 16, and no more than its share of the
+// rows still missing) and hands them to the decoder as one batch, read in
+// place from the frames: the decoder checks the batch's MD5 digests in one
+// multi-lane pass and regenerates each coefficient row on the session's
+// thread, and holds only the lock of a message's class while it eliminates
+// that row, so sessions whose messages land in different classes decode in
+// parallel (coding/codec.hpp).  After its stop frame each session joins
+// the decoder's payload product, claiming strips until none is left; the
+// calling thread, which waits until the decode completes or every session
+// has ended, claims strips beside them.  The file is written in place
+// into DownloadReport::data.
 //
 // Failure model: a peer that refuses the connection, dies mid-handshake,
 // or resets mid-stream is retried with exponential backoff + deterministic

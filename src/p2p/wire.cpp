@@ -21,17 +21,23 @@ bool expect_type(ByteReader& r, MessageType type) {
   return r.get_u8() == static_cast<std::uint8_t>(type) && r.ok();
 }
 
-/// Whether an encoder could have written this geometry.  Both encoders set
+/// Whether an encoder could have written this geometry, and a client could
+/// receive its messages.  Both encoders set
 /// k = coding::chunks_for_bytes(original_bytes, params), with m >= 1 and m
 /// even on GF(2^4) (two symbols to a byte).  Below 2^56 bytes and 2^56
 /// symbols — far past any file or message an encoder can hold in memory —
-/// its size_t arithmetic (8 * bytes + m * bits) cannot wrap.
+/// its size_t arithmetic (8 * bytes + m * bits) cannot wrap.  A message
+/// must also fit in a coded_message frame (kMaxCodedFrameBytes): a decoder
+/// allocates k slots of message_bytes() when it is built.
 bool encoder_geometry(const coding::FileInfo& info) {
   constexpr std::uint64_t kLimit = std::uint64_t{1} << 56;
   const std::uint64_t m = info.params.m;
   if (info.k == 0 || m == 0 || m >= kLimit || info.original_bytes >= kLimit)
     return false;
   if (info.params.field == gf::FieldId::gf2_4 && m % 2 != 0) return false;
+  if (info.params.message_bytes() >
+      kMaxCodedFrameBytes - kCodedMessageHeaderBytes)
+    return false;
   return info.k == coding::chunks_for_bytes(info.original_bytes, info.params);
 }
 
@@ -196,15 +202,25 @@ std::optional<StopTransmission> decode_stop_transmission(
   return msg;
 }
 
-std::optional<coding::EncodedMessage> decode_coded_message(
+std::optional<coding::EncodedMessageView> view_coded_message(
     std::span<const std::byte> frame) {
   ByteReader r(frame);
   if (!expect_type(r, MessageType::coded_message)) return std::nullopt;
-  coding::EncodedMessage msg;
+  coding::EncodedMessageView msg;
   msg.file_id = r.get_u64();
   msg.message_id = r.get_u64();
-  if (!r.get_blob(msg.payload) || !r.at_end()) return std::nullopt;
+  msg.payload = r.view(r.get_u32());
+  if (!r.at_end()) return std::nullopt;
   return msg;
+}
+
+std::optional<coding::EncodedMessage> decode_coded_message(
+    std::span<const std::byte> frame) {
+  const auto view = view_coded_message(frame);
+  if (!view) return std::nullopt;
+  return coding::EncodedMessage{
+      view->file_id, view->message_id,
+      std::vector<std::byte>(view->payload.begin(), view->payload.end())};
 }
 
 std::optional<coding::AuthenticatedMessage> decode_authenticated_message(

@@ -62,6 +62,12 @@ std::vector<std::byte> encode(const FileRequest& msg);
 std::vector<std::byte> encode(const StopTransmission& msg);
 std::vector<std::byte> encode(const coding::EncodedMessage& msg);
 
+/// The largest coded_message frame a client accepts (download_file's
+/// receive bound), and so the largest message a FileInfo may describe:
+/// decode_file_info rejects geometry whose message_bytes() plus framing
+/// exceeds it, before any decoder sizes its slots by it.
+inline constexpr std::size_t kMaxCodedFrameBytes = std::size_t{64} << 20;
+
 /// Bytes of a coded_message frame ahead of its payload length: the type
 /// tag and both u64 ids.
 inline constexpr std::size_t kCodedMessageIdBytes = 1 + 8 + 8;
@@ -90,6 +96,11 @@ std::optional<crypto::AuthResponse> decode_auth_response(
 std::optional<FileRequest> decode_file_request(
     std::span<const std::byte> frame);
 std::optional<StopTransmission> decode_stop_transmission(
+    std::span<const std::byte> frame);
+/// A coded_message frame read in place: the view's payload points into
+/// `frame`, so it is valid only while `frame` is.  decode_coded_message is
+/// this parser plus a copy of the payload.
+std::optional<coding::EncodedMessageView> view_coded_message(
     std::span<const std::byte> frame);
 std::optional<coding::EncodedMessage> decode_coded_message(
     std::span<const std::byte> frame);

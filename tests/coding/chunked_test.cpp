@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <latch>
 #include <map>
@@ -564,18 +565,37 @@ void check_concurrent_feed(CodecKind codec, std::uint64_t seed) {
   using Tally = std::array<std::size_t, 6>;  // indexed by AddResult
   std::vector<Tally> tallies(kThreads, Tally{});
   {
-    std::latch start(kThreads);
+    std::latch start(kThreads + 1);
+    std::atomic<std::size_t> fed_out{0};  // feeders done adding
     std::vector<std::jthread> threads;
     for (std::size_t t = 0; t < kThreads; ++t)
       threads.emplace_back([&, t] {
+        // Feed in batches of 1 to 16 messages, as a download session hands
+        // over the frames already queued on its connection.
+        sim::SplitMix64 sizes(seed * 77 + t);
+        std::vector<EncodedMessageView> batch;
         start.arrive_and_wait();
-        for (const EncodedMessage& msg : feeds[t])
-          ++tallies[t][static_cast<std::size_t>(decoder.add(msg))];
+        for (std::size_t i = 0; i < feeds[t].size(); i += batch.size()) {
+          const std::size_t n = std::min<std::size_t>(
+              1 + sizes.next_below(16), feeds[t].size() - i);
+          batch.clear();
+          for (std::size_t j = i; j < i + n; ++j)
+            batch.push_back(feeds[t][j].view());
+          for (const AddResult r : decoder.add(batch))
+            ++tallies[t][static_cast<std::size_t>(r)];
+        }
+        fed_out.fetch_add(1);
         // Each feeder then joins the payload product, as a download
         // session does after its stop frame; strips go to whichever
         // feeder claims them first, possibly while siblings still add.
         decoder.solve();
       });
+    // The starting thread solves beside the feeders, as download_file's
+    // caller does once the decode completes or every feeder is done.
+    start.arrive_and_wait();
+    while (!decoder.complete() && fed_out.load() < kThreads)
+      std::this_thread::yield();
+    decoder.solve();
   }
 
   ASSERT_TRUE(decoder.complete());

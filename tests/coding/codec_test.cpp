@@ -193,6 +193,107 @@ TEST(Codec, MessagesAfterCompletionIgnored) {
   EXPECT_EQ(decoder.add(messages[k]), AddResult::already_complete);
 }
 
+// What one add() call of a batch, or one-at-a-time adds in the same order,
+// returned and counted.
+struct Outcome {
+  std::vector<AddResult> verdicts;
+  std::size_t accepted, non_innovative, rejected_auth, rank;
+  bool complete;
+  bool operator==(const Outcome&) const = default;
+};
+
+Outcome tally(const CodecDecoder& d, std::vector<AddResult> verdicts) {
+  return {std::move(verdicts), d.accepted(), d.non_innovative(),
+          d.rejected_auth(), d.rank(), d.complete()};
+}
+
+TEST(Codec, BatchAgreesWithOneAtATime) {
+  // One batch mixing every verdict a message can earn before the decode
+  // completes: a wrong file, a short payload, an id the owner never
+  // emitted, a flipped payload byte, a duplicate and innovative rows.
+  const CodingParams params{gf::FieldId::gf2_32, 64};
+  const auto data = random_data(2000, 21);
+  FileEncoder encoder(secret(1), 1, data, params);
+  FileEncoder other(secret(1), 2, data, params);
+  const auto good = encoder.generate(encoder.k() + 2);
+  const FileInfo info = encoder.info();
+
+  std::vector<EncodedMessage> mix;
+  mix.push_back(good[0]);
+  mix.push_back(other.generate(1)[0]);  // wrong_file
+  mix.push_back(good[1]);
+  EncodedMessage short_payload = good[2];
+  short_payload.payload.resize(short_payload.payload.size() - 4);
+  mix.push_back(short_payload);  // bad_size
+  EncodedMessage unknown = good[2];
+  unknown.message_id = 987654321;
+  mix.push_back(unknown);  // no digest on file
+  EncodedMessage flipped = good[3];
+  flipped.payload[flipped.payload.size() / 2] ^= std::byte{0x10};
+  mix.push_back(flipped);  // bad_digest
+  mix.push_back(good[0]);  // duplicate: non_innovative
+  for (std::size_t i = 2; i < good.size(); ++i) mix.push_back(good[i]);
+
+  CodecDecoder serial(secret(1), info);
+  std::vector<AddResult> one_by_one;
+  for (const EncodedMessage& m : mix) one_by_one.push_back(serial.add(m));
+
+  CodecDecoder batched(secret(1), info);
+  std::vector<EncodedMessageView> views;
+  for (const EncodedMessage& m : mix) views.push_back(m.view());
+  const Outcome got = tally(batched, batched.add(views));
+
+  const Outcome want = tally(serial, one_by_one);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(want.verdicts[1], AddResult::wrong_file);
+  EXPECT_EQ(want.verdicts[3], AddResult::bad_size);
+  EXPECT_EQ(want.verdicts[4], AddResult::bad_digest);
+  EXPECT_EQ(want.verdicts[5], AddResult::bad_digest);
+  EXPECT_EQ(want.verdicts[6], AddResult::non_innovative);
+  // The last good rows arrive after the decode completed.
+  EXPECT_EQ(want.verdicts.back(), AddResult::already_complete);
+  ASSERT_TRUE(want.complete);
+  EXPECT_EQ(batched.reconstruct(), data);
+}
+
+TEST(Codec, FlippedByteRejectsOnlyItsOwnMessage) {
+  // One byte flipped in the middle message of a batch of 16: only that
+  // message fails its digest, its neighbours are accepted, nothing of it
+  // reaches a class, and the file still decodes from the rest.
+  const CodingParams params{gf::FieldId::gf2_32, 256};
+  const auto data = random_data(15000, 22);  // k = 15
+  FileEncoder encoder(secret(1), 1, data, params);
+  ASSERT_EQ(encoder.k(), 15u);
+  auto messages = encoder.generate(16);
+  messages[8].payload[500] ^= std::byte{0x01};
+
+  CodecDecoder decoder(secret(1), encoder.info());
+  std::vector<EncodedMessageView> views;
+  for (const EncodedMessage& m : messages) views.push_back(m.view());
+  const std::vector<AddResult> verdicts = decoder.add(views);
+  for (std::size_t i = 0; i < verdicts.size(); ++i)
+    EXPECT_EQ(verdicts[i],
+              i == 8 ? AddResult::bad_digest : AddResult::accepted)
+        << "message " << i;
+  EXPECT_EQ(decoder.rejected_auth(), 1u);
+  EXPECT_EQ(decoder.accepted(), 15u);
+  ASSERT_TRUE(decoder.complete());
+  EXPECT_EQ(decoder.reconstruct(), data);
+}
+
+TEST(Codec, RowsMissingCountsDown) {
+  const CodingParams params{gf::FieldId::gf2_32, 64};
+  const auto data = random_data(2000, 23);
+  FileEncoder encoder(secret(1), 1, data, params);
+  const auto messages = encoder.generate(encoder.k());
+  CodecDecoder decoder(secret(1), encoder.info());
+  EXPECT_EQ(decoder.rows_missing(), encoder.k());
+  decoder.add(messages[0]);
+  EXPECT_EQ(decoder.rows_missing(), encoder.k() - 1);
+  for (const EncodedMessage& m : messages) decoder.add(m);
+  EXPECT_EQ(decoder.rows_missing(), 0u);
+}
+
 TEST(Codec, EncoderScreeningRejectsFewIds) {
   // Skip probability per id is ~1/q; over GF(2^32) screening should
   // essentially never skip.

@@ -149,6 +149,23 @@ TEST(Encoder, InfoTracksGeneratedDigests) {
   EXPECT_EQ(enc.messages_generated(), 5u);
 }
 
+TEST(Encoder, BatchDigestsMatchEachMessage) {
+  // generate() digests a batch with one multi-lane MD5 pass; each entry of
+  // the table must still be the message's own (scalar) digest, for batches
+  // that are one message, under, exactly and past one 16-lane pass, and 2k.
+  const auto data = blob(3000, 5);
+  const std::size_t k = FileEncoder(secret(1), 1, data, kParams).k();
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{16},
+                        std::size_t{17}, 2 * k}) {
+    SCOPED_TRACE(n);
+    FileEncoder enc(secret(1), 1, data, kParams);
+    const auto messages = enc.generate(n);
+    ASSERT_EQ(enc.info().message_digests.size(), n);
+    for (const EncodedMessage& msg : messages)
+      EXPECT_EQ(enc.info().message_digests.at(msg.message_id), msg.digest());
+  }
+}
+
 TEST(Encoder, ContentDigestMatchesInput) {
   const auto data = blob(3000, 4);
   FileEncoder enc(secret(1), 1, data, kParams);

@@ -1,6 +1,8 @@
-// RFC 1321 test suite plus incremental-hashing behavior.
+// RFC 1321 test suite plus incremental-hashing behavior, and every
+// md5_many tier held to the scalar Md5.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -94,6 +96,78 @@ TEST(Md5, ByteSpanOverloadMatchesString) {
   const std::string s = "abc";
   const auto bytes = std::as_bytes(std::span(s.data(), s.size()));
   EXPECT_EQ(Md5::hash(bytes), Md5::hash(s));
+}
+
+// Md5 over head then body: the reference every md5_many tier must equal.
+Md5Digest reference(const Md5Input& in) {
+  Md5 h;
+  h.update(in.head);
+  h.update(in.body);
+  return h.finish();
+}
+
+TEST(Md5Many, EveryTierMatchesMd5) {
+  // Lane counts that under-fill, fill and spill past a 16-lane pass; bodies
+  // around every padding boundary up to one 128 KiB coded payload; heads of
+  // none, a coded message's 16 id bytes, and more than one block.  Every
+  // head and body starts at an odd address, and no body follows its head in
+  // memory, so a tier cannot read one stream where it should join two.
+  constexpr std::size_t kMaxLanes = 33;
+  constexpr std::size_t kMaxHead = 70;
+  constexpr std::size_t kMaxBody = 131072;
+  constexpr std::size_t kStride = kMaxHead + kMaxBody + 3;
+  std::vector<std::byte> pool(kMaxLanes * kStride + 1);
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    pool[i] = std::byte{static_cast<std::uint8_t>(i * 131 + (i >> 9) + 7)};
+
+  ASSERT_STREQ(md5_tiers().front().name, "scalar");
+  for (const Md5Tier& tier : md5_tiers()) {
+    for (std::size_t lanes : {1u, 2u, 15u, 16u, 17u, 33u}) {
+      for (std::size_t body :
+           {0u, 1u, 55u, 56u, 63u, 64u, 65u, 119u, 120u, 4096u, 131072u}) {
+        for (std::size_t head : {0u, 16u, 70u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << tier.name << " lanes=" << lanes << " head=" << head
+                       << " body=" << body);
+          std::vector<Md5Input> inputs(lanes);
+          std::vector<Md5Digest> expected(lanes);
+          for (std::size_t i = 0; i < lanes; ++i) {
+            const std::byte* at = pool.data() + i * kStride + 1;
+            inputs[i].head = {at, head};
+            inputs[i].body = {at + head + 1, body};
+            expected[i] = reference(inputs[i]);
+          }
+          EXPECT_EQ(tier.run(inputs), expected);
+          EXPECT_EQ(md5_many(inputs), expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(Md5Many, OneInputInSeveralLanes) {
+  // The same bytes in several lanes (a peer resending one frame) hash alike
+  // in each, next to other inputs.
+  std::vector<std::byte> a(16 + 1000), b(16 + 1000);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = std::byte{static_cast<std::uint8_t>(i)};
+    b[i] = std::byte{static_cast<std::uint8_t>(i * 7 + 1)};
+  }
+  const Md5Input x{{a.data(), 16}, {a.data() + 16, 1000}};
+  const Md5Input y{{b.data(), 16}, {b.data() + 16, 1000}};
+  const std::vector<Md5Input> inputs = {x, y, x, x, y, x, x, x, x,
+                                        x, y, x, x, x, x, x, x, x};
+  for (const Md5Tier& tier : md5_tiers()) {
+    const std::vector<Md5Digest> out = tier.run(inputs);
+    ASSERT_EQ(out.size(), inputs.size()) << tier.name;
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      EXPECT_EQ(out[i], reference(inputs[i])) << tier.name << " lane " << i;
+  }
+}
+
+TEST(Md5Many, EmptyBatch) {
+  for (const Md5Tier& tier : md5_tiers()) EXPECT_TRUE(tier.run({}).empty());
+  EXPECT_TRUE(md5_many({}).empty());
 }
 
 TEST(ToHex, FormatsLowercasePairs) {

@@ -142,6 +142,10 @@ TEST(ChunkedDownload, ThreeServersFeedOneDecoderConcurrently) {
   // Each server holds a distinct k-message share of one multi-class file,
   // so the three sessions' messages land in every class and the sessions
   // verify and eliminate side by side, with no client-side decoder lock.
+  // The unpaced servers push their shares ahead of the client, so each
+  // session mostly finds frames already queued after a receive and hands
+  // them to the decoder as batches (most runs include full 16-frame ones);
+  // the calling thread then solves beside the sessions.
   Fixture fx;
   constexpr std::size_t kServers = 3;
   const std::size_t k = fx.encoder->k();
@@ -185,7 +189,7 @@ TEST(ChunkedDownload, ThreeServersFeedOneDecoderConcurrently) {
   EXPECT_EQ(
       registry.counter_total("fairshare_client_messages_innovative_total"),
       report.messages_accepted);
-  // The sessions ran the payload product after their stop frames.
+  // The sessions and the caller ran the payload product.
   const obs::LabelList labels = {{"file", std::to_string(info.file_id)},
                                  {"user", "9"},
                                  {"codec", "chunked"}};

@@ -287,6 +287,31 @@ TEST(Wire, FileInfoGeometryNoEncoderWritesIsRejected) {
   EXPECT_FALSE(decodes(wide)) << "k from a wrapped chunk size";
 }
 
+TEST(Wire, FileInfoMessageLargerThanAnyFrameIsRejected) {
+  // Crafted but consistent geometry: one chunk of 2^50 GF(2^32) symbols
+  // for a 1-byte file.  k = chunks_for_bytes holds, yet no coded_message
+  // frame can carry a 4 PiB message, and a decoder built from it would
+  // allocate that slot at once.
+  const std::vector<std::byte> hostile = from_hex(
+      "08070000000000000001000000000000002000000000000004000100000000000000"
+      "0000000000000000000000000000000000000000");
+  EXPECT_FALSE(decode_file_info(hostile).has_value());
+
+  coding::FileInfo info;
+  info.file_id = 7;
+  info.original_bytes = 1;
+  info.params = {gf::FieldId::gf2_32, std::uint64_t{1} << 50};
+  info.k = 1;
+  EXPECT_EQ(encode(info), hostile);
+
+  // The largest message a frame holds still decodes; one symbol more does
+  // not.
+  info.params.m = (kMaxCodedFrameBytes - kCodedMessageHeaderBytes) / 4;
+  EXPECT_TRUE(decode_file_info(encode(info)).has_value());
+  info.params.m += 1;
+  EXPECT_FALSE(decode_file_info(encode(info)).has_value());
+}
+
 TEST(Wire, ChunkedFileInfoTruncationsRejectedOrDense) {
   // The full truncation sweep for a chunked frame, acknowledging the one
   // deliberate exception: cutting the whole trailer yields a valid dense

@@ -24,8 +24,9 @@
 // caps prints the build version, detected CPU features (including the
 // GFNI/AVX-512 bits the wide-field kernels key on), the row-kernel tier
 // each field dispatched to followed by the lower tiers this host can also
-// run, and whether epoll (which PeerServer requires) is available, so perf
-// reports are attributable to a code path.
+// run, the md5_many tier and its lane count, and whether epoll (which
+// PeerServer requires) is available, so perf reports are attributable to a
+// code path.
 //
 // stats pretty-prints a registry dump written by the obs JSON exporter
 // (e.g. PeerServer::Config::stats_json_path).  With --pid it first sends
@@ -59,6 +60,7 @@
 #include "coding/chunked.hpp"
 #include "coding/codec.hpp"
 #include "coding/encoder.hpp"
+#include "crypto/md5.hpp"
 #include "crypto/sha256.hpp"
 #include "disco/client.hpp"
 #include "disco/node.hpp"
@@ -89,8 +91,8 @@ int usage() {
                "  fairshare_cli decode <info.bin> <out-file> --secret <pass>"
                " <message files...>\n"
                "  fairshare_cli info <info.bin>\n"
-               "  fairshare_cli caps   (print CPU features and dispatched"
-               " row kernels; alias: version)\n"
+               "  fairshare_cli caps   (print CPU features, dispatched"
+               " row kernels and MD5 tier; alias: version)\n"
                "  fairshare_cli stats <stats.json> [--pid <pid>]"
                "   (pretty-print a registry dump; --pid: SIGUSR1 the\n"
                "                 process and wait for a fresh dump first)\n"
@@ -918,6 +920,15 @@ int cmd_caps() {
     }
     std::printf("\n");
   }
+  const auto md5 = crypto::md5_tiers();
+  std::printf("md5            -> %s x%zu", md5.back().name, md5.back().lanes);
+  if (md5.size() > 1) {
+    std::printf(" (also:");
+    for (auto t = md5.rbegin() + 1; t != md5.rend(); ++t)
+      std::printf(" %s", t->name);
+    std::printf(")");
+  }
+  std::printf("\n");
   std::printf("epoll          : %s\n",
               net::epoll_available() ? "available" : "unavailable");
   std::printf("codecs         : dense chunked (chunked default geometry: "
