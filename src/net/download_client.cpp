@@ -4,8 +4,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "coding/codec.hpp"
 #include "crypto/auth.hpp"
@@ -28,40 +31,25 @@ enum class Outcome {
   failed_permanent,  ///< the peer failed authentication: do not go back
 };
 
-/// Registry mirrors of one PeerDownloadStats row, resolved once before the
-/// session threads start so the hot receive loop only touches counters.
-struct PeerInstruments {
-  obs::Counter* attempts = nullptr;
-  obs::Counter* retries = nullptr;
-  obs::Counter* frames = nullptr;
-  obs::Counter* bytes = nullptr;
-  obs::Counter* corrupt = nullptr;
-  obs::Counter* innovative = nullptr;
-  obs::Counter* redundant = nullptr;
-  obs::Counter* rejected = nullptr;
-};
-
-PeerInstruments make_instruments(obs::MetricsRegistry& registry,
-                                 std::uint64_t user_id,
-                                 std::uint64_t peer_id) {
-  const obs::LabelList labels = {{"peer", std::to_string(peer_id)},
+/// Add one peer's finished row to the client series labelled with that
+/// peer and user.  The series are cumulative across downloads; the row is
+/// where each event was counted.
+void add_row(obs::MetricsRegistry& registry, std::uint64_t user_id,
+             const PeerDownloadStats& ps) {
+  const obs::LabelList labels = {{"peer", std::to_string(ps.peer_id)},
                                  {"user", std::to_string(user_id)}};
-  PeerInstruments out;
-  out.attempts =
-      &registry.counter("fairshare_client_attempts_total", labels);
-  out.retries = &registry.counter("fairshare_client_retries_total", labels);
-  out.frames = &registry.counter("fairshare_client_frames_total", labels);
-  out.bytes =
-      &registry.counter("fairshare_client_bytes_received_total", labels);
-  out.corrupt =
-      &registry.counter("fairshare_client_frames_corrupt_total", labels);
-  out.innovative = &registry.counter(
-      "fairshare_client_messages_innovative_total", labels);
-  out.redundant =
-      &registry.counter("fairshare_client_messages_redundant_total", labels);
-  out.rejected =
-      &registry.counter("fairshare_client_messages_rejected_total", labels);
-  return out;
+  const std::pair<std::string_view, std::uint64_t> series[] = {
+      {"fairshare_client_attempts_total", ps.attempts},
+      {"fairshare_client_retries_total", ps.sessions_retried},
+      {"fairshare_client_frames_total", ps.frames_received},
+      {"fairshare_client_bytes_received_total", ps.bytes_received},
+      {"fairshare_client_frames_corrupt_total", ps.frames_corrupt},
+      {"fairshare_client_messages_innovative_total", ps.messages_accepted},
+      {"fairshare_client_messages_redundant_total", ps.messages_redundant},
+      {"fairshare_client_messages_rejected_total", ps.messages_rejected},
+  };
+  for (const auto& [name, value] : series)
+    registry.counter(name, labels).add(value);
 }
 
 }  // namespace
@@ -86,11 +74,6 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
   report.per_peer.resize(peers.size());
   obs::MetricsRegistry& registry =
       options.registry ? *options.registry : obs::MetricsRegistry::global();
-  std::vector<PeerInstruments> instruments;
-  instruments.reserve(peers.size());
-  for (const PeerEndpoint& peer : peers)
-    instruments.push_back(
-        make_instruments(registry, options.user_id, peer.peer_id));
   obs::TraceSpan download_span(&registry.spans(), "client.download");
   // One decoder for either codec (a dense file is one class); the download
   // loop is identical.
@@ -116,7 +99,6 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
   // One connection attempt, start to finish.  `salt` is unique per attempt
   // so re-established sessions use fresh handshake nonces.
   auto attempt_session = [&](const PeerEndpoint& peer, PeerDownloadStats& ps,
-                             PeerInstruments& pi,
                              std::uint64_t salt) -> Outcome {
     obs::TraceSpan span(&registry.spans(), "client.session",
                         download_span.id());
@@ -201,15 +183,12 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
       }
       batch.clear();
       for (const std::vector<std::byte>& frame : frames) {
+        ++ps.frames_received;
         ps.bytes_received += frame.size();
-        pi.frames->add(1);
-        pi.bytes->add(frame.size());
         const auto msg = p2p::wire::view_coded_message(frame);
         if (!msg) {
           ++ps.frames_corrupt;
           ++ps.messages_rejected;
-          pi.corrupt->add(1);
-          pi.rejected->add(1);
           continue;
         }
         batch.push_back(*msg);
@@ -219,7 +198,6 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
         switch (result) {
           case coding::AddResult::accepted:
             ++ps.messages_accepted;
-            pi.innovative->add(1);
             break;
           case coding::AddResult::bad_digest:
             // The paper's on-the-fly authentication: a flipped byte
@@ -227,17 +205,13 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
             // touches the solver.
             ++ps.frames_corrupt;
             ++ps.messages_rejected;
-            pi.corrupt->add(1);
-            pi.rejected->add(1);
             break;
           case coding::AddResult::wrong_file:
           case coding::AddResult::bad_size:
             ++ps.messages_rejected;
-            pi.rejected->add(1);
             break;
           case coding::AddResult::non_innovative:
             ++ps.messages_redundant;
-            pi.redundant->add(1);
             break;
           case coding::AddResult::already_complete:
             break;
@@ -260,17 +234,15 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
   auto session = [&](std::size_t index) {
     const PeerEndpoint& peer = peers[index];
     PeerDownloadStats& ps = report.per_peer[index];
-    PeerInstruments& pi = instruments[index];
     ps.peer_id = peer.peer_id;
     const int max_attempts = std::max(1, options.retry.max_attempts);
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
       if (done.load()) break;
       ++ps.attempts;
-      pi.attempts->add(1);
       const std::uint64_t salt =
           static_cast<std::uint64_t>(index + 1) |
           (static_cast<std::uint64_t>(attempt) << 32);
-      const Outcome outcome = attempt_session(peer, ps, pi, salt);
+      const Outcome outcome = attempt_session(peer, ps, salt);
       if (outcome == Outcome::clean) break;
       // Counter partition (see download_client.hpp): this failed attempt
       // is counted below either as retried (another attempt follows) or,
@@ -298,8 +270,8 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
         break;
       }
       ++ps.sessions_retried;
-      pi.retries->add(1);
     }
+    add_row(registry, options.user_id, ps);
     {
       std::lock_guard<std::mutex> lock(done_mutex);
       --live_sessions;

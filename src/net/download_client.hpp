@@ -103,6 +103,7 @@ struct PeerDownloadStats {
   std::size_t messages_redundant = 0;  ///< valid but non-innovative
   std::size_t messages_rejected = 0;
   std::size_t frames_corrupt = 0;
+  std::size_t frames_received = 0;   ///< coded-message frames read
   std::uint64_t bytes_received = 0;  ///< wire payload bytes from this peer
 };
 
@@ -133,12 +134,15 @@ struct DownloadOptions {
   /// Tests inject FaultyTransport wrappers here (fault_transport.hpp).
   std::function<std::unique_ptr<Transport>(const PeerEndpoint&)>
       transport_factory;
-  /// Registry the download reports into (per-peer frame/byte/retry
-  /// counters labelled user=<user_id>, peer=<peer_id>, decoder rank/
-  /// elimination instruments, and client.download/client.session spans);
-  /// null = the process-wide obs global registry.  The registry carries
-  /// exactly the numbers the returned DownloadReport does — incremented
-  /// at the same sites — so exporters and the report never disagree.
+  /// Registry the download reports into (decoder rank/elimination
+  /// instruments, client.download/client.session spans, and the
+  /// fairshare_client_*_total series labelled user=<user_id>,
+  /// peer=<peer_id>); null = the process-wide obs global registry.  Each
+  /// event is counted once, in its peer's PeerDownloadStats row, and the
+  /// row is added to the client series when that peer's session thread
+  /// ends: a download grows each series by exactly its row.  The series
+  /// are cumulative per (user, peer), so two concurrent downloads by one
+  /// user share them; the report is the per-download view.
   obs::MetricsRegistry* registry = nullptr;
 };
 

@@ -14,7 +14,6 @@ PeerServer::PeerServer(Config config, p2p::MessageStore store,
       store_(std::move(store)),
       identity_(std::move(identity)),
       user_bytes_(config_.max_users, 0),
-      user_rate_kbps_(config_.max_users, 0.0),
       declared_(config_.max_users, 0.0),
       policy_(config_.max_users),
       pt_requesting_(config_.max_users, 0),
@@ -94,7 +93,7 @@ std::vector<PeerServer::AllocationShare> PeerServer::allocation_snapshot()
   std::vector<AllocationShare> out(slot_users_.size());
   for (std::size_t slot = 0; slot < slot_users_.size(); ++slot) {
     out[slot].user_id = slot_users_[slot];
-    out[slot].rate_kbps = user_rate_kbps_[slot];
+    out[slot].rate_kbps = m_user_rate_[slot]->value();
     out[slot].bytes_sent = user_bytes_[slot];
   }
   for (const auto& [id, st] : sessions_)
@@ -186,10 +185,8 @@ void PeerServer::pacing_tick_locked() {
   ctx.declared = declared_;  // live peers declare nothing (all zeros)
   policy_.allocate(ctx, pt_shares_);
 
-  for (std::size_t s = 0; s < config_.max_users; ++s) {
-    user_rate_kbps_[s] = pt_requesting_[s] ? pt_shares_[s] : 0.0;
-    if (m_user_rate_[s]) m_user_rate_[s]->set(user_rate_kbps_[s]);
-  }
+  for (std::size_t s = 0; s < slot_users_.size(); ++s)
+    m_user_rate_[s]->set(pt_requesting_[s] ? pt_shares_[s] : 0.0);
 
   for (const auto& [id, st] : sessions_) {
     if (!st->streaming) continue;

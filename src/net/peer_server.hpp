@@ -126,22 +126,29 @@ class PeerServer {
   /// Threads dedicated to serving: num_loops while running — the scaling
   /// claim "threads are O(loops), not O(sessions)" made measurable.
   std::size_t serving_threads() const { return serving_threads_; }
-  std::size_t sessions_completed() const { return sessions_completed_; }
-  std::size_t auth_rejections() const { return auth_rejections_; }
-  std::size_t messages_sent() const { return messages_sent_; }
+  // These four read the registry series labelled peer=<peer_id>, so
+  // servers that share a registry need distinct peer_ids.
+  std::size_t sessions_completed() const {
+    return m_sessions_completed_->value();
+  }
+  std::size_t auth_rejections() const { return m_auth_rejections_->value(); }
+  std::size_t messages_sent() const { return m_messages_sent_->value(); }
+  /// Connections dropped because max_sessions were already in flight.
+  std::size_t sessions_rejected() const {
+    return m_sessions_rejected_->value();
+  }
   /// Sessions currently being handled (accepted, not yet finished).
   std::size_t active_sessions() const { return active_sessions_; }
   /// High-water mark of active_sessions() since start().
   std::size_t peak_sessions() const { return peak_sessions_; }
-  /// Connections dropped because max_sessions were already in flight.
-  std::size_t sessions_rejected() const { return sessions_rejected_; }
   /// Cumulative payload bytes streamed to one user (0 if never seen).
   std::uint64_t user_bytes_sent(std::uint64_t user_id) const;
   /// Per-user allocation state: a coherent point-in-time copy taken under
   /// ONE acquisition of the pacing lock, so rates, byte counts, and
   /// session counts in the result all belong to the same instant (bytes
   /// are monotone across successive snapshots; sessions sum to at most the
-  /// streaming sessions then active).  O(users + sessions).
+  /// streaming sessions then active).  O(users + sessions).  The rates are
+  /// the fairshare_server_user_rate_kbps gauges the pacing tick sets.
   std::vector<AllocationShare> allocation_snapshot() const;
   /// The registry this server reports into (Config::registry or global).
   obs::MetricsRegistry& registry() const { return *registry_; }
@@ -195,7 +202,6 @@ class PeerServer {
   std::map<std::uint64_t, std::size_t> user_slots_;
   std::vector<std::uint64_t> slot_users_;
   std::vector<std::uint64_t> user_bytes_;
-  std::vector<double> user_rate_kbps_;
   std::vector<double> declared_;  // zeros; live peers declare nothing
   alloc::ProportionalContributionPolicy policy_;
   // pacing_tick_locked scratch (guarded by pacing_mutex_; sized max_users).
@@ -209,17 +215,18 @@ class PeerServer {
   /// the hook's current swarm total, keeping the fold idempotent.
   std::vector<double> applied_remote_;
 
-  std::atomic<std::size_t> sessions_completed_{0};
-  std::atomic<std::size_t> auth_rejections_{0};
-  std::atomic<std::size_t> messages_sent_{0};
+  // Admission state stays server-owned: max_sessions is enforced against
+  // this server's own sessions, never a series another server with the
+  // same peer_id could share.  The gauges below export it.
   std::atomic<std::size_t> active_sessions_{0};
   std::atomic<std::size_t> peak_sessions_{0};
-  std::atomic<std::size_t> sessions_rejected_{0};
 
-  // Registry mirrors of the counters above plus pacing instruments.  The
-  // accessor methods stay the tests' source of truth; the registry carries
-  // the same numbers so exporters see them (instrument pointers resolved
-  // once in the constructor / at slot assignment, never per event).
+  // Registry instruments, resolved once in the constructor / at slot
+  // assignment, never per event.  The counters and the rate gauges are
+  // the only store of what they count: the accessors and
+  // allocation_snapshot() read them.  user_bytes_ above stays a second
+  // copy because the Eq. (2) federation publish needs this server's own
+  // bytes.
   obs::MetricsRegistry* registry_;  // Config::registry or the global
   obs::Counter* m_sessions_completed_;
   obs::Counter* m_sessions_rejected_;

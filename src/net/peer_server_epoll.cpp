@@ -141,7 +141,6 @@ void PeerServer::ReactorState::accept_ready(PerLoop& pl) {
     if (!client) return;
     if (!srv->running_) return;
     if (srv->active_sessions_.load() >= srv->config_.max_sessions) {
-      ++srv->sessions_rejected_;
       srv->m_sessions_rejected_->add(1);
       continue;  // Socket destructor closes the connection
     }
@@ -250,7 +249,6 @@ bool PeerServer::ReactorState::handle_frame(
       }
       const auto user = srv->users_.find(hello->user_id);
       if (user == srv->users_.end()) {
-        ++srv->auth_rejections_;
         srv->m_auth_rejections_->add(1);
         finish(s, false);
         return false;
@@ -281,7 +279,6 @@ bool PeerServer::ReactorState::handle_frame(
     case Session::Phase::response: {
       const auto response = p2p::wire::decode_auth_response(frame);
       if (!response || !s->responder->on_response(*response)) {
-        ++srv->auth_rejections_;
         srv->m_auth_rejections_->add(1);
         finish(s, false);
         return false;
@@ -411,7 +408,6 @@ void PeerServer::ReactorState::account_sent(
     srv->user_bytes_[s->st->user_slot] += bytes;
     srv->m_user_bytes_[s->st->user_slot]->add(bytes);
   }
-  ++srv->messages_sent_;
   srv->m_messages_sent_->add(1);
   ++s->next_msg;
 }
@@ -431,10 +427,7 @@ void PeerServer::ReactorState::finish(const std::shared_ptr<Session>& s,
   s->pl->arena_put(std::move(s->staged_head));
   s->conn->close();
   s->span.reset();
-  if (completed) {
-    ++srv->sessions_completed_;
-    srv->m_sessions_completed_->add(1);
-  }
+  if (completed) srv->m_sessions_completed_->add(1);
   --srv->active_sessions_;
   srv->m_active_sessions_->add(-1.0);
   s->pl->sessions.erase(s->salt);

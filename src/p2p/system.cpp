@@ -58,8 +58,6 @@ struct System::Session {
       State::handshaking;
   std::uint64_t active_at = 0;  ///< slot when data may start flowing
   std::size_t cursor = 0;       ///< next stored message (non-owner peers)
-  std::size_t served_this_conn = 0;  ///< messages since (re)connect
-  std::size_t attempts = 1;          ///< connections opened so far
   double bucket_kilobits = 0.0;
   crypto::SessionKey key{};
   bool has_key = false;
@@ -231,16 +229,6 @@ bool System::open_sessions(Request& req) {
     }
     ++req.stats.peers_contacted;
 
-    if (params_[peer].refuses_sessions) {
-      // Connection refused: the mirror of a socket peer that never
-      // accepts.  No retry — refusal is deterministic, exactly like
-      // net::FaultPlan::refuse_connection.
-      session.state = Session::State::failed;
-      ++req.stats.sessions_refused;
-      req.sessions.push_back(session);
-      continue;
-    }
-
     if (config_.auth == AuthMode::full) {
       // Run the real mutual handshake of Figure 4(b).  The user side signs
       // with the requesting user's identity; the peer side with its own —
@@ -334,14 +322,7 @@ std::size_t System::stored_messages(PeerId peer,
 
 void System::deliver(Request& req, PeerId peer,
                      coding::EncodedMessage message) {
-  // `tampers` corrupts everything without spending a random draw (so the
-  // RNG streams of existing experiments are unchanged); tamper_rate
-  // corrupts the configured fraction of deliveries.
-  const bool tamper =
-      params_[peer].tampers ||
-      (params_[peer].tamper_rate > 0.0 &&
-       loss_rng_.next_double() < params_[peer].tamper_rate);
-  if (tamper) {
+  if (params_[peer].tampers) {
     // Corrupt one payload byte; MD5 authentication must catch it.
     if (!message.payload.empty()) message.payload[0] ^= std::byte{0x01};
   }
@@ -512,27 +493,6 @@ void System::serve_sessions(std::vector<double>& used_upload) {
           ++s.cursor;
         }
         deliver(*req, peer, std::move(next));
-        ++s.served_this_conn;
-        if (s.served_this_conn >= params_[peer].reset_after_messages &&
-            !req->done) {
-          // Mid-stream reset: this connection dies.  The request fails
-          // over exactly like the socket client's retry path — re-open
-          // after the handshake latency and re-stream the verbatim store
-          // from the start (already-decoded messages fall out as
-          // non-innovative) — until the attempt budget is spent.
-          ++req->stats.sessions_reset;
-          if (s.attempts >= config_.session_max_attempts) {
-            s.state = Session::State::failed;
-          } else {
-            ++s.attempts;
-            s.state = Session::State::handshaking;
-            s.active_at = slot_ + config_.handshake_slots;
-            s.served_this_conn = 0;
-            s.cursor = 0;
-            s.pending_retransmit.reset();
-          }
-          break;
-        }
       }
     }
   }

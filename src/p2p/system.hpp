@@ -55,22 +55,6 @@ struct PeerParams {
   /// in transit (link-level loss).  The bandwidth is still spent; the
   /// session retransmits the same message on its next budget.
   double loss_rate = 0.0;
-  /// Chaos: refuse download sessions outright — the simulator mirror of
-  /// net::FaultPlan::refuse_connection.  Store contents, dissemination,
-  /// and DHT announcements are unaffected; only session opening fails.
-  bool refuses_sessions = false;
-  /// Chaos: the connection dies after serving this many messages — the
-  /// mirror of net::FaultPlan::reset_after_frames.  The request re-opens
-  /// the session after SystemConfig::handshake_slots (the simulator's
-  /// retry backoff), re-streaming the store from the start exactly like
-  /// the socket client's reconnect, up to
-  /// SystemConfig::session_max_attempts connections.
-  std::size_t reset_after_messages = SIZE_MAX;
-  /// Adversary/chaos: fraction of served payloads corrupted (`tampers` is
-  /// the rate-1.0 special case) — the mirror of
-  /// net::FaultPlan::corrupt_rate.  The decoder's MD5 authentication must
-  /// reject every corrupted message.
-  double tamper_rate = 0.0;
 };
 
 struct SystemConfig {
@@ -79,10 +63,6 @@ struct SystemConfig {
   std::uint64_t seed = 1;
   /// Handshake latency charged before a session serves data (slots).
   std::uint64_t handshake_slots = 2;
-  /// Connections a request may open to one peer (first try included)
-  /// before the session fails for good — the simulator mirror of
-  /// net::RetryPolicy::max_attempts.
-  std::size_t session_max_attempts = 4;
 };
 
 /// Outcome counters for one download request.
@@ -92,8 +72,6 @@ struct RequestStats {
   std::size_t messages_bad_digest = 0;
   std::size_t messages_lost = 0;  ///< transfers dropped by link loss
   std::size_t auth_failures = 0;  ///< sessions that failed the handshake
-  std::size_t sessions_refused = 0;  ///< peers that refused to serve at all
-  std::size_t sessions_reset = 0;    ///< mid-stream resets (incl. re-opens)
   std::size_t locate_hops = 0;    ///< DHT routing hops spent finding peers
   std::size_t peers_contacted = 0;  ///< sessions opened (located + owner)
   std::uint64_t started_slot = 0;

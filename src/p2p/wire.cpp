@@ -1,5 +1,7 @@
 #include "p2p/wire.hpp"
 
+#include <algorithm>
+
 #include "util/bytes.hpp"
 
 namespace fairshare::p2p::wire {
@@ -28,11 +30,13 @@ bool expect_type(ByteReader& r, MessageType type) {
 /// symbols — far past any file or message an encoder can hold in memory —
 /// its size_t arithmetic (8 * bytes + m * bits) cannot wrap.  A message
 /// must also fit in a coded_message frame (kMaxCodedFrameBytes): a decoder
-/// allocates k slots of message_bytes() when it is built.
+/// allocates k slots of message_bytes() when it is built.  k must stay
+/// within kMaxChunks; the class width is checked once the trailer is read.
 bool encoder_geometry(const coding::FileInfo& info) {
   constexpr std::uint64_t kLimit = std::uint64_t{1} << 56;
   const std::uint64_t m = info.params.m;
-  if (info.k == 0 || m == 0 || m >= kLimit || info.original_bytes >= kLimit)
+  if (info.k == 0 || info.k > kMaxChunks || m == 0 || m >= kLimit ||
+      info.original_bytes >= kLimit)
     return false;
   if (info.params.field == gf::FieldId::gf2_4 && m % 2 != 0) return false;
   if (info.params.message_bytes() >
@@ -101,17 +105,6 @@ std::array<std::byte, kCodedMessageHeaderBytes> encode_coded_message_header(
   return out;
 }
 
-std::vector<std::byte> encode(const coding::AuthenticatedMessage& msg) {
-  ByteWriter w = frame_of(MessageType::authenticated_message);
-  w.put_u64(msg.message.file_id);
-  w.put_u64(msg.message.message_id);
-  w.put_blob(msg.message.payload);
-  w.put_u32(msg.leaf_index);
-  w.put_u32(static_cast<std::uint32_t>(msg.proof.size()));
-  for (const auto& d : msg.proof) w.put_bytes(d);
-  return w.take();
-}
-
 std::vector<std::byte> encode(const coding::FileInfo& info) {
   ByteWriter w = frame_of(MessageType::file_info);
   w.put_u64(info.file_id);
@@ -143,7 +136,7 @@ std::vector<std::byte> encode(const coding::FileInfo& info) {
 std::optional<MessageType> peek_type(std::span<const std::byte> frame) {
   if (frame.empty()) return std::nullopt;
   const auto tag = std::to_integer<std::uint8_t>(frame[0]);
-  if (tag < 1 || tag > 8) return std::nullopt;
+  if (tag < 1 || tag > 8 || tag == 7) return std::nullopt;  // 7 is retired
   return static_cast<MessageType>(tag);
 }
 
@@ -223,22 +216,6 @@ std::optional<coding::EncodedMessage> decode_coded_message(
       std::vector<std::byte>(view->payload.begin(), view->payload.end())};
 }
 
-std::optional<coding::AuthenticatedMessage> decode_authenticated_message(
-    std::span<const std::byte> frame) {
-  ByteReader r(frame);
-  if (!expect_type(r, MessageType::authenticated_message)) return std::nullopt;
-  coding::AuthenticatedMessage msg;
-  msg.message.file_id = r.get_u64();
-  msg.message.message_id = r.get_u64();
-  if (!r.get_blob(msg.message.payload)) return std::nullopt;
-  msg.leaf_index = r.get_u32();
-  msg.proof.resize(r.get_count<std::uint32_t>(sizeof(crypto::Sha256Digest)));
-  for (auto& d : msg.proof)
-    if (!r.get_bytes(d)) return std::nullopt;
-  if (!r.at_end()) return std::nullopt;
-  return msg;
-}
-
 std::optional<coding::FileInfo> decode_file_info(
     std::span<const std::byte> frame) {
   ByteReader r(frame);
@@ -261,15 +238,21 @@ std::optional<coding::FileInfo> decode_file_info(
     info.message_digests.emplace(mid, digest);
   }
   if (!r.ok()) return std::nullopt;
-  if (r.at_end()) return info;  // pre-codec frame: dense by default
-  const std::uint8_t codec = r.get_u8();
-  if (codec != static_cast<std::uint8_t>(coding::CodecKind::chunked))
-    return std::nullopt;  // dense never writes a trailer; unknown = reject
-  info.codec = coding::CodecKind::chunked;
-  info.schedule.class_size = r.get_u32();
-  info.schedule.overlap = r.get_u32();
-  info.schedule.seed = r.get_u64();
-  if (!r.ok() || !r.at_end() || !info.schedule.valid()) return std::nullopt;
+  if (!r.at_end()) {  // a pre-codec frame ends here: dense by default
+    const std::uint8_t codec = r.get_u8();
+    if (codec != static_cast<std::uint8_t>(coding::CodecKind::chunked))
+      return std::nullopt;  // dense never writes a trailer; unknown = reject
+    info.codec = coding::CodecKind::chunked;
+    info.schedule.class_size = r.get_u32();
+    info.schedule.overlap = r.get_u32();
+    info.schedule.seed = r.get_u64();
+    if (!r.ok() || !r.at_end() || !info.schedule.valid()) return std::nullopt;
+  }
+  const std::uint64_t widest =
+      info.codec == coding::CodecKind::dense
+          ? info.k
+          : std::min<std::uint64_t>(info.k, info.schedule.class_size);
+  if (widest > kMaxClassWidth) return std::nullopt;
   return info;
 }
 

@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "coding/merkle_auth.hpp"
 #include "coding/message.hpp"
 #include "crypto/auth.hpp"
 
@@ -30,8 +29,7 @@ enum class MessageType : std::uint8_t {
   file_request = 4,       ///< Figure 4(b) transmission "2"/"3"
   coded_message = 5,      ///< transmission "4"
   stop_transmission = 6,  ///< transmission "5"
-  authenticated_message = 7,  ///< coded message + Merkle proof
-  file_info = 8,              ///< user-carried metadata
+  file_info = 8,          ///< user-carried metadata (7 is retired)
 };
 
 /// Transmission "2"/"3": an authenticated user asks a peer for a file's
@@ -68,6 +66,17 @@ std::vector<std::byte> encode(const coding::EncodedMessage& msg);
 /// exceeds it, before any decoder sizes its slots by it.
 inline constexpr std::size_t kMaxCodedFrameBytes = std::size_t{64} << 20;
 
+/// The most chunks (k), and the widest class, a FileInfo may describe.  A
+/// decoder keeps state for every row of every class, and a class's
+/// coefficient matrix grows with the square of its width, so
+/// decode_file_info rejects metadata past either cap before any decoder
+/// is sized by it.  The widest class is k for a dense file and
+/// min(k, class_size) for a chunked one.  At the paper's defaults
+/// (GF(2^32), m = 2^15, 128 KiB messages) a 1 GiB dense file is exactly
+/// kMaxClassWidth chunks, and a chunked file may reach 16 GiB.
+inline constexpr std::uint64_t kMaxChunks = std::uint64_t{1} << 17;
+inline constexpr std::uint64_t kMaxClassWidth = std::uint64_t{1} << 13;
+
 /// Bytes of a coded_message frame ahead of its payload length: the type
 /// tag and both u64 ids.
 inline constexpr std::size_t kCodedMessageIdBytes = 1 + 8 + 8;
@@ -82,7 +91,6 @@ inline constexpr std::size_t kCodedMessageHeaderBytes =
 /// instead of copying it into a frame.
 std::array<std::byte, kCodedMessageHeaderBytes> encode_coded_message_header(
     const coding::EncodedMessage& msg);
-std::vector<std::byte> encode(const coding::AuthenticatedMessage& msg);
 std::vector<std::byte> encode(const coding::FileInfo& info);
 
 // --------------------------------------------------------------- decoders
@@ -103,8 +111,6 @@ std::optional<StopTransmission> decode_stop_transmission(
 std::optional<coding::EncodedMessageView> view_coded_message(
     std::span<const std::byte> frame);
 std::optional<coding::EncodedMessage> decode_coded_message(
-    std::span<const std::byte> frame);
-std::optional<coding::AuthenticatedMessage> decode_authenticated_message(
     std::span<const std::byte> frame);
 std::optional<coding::FileInfo> decode_file_info(
     std::span<const std::byte> frame);

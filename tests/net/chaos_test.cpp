@@ -18,6 +18,7 @@
 
 #include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "coding/chunked.hpp"
@@ -26,6 +27,7 @@
 #include "net/fault_transport.hpp"
 #include "net/peer_server.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "p2p/store.hpp"
 #include "sim/rng.hpp"
 
@@ -120,6 +122,34 @@ void assert_counter_partition(const DownloadReport& report,
   EXPECT_EQ(report.sessions_failed, failed);
   EXPECT_LE(report.sessions_failed, n_peers);
   EXPECT_LE(report.frames_corrupt, report.messages_rejected);
+}
+
+/// Once download_file has returned, every client series equals its report
+/// row: each event was counted once, in the row, and the row was added to
+/// the registry when its peer's session thread ended.
+void expect_series_equal_rows(obs::MetricsRegistry& registry,
+                              const DownloadReport& report,
+                              std::uint64_t user_id) {
+  for (const PeerDownloadStats& ps : report.per_peer) {
+    const obs::LabelList labels = {{"peer", std::to_string(ps.peer_id)},
+                                   {"user", std::to_string(user_id)}};
+    const auto series = [&](const char* name) {
+      return registry.counter(name, labels).value();
+    };
+    EXPECT_EQ(series("fairshare_client_attempts_total"), ps.attempts);
+    EXPECT_EQ(series("fairshare_client_retries_total"), ps.sessions_retried);
+    EXPECT_EQ(series("fairshare_client_frames_total"), ps.frames_received);
+    EXPECT_EQ(series("fairshare_client_bytes_received_total"),
+              ps.bytes_received);
+    EXPECT_EQ(series("fairshare_client_frames_corrupt_total"),
+              ps.frames_corrupt);
+    EXPECT_EQ(series("fairshare_client_messages_innovative_total"),
+              ps.messages_accepted);
+    EXPECT_EQ(series("fairshare_client_messages_redundant_total"),
+              ps.messages_redundant);
+    EXPECT_EQ(series("fairshare_client_messages_rejected_total"),
+              ps.messages_rejected);
+  }
 }
 
 // ------------------------------------------------------------- acceptance
@@ -335,14 +365,17 @@ TEST(NetChaos, HandshakeThenResetIsCountedOnce) {
 
   PeerEndpoint ep;
   ep.port = server.port();
+  obs::MetricsRegistry registry;
   DownloadOptions options;
   options.retry = RetryPolicy{/*max_attempts=*/2, /*base_ms=*/2,
                               /*max_ms=*/20};
+  options.registry = &registry;
   const DownloadReport report =
       download_file({ep}, secret, encoder.info(), options);
 
   EXPECT_FALSE(report.success);
   assert_counter_partition(report, 1);
+  expect_series_equal_rows(registry, report, options.user_id);
   EXPECT_EQ(report.per_peer[0].attempts, 2u);
   EXPECT_EQ(report.per_peer[0].sessions_retried, 1u);
   EXPECT_TRUE(report.per_peer[0].gave_up);

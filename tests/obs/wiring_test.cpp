@@ -83,8 +83,9 @@ TEST(ObsWiring, RegistryMatchesDownloadReportOverTcp) {
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.data, data);
 
-  // The registry and the report were incremented at the same sites, so
-  // they must agree EXACTLY, per peer and in total.
+  // Each event was counted once, in its peer's report row, and the row was
+  // added to the client series when that peer's session thread ended, so
+  // every series equals its row EXACTLY, per peer and in total.
   const obs::RegistrySnapshot snap = registry.snapshot();
   std::uint64_t report_frames = 0;
   for (const net::PeerDownloadStats& ps : report.per_peer) {
@@ -93,6 +94,16 @@ TEST(ObsWiring, RegistryMatchesDownloadReportOverTcp) {
     EXPECT_EQ(registry.counter("fairshare_client_attempts_total", labels)
                   .value(),
               ps.attempts);
+    EXPECT_EQ(registry.counter("fairshare_client_retries_total", labels)
+                  .value(),
+              ps.sessions_retried);
+    EXPECT_EQ(registry.counter("fairshare_client_frames_total", labels)
+                  .value(),
+              ps.frames_received);
+    EXPECT_EQ(
+        registry.counter("fairshare_client_frames_corrupt_total", labels)
+            .value(),
+        ps.frames_corrupt);
     EXPECT_EQ(
         registry.counter("fairshare_client_bytes_received_total", labels)
             .value(),

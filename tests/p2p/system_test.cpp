@@ -377,56 +377,5 @@ TEST(P2PSystem, OfflineOwnerStillServedByPeers) {
   EXPECT_EQ(sys.data(req), data);
 }
 
-TEST(P2PSystem, ChaosKnobsMirrorSocketFaultPlans) {
-  // The simulator twin of chaos_test.cpp's acceptance scenario: the
-  // requesting user's own peer (the owner) refuses to serve, one peer
-  // resets mid-stream and is re-opened, one corrupts 10% of deliveries,
-  // one is honest.  The union of surviving stores covers k, so the
-  // download still completes with correct bytes.
-  auto peers = uniform_peers(4, 512);
-  peers[0].refuses_sessions = true;        // the owner itself
-  peers[1].reset_after_messages = 4;       // flaps; failover re-opens it
-  peers[2].tamper_rate = 0.1;              // 10% corrupted deliveries
-  System sys(std::move(peers), fast_config());
-  const auto data = random_data(8192, 90);
-  sys.share_file(0, 1, data, kParams);
-  sys.run(2000);
-  ASSERT_DOUBLE_EQ(sys.dissemination_progress(1), 1.0);
-
-  const auto req = sys.request_file(0, 1, 1e9);
-  ASSERT_TRUE(sys.run_until_complete(req, 20000));
-  EXPECT_EQ(sys.data(req), data);
-  const auto& stats = sys.stats(req);
-  EXPECT_EQ(stats.sessions_refused, 1u);
-  EXPECT_GT(stats.sessions_reset, 0u);
-  EXPECT_GT(stats.messages_bad_digest, 0u);
-}
-
-TEST(P2PSystem, ChaosFailsCleanlyWhenSurvivorsHoldLessThanK) {
-  // Owner refuses; the only other peer resets after 2 messages and every
-  // reconnect re-streams the same 2 — the surviving union never reaches k
-  // innovative messages, so the request must NOT complete, and the reset
-  // budget (session_max_attempts) bounds how long it flaps.
-  auto peers = uniform_peers(2, 512);
-  peers[0].refuses_sessions = true;
-  peers[1].reset_after_messages = 2;
-  SystemConfig cfg = fast_config();
-  cfg.session_max_attempts = 4;
-  System sys(std::move(peers), cfg);
-  const auto data = random_data(8192, 91);  // k = 32 >> 2
-  sys.share_file(0, 1, data, kParams);
-  sys.run(2000);
-
-  const auto req = sys.request_file(0, 1, 1e9);
-  EXPECT_FALSE(sys.run_until_complete(req, 5000));
-  const auto& stats = sys.stats(req);
-  EXPECT_EQ(stats.sessions_refused, 1u);
-  EXPECT_EQ(stats.sessions_reset, 4u);  // one per connection attempt
-  // Only the first 2 store messages ever arrive; re-streams of the same
-  // prefix are non-innovative.
-  EXPECT_EQ(stats.messages_accepted, 2u);
-  EXPECT_GT(stats.messages_non_innovative, 0u);
-}
-
 }  // namespace
 }  // namespace fairshare::p2p

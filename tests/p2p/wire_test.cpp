@@ -50,17 +50,6 @@ coding::EncodedMessage sample_coded() {
   return m;
 }
 
-coding::AuthenticatedMessage sample_authenticated() {
-  coding::AuthenticatedMessage m;
-  m.message = sample_coded();
-  m.leaf_index = 5;
-  m.proof.resize(3);
-  for (std::size_t p = 0; p < m.proof.size(); ++p)
-    for (std::size_t i = 0; i < 32; ++i)
-      m.proof[p][i] = static_cast<std::uint8_t>(p * 32 + i);
-  return m;
-}
-
 coding::FileInfo sample_info() {
   coding::FileInfo info;
   info.file_id = 99;
@@ -153,15 +142,6 @@ TEST(Wire, CodedMessageHeaderPlusPayloadEqualsEncode) {
     EXPECT_EQ(gathered, encode(m)) << "payload bytes " << n;
     EXPECT_EQ(header.size(), kCodedMessageHeaderBytes);
   }
-}
-
-TEST(Wire, AuthenticatedMessageRoundTrip) {
-  const auto m = sample_authenticated();
-  const auto back = decode_authenticated_message(encode(m));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->message.payload, m.message.payload);
-  EXPECT_EQ(back->leaf_index, m.leaf_index);
-  EXPECT_EQ(back->proof, m.proof);
 }
 
 TEST(Wire, FileInfoRoundTrip) {
@@ -312,6 +292,60 @@ TEST(Wire, FileInfoMessageLargerThanAnyFrameIsRejected) {
   EXPECT_FALSE(decode_file_info(encode(info)).has_value());
 }
 
+TEST(Wire, FileInfoPastTheDecoderStateCapsIsRejected) {
+  // Crafted but consistent geometry: a 1 PiB dense file of one-symbol
+  // GF(2^32) messages, so k = 2^48.  Every message fits a frame, yet a
+  // decoder built from it would make 2^48 slots at once.
+  const std::vector<std::byte> hostile = from_hex(
+      "08070000000000000000000000000004002001000000000000000000000000000100"
+      "0000000000000000000000000000000000000000");
+  EXPECT_FALSE(decode_file_info(hostile).has_value());
+
+  coding::FileInfo info;
+  info.file_id = 7;
+  info.original_bytes = std::uint64_t{1} << 50;
+  info.params = {gf::FieldId::gf2_32, 1};
+  info.k = std::uint64_t{1} << 48;
+  EXPECT_EQ(encode(info), hostile);
+
+  const auto decodes = [](const coding::FileInfo& i) {
+    return decode_file_info(encode(i)).has_value();
+  };
+  const auto resize = [](coding::FileInfo& i, std::uint64_t bytes) {
+    i.original_bytes = bytes;
+    i.k = coding::chunks_for_bytes(bytes, i.params);
+  };
+
+  // Dense: the widest class is k.  A 1 GiB file at the paper's defaults is
+  // the widest admitted; one byte more needs one chunk past the cap.
+  coding::FileInfo dense;
+  dense.params = coding::CodingParams::paper_defaults();
+  const std::uint64_t chunk = dense.params.message_bytes();
+  resize(dense, std::uint64_t{1} << 30);
+  ASSERT_EQ(dense.k, kMaxClassWidth);
+  EXPECT_TRUE(decodes(dense));
+  resize(dense, (std::uint64_t{1} << 30) + 1);
+  EXPECT_FALSE(decodes(dense)) << "dense k = kMaxClassWidth + 1";
+
+  // Chunked: the widest class is min(k, class_size), so the same file in
+  // classes of 64 decodes, up to kMaxChunks chunks in all.
+  coding::FileInfo chunked = dense;
+  chunked.codec = coding::CodecKind::chunked;
+  EXPECT_TRUE(decodes(chunked));
+  resize(chunked, kMaxChunks * chunk);
+  EXPECT_TRUE(decodes(chunked));
+  resize(chunked, kMaxChunks * chunk + 1);
+  EXPECT_FALSE(decodes(chunked)) << "k = kMaxChunks + 1";
+
+  resize(chunked, kMaxChunks * chunk);
+  chunked.schedule.class_size = kMaxClassWidth;
+  EXPECT_TRUE(decodes(chunked));
+  chunked.schedule.class_size = kMaxClassWidth + 1;
+  EXPECT_FALSE(decodes(chunked)) << "class_size = kMaxClassWidth + 1";
+  resize(chunked, kMaxClassWidth * chunk);
+  EXPECT_TRUE(decodes(chunked)) << "a wide class_size over a narrow file";
+}
+
 TEST(Wire, ChunkedFileInfoTruncationsRejectedOrDense) {
   // The full truncation sweep for a chunked frame, acknowledging the one
   // deliberate exception: cutting the whole trailer yields a valid dense
@@ -344,7 +378,7 @@ TEST(Wire, EveryTruncationRejected) {
       encode(sample_hello()),        encode(sample_challenge()),
       encode(sample_response()),     encode(FileRequest{1, 2, 3.0}),
       encode(StopTransmission{1, 2}), encode(sample_coded()),
-      encode(sample_authenticated()), encode(sample_info())};
+      encode(sample_info())};
   for (const auto& frame : frames) {
     for (std::size_t len = 0; len < frame.size(); ++len) {
       const std::span<const std::byte> cut(frame.data(), len);
@@ -358,7 +392,6 @@ TEST(Wire, EveryTruncationRejected) {
         case MessageType::file_request: parsed = decode_file_request(cut).has_value(); break;
         case MessageType::stop_transmission: parsed = decode_stop_transmission(cut).has_value(); break;
         case MessageType::coded_message: parsed = decode_coded_message(cut).has_value(); break;
-        case MessageType::authenticated_message: parsed = decode_authenticated_message(cut).has_value(); break;
         case MessageType::file_info: parsed = decode_file_info(cut).has_value(); break;
       }
       EXPECT_FALSE(parsed) << "truncation to " << len << " bytes parsed";
@@ -375,20 +408,20 @@ TEST(Wire, TrailingGarbageRejected) {
 TEST(Wire, CorruptLengthPrefixesRejectedNotCrash) {
   // Mutate every byte of a blob-bearing frame; decoding must never crash
   // and oversized length prefixes must fail cleanly.
-  const auto base = encode(sample_authenticated());
+  const auto base = encode(sample_response());
   sim::SplitMix64 rng(5);
   for (std::size_t pos = 0; pos < base.size(); ++pos) {
     auto mutated = base;
     mutated[pos] ^= std::byte{static_cast<std::uint8_t>(1 + rng.next_below(255))};
-    (void)decode_authenticated_message(mutated);  // must be total
+    (void)decode_auth_response(mutated);  // must be total
   }
-  // Specifically blow up the payload length field (offset 17..20).
-  auto huge = base;
-  huge[17] = std::byte{0xFF};
-  huge[18] = std::byte{0xFF};
-  huge[19] = std::byte{0xFF};
-  huge[20] = std::byte{0xFF};
-  EXPECT_FALSE(decode_authenticated_message(huge).has_value());
+  // Specifically blow up each blob's length field: the signature's
+  // (offset 1..4) and the session key's (offset 8..11).
+  for (const std::size_t at : {std::size_t{1}, std::size_t{8}}) {
+    auto huge = base;
+    for (std::size_t i = at; i < at + 4; ++i) huge[i] = std::byte{0xFF};
+    EXPECT_FALSE(decode_auth_response(huge).has_value()) << "offset " << at;
+  }
 }
 
 TEST(Wire, RandomBuffersNeverParseAsAuth) {
@@ -439,12 +472,6 @@ constexpr const char* kGoldenFileRequest =
 constexpr const char* kGoldenCodedMessage =
     "0507000000000000000d0000000000000004000000010203ff";
 constexpr const char* kGoldenStop = "0603000000000000000400000000000000";
-constexpr const char* kGoldenAuthenticated =
-    "0707000000000000000d0000000000000004000000010203ff05000000030000"
-    "00000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e"
-    "1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e"
-    "3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e"
-    "5f";
 constexpr const char* kGoldenFileInfo =
     "08630000000000000040e2010000000000100010000000000000100000000000"
     "0000404142434445464748494a4b4c4d4e4f050000001c000000000000000400"
@@ -490,8 +517,6 @@ std::optional<std::vector<std::byte>> reencode(
       return again(decode_coded_message(frame));
     case MessageType::stop_transmission:
       return again(decode_stop_transmission(frame));
-    case MessageType::authenticated_message:
-      return again(decode_authenticated_message(frame));
     case MessageType::file_info:
       return again(decode_file_info(frame));
   }
@@ -523,7 +548,6 @@ TEST(Wire, GoldenFramesOfEveryType) {
       {encode(FileRequest{11, 22, 768.5}), kGoldenFileRequest},
       {encode(sample_coded()), kGoldenCodedMessage},
       {encode(StopTransmission{3, 4}), kGoldenStop},
-      {encode(sample_authenticated()), kGoldenAuthenticated},
       {encode(sample_info()), kGoldenFileInfo},
       {encode(sample_chunked_info()), kGoldenChunkedFileInfo},
   };
