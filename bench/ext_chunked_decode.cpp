@@ -1,4 +1,5 @@
-// Extension: chunked vs dense decode at file sizes the paper never ran.
+// Extension: chunked vs dense decode at file sizes the paper never ran,
+// and the owner's chunked encode at the same sizes.
 //
 // Dense RLNC decode is O(k^2 * m) field operations, which is fine at the
 // paper's 1 MB / k = 8 operating point and crippling at k = 8192 (1 GB):
@@ -20,15 +21,32 @@
 // O(file size).  The timed region ends after reconstruct(), so it covers
 // the whole decode whatever share of it runs after the last arrival.
 //
+// BM_ChunkedEncode times the other end of a download's codec: building a
+// chunked::Encoder over the file (the content digest and the chunk
+// layout) and one peer's share, generate(k), at the paper's geometry.
+// The encoder splits its payload work across cores, so its rows depend on
+// the host's core count (recorded in the baseline's host block).
+//
+// The chunked decode and encode points run five repetitions of at least
+// half a second of iterations each and report the median, which
+// tools/bench_to_json.py commits: one sample of a 30-50 ms decode swung
+// past the compare threshold on noise alone, and the encode's first
+// iterations after a single-threaded stretch ran up to twice as long on
+// a 4-vCPU VM whose idle vCPUs were slow to pick up its threads.  The
+// dense points stay single-shot: the 100 MB one takes seconds.
+//
 // Wired into BENCH_kernels.json by the bench_baseline target as two
 // sections: runs.chunked_decode (10/100 MB, refreshed and compared in
 // CI's bench-smoke) and runs.chunked_decode_huge (the 1 GB acceptance
 // point and the optional 10 GB one; baseline-only, too slow for CI).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
+#include "coding/chunked.hpp"
 #include "coding/codec.hpp"
 #include "coding/params.hpp"
 #include "sim/rng.hpp"
@@ -111,8 +129,40 @@ void BM_ChunkedDecode(benchmark::State& state) {
   run_decode(state, coding::CodecKind::chunked);
 }
 
-void configure(benchmark::internal::Benchmark* b, bool huge_points) {
-  b->Unit(benchmark::kMillisecond)->Iterations(1);
+// One iteration is what the owner does before a peer can serve the file:
+// construct the encoder (default 64/8 schedule) and generate one peer's k
+// messages.  The file's bytes are drawn once, outside the timed region.
+void BM_ChunkedEncode(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0)) << 20;
+  std::vector<std::byte> data(bytes);
+  sim::SplitMix64 rng(0xE7);
+  for (std::size_t i = 0; i < bytes; i += 8) {
+    const std::uint64_t word = rng.next();
+    std::memcpy(data.data() + i, &word, std::min<std::size_t>(8, bytes - i));
+  }
+
+  std::size_t k = 0;
+  std::size_t classes = 0;
+  for (auto _ : state) {
+    coding::chunked::Encoder encoder(bench_secret(), 1, data, kParams,
+                                     coding::ChunkedSchedule{});
+    benchmark::DoNotOptimize(encoder.generate(encoder.k()));
+    k = encoder.k();
+    classes = encoder.class_map().classes();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          static_cast<std::int64_t>(state.iterations()));
+  state.counters["k"] = static_cast<double>(k);
+  state.counters["classes"] = static_cast<double>(classes);
+}
+
+void configure(benchmark::internal::Benchmark* b, bool huge_points,
+               bool repeated) {
+  b->Unit(benchmark::kMillisecond);
+  if (repeated)
+    b->MinTime(0.5)->Repetitions(5)->ReportAggregatesOnly();
+  else
+    b->Iterations(1);
   b->Arg(10)->Arg(100);
   if (huge_points) {
     b->Arg(1024);
@@ -136,9 +186,11 @@ int main(int argc, char** argv) {
   const bool huge = std::getenv("FAIRSHARE_BENCH_HUGE") != nullptr ||
                     std::getenv("FAIRSHARE_BENCH_10G") != nullptr;
   configure(benchmark::RegisterBenchmark("BM_ChunkedDecode", BM_ChunkedDecode),
-            huge);
+            huge, true);
   configure(benchmark::RegisterBenchmark("BM_DenseDecode", BM_DenseDecode),
-            huge);
+            huge, false);
+  configure(benchmark::RegisterBenchmark("BM_ChunkedEncode", BM_ChunkedEncode),
+            false, true);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -1,8 +1,12 @@
 #include "coding/chunked.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <cstring>
+#include <exception>
+#include <mutex>
+#include <optional>
+#include <thread>
 
 #include "sim/rng.hpp"
 
@@ -90,8 +94,60 @@ std::vector<std::size_t> ClassMap::classes_containing(std::size_t j) const {
 
 namespace {
 
-// The public half of FileInfo: everything but the digest table, which
-// grows as messages are generated.
+// Work one thread takes on, in bytes of row-block product (outputs x
+// inputs x message bytes) or, for the constructor, bytes read from the
+// file.  A paper-default 1 MB generate(k) is exactly one grain
+// (8 x 8 x 128 KiB), so it stays on the calling thread: starting threads
+// for it costs more than it saves.
+constexpr std::size_t kGrainBytes = std::size_t{8} << 20;
+
+// Bytes of every output one product task covers: the decoder's solve
+// strip (codec.cpp), so a 128 KiB message splits into 16 tasks per block.
+constexpr std::size_t kStripBytes = 8192;
+
+// Messages per digest task: one pass of the 16-lane md5_many tier.
+constexpr std::size_t kDigestGroup = 16;
+
+// One thread per grain of `work`, at most one per core.  The core count
+// is read once: each read costs system calls.
+std::size_t threads_for(std::size_t work) {
+  static const std::size_t cores =
+      std::max(1u, std::thread::hardware_concurrency());
+  return std::clamp<std::size_t>(work / kGrainBytes, 1, cores);
+}
+
+// Runs task(0) .. task(tasks - 1) on the calling thread and up to
+// threads - 1 std::jthreads, each claiming the next index from one counter
+// (as download_file's sessions claim solve() strips); returns once every
+// task has run, rethrowing the first exception a task threw.  One thread
+// runs the same loop inline.  Tasks must write disjoint data.
+template <typename Task>
+void run_tasks(std::size_t threads, std::size_t tasks, const Task& task) {
+  std::atomic<std::size_t> next{0};
+  std::mutex failure_lock;
+  std::exception_ptr failure;
+  const auto loop = [&] {
+    try {
+      for (std::size_t t; (t = next.fetch_add(1, std::memory_order_relaxed)) <
+                          tasks;)
+        task(t);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(failure_lock);
+      if (!failure) failure = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    for (std::size_t i = 1; i < std::min(threads, tasks); ++i)
+      helpers.emplace_back(loop);
+    loop();
+  }
+  if (failure) std::rethrow_exception(failure);
+}
+
+// The public half of FileInfo: everything but the content digest, which
+// the constructor hashes beside the chunk layout, and the digest table,
+// which grows as messages are generated.
 FileInfo describe(std::uint64_t file_id, std::span<const std::byte> data,
                   const CodingParams& params, CodecKind codec,
                   const ChunkedSchedule& schedule) {
@@ -102,7 +158,6 @@ FileInfo describe(std::uint64_t file_id, std::span<const std::byte> data,
   info.k = chunks_for_bytes(data.size(), params);
   info.codec = codec;
   info.schedule = schedule;
-  info.content_digest = crypto::Md5::hash(data);
   return info;
 }
 
@@ -124,9 +179,18 @@ Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
          "GF(2^4) requires even m for byte-aligned chunks");
 
   // The packed wire representation is plain little-endian bytes, so the
-  // chunk layout is a copy + pad.
-  chunks_.assign(map_.k() * chunk_bytes_, std::byte{0});
-  std::memcpy(chunks_.data(), data.data(), data.size());
+  // chunk layout is a copy + pad into the storage reserved here.  It and
+  // the content digest each pass over the file once; past one grain of
+  // file the two run side by side.
+  chunks_.reserve(map_.k() * chunk_bytes_);
+  run_tasks(threads_for(2 * data.size()), 2, [&](std::size_t t) {
+    if (t == 0) {
+      info_.content_digest = crypto::Md5::hash(data);
+    } else {
+      chunks_.assign(data.begin(), data.end());
+      chunks_.resize(map_.k() * chunk_bytes_);
+    }
+  });
 
   batch_rank_.reserve(map_.classes());
   for (std::size_t c = 0; c < map_.classes(); ++c)
@@ -143,6 +207,9 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
   std::vector<EncodedMessage> out(count);
   std::vector<std::vector<std::byte>> rows(count);  // packed, class width
   std::vector<std::vector<std::size_t>> by_class(map_.classes());
+  std::size_t work = 0;  // bytes of row-block product
+  // Screening fixes the id sequence, the wire contract, so it runs in order
+  // on this thread; so does every payload's allocation.
   for (std::size_t i = 0; i < count; ++i) {
     std::size_t cls;
     for (;;) {
@@ -158,39 +225,87 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
       break;
     }
     out[i].file_id = info_.file_id;
-    out[i].payload.resize(chunk_bytes_);
+    out[i].payload.reserve(chunk_bytes_);
     by_class[cls].push_back(i);
+    work += map_.width(cls) * chunk_bytes_;
   }
 
-  // Y = B X per class: the class's chunks are the sources of one row-block
+  // The payload work runs on one thread per grain.  Every task writes its
+  // own bytes with the same kernels, so the output is the same for any
+  // thread count.
+  const std::size_t threads = threads_for(work);
+  run_tasks(threads, count, [&](std::size_t i) {
+    out[i].payload.resize(chunk_bytes_);
+  });
+
+  // Y = B X per class: the class's chunks are the sources of a row-block
   // product whose outputs are its new messages, cut into blocks small
   // enough to prepare every scalar.
+  struct Block {
+    std::span<const std::byte* const> src;  // the class's chunks
+    std::vector<const std::byte*> coeffs;
+    std::vector<std::byte*> dst;
+    std::optional<gf::RowBlock> prepared;
+    std::size_t scalars() const { return dst.size() * src.size(); }
+  };
+  std::vector<std::vector<const std::byte*>> sources(map_.classes());
+  std::vector<Block> blocks;
   for (std::size_t cls = 0; cls < map_.classes(); ++cls) {
     const std::size_t w = map_.width(cls);
-    std::vector<const std::byte*> src(w);
-    for (std::size_t j = 0; j < w; ++j)
-      src[j] = chunks_.data() + (map_.start(cls) + j) * chunk_bytes_;
     const std::vector<std::size_t>& members = by_class[cls];
+    if (members.empty()) continue;
+    for (std::size_t j = 0; j < w; ++j)
+      sources[cls].push_back(chunks_.data() +
+                             (map_.start(cls) + j) * chunk_bytes_);
     const std::size_t per_block = std::max<std::size_t>(
         1, gf::RowBlock::kMaxPrepared / w);
     for (std::size_t first = 0; first < members.size(); first += per_block) {
-      const std::size_t last = std::min(members.size(), first + per_block);
-      std::vector<const std::byte*> coeffs;
-      std::vector<std::byte*> dst;
-      for (std::size_t n = first; n < last; ++n) {
-        coeffs.push_back(rows[members[n]].data());
-        dst.push_back(out[members[n]].payload.data());
+      Block& b = blocks.emplace_back();
+      b.src = sources[cls];
+      for (std::size_t n = first;
+           n < std::min(members.size(), first + per_block); ++n) {
+        b.coeffs.push_back(rows[members[n]].data());
+        b.dst.push_back(out[members[n]].payload.data());
       }
-      const gf::RowBlock block(f, std::move(coeffs), w);
-      f.row_block_product(block, dst.data(), src.data(), 0, chunk_bytes_);
     }
   }
+  // Blocks are prepared a wave at a time, at most one block's worth of
+  // scalars per thread, so a dense class as wide as k = 8192 still never
+  // holds k^2 prepared scalars.  Within a wave, the product runs as
+  // (block, strip) tasks.
+  const std::size_t wave_scalars = threads * gf::RowBlock::kMaxPrepared;
+  const std::size_t strips = (chunk_bytes_ + kStripBytes - 1) / kStripBytes;
+  for (std::size_t first = 0; first < blocks.size();) {
+    std::size_t last = first + 1;
+    std::size_t scalars = blocks[first].scalars();
+    while (last < blocks.size() &&
+           scalars + blocks[last].scalars() <= wave_scalars)
+      scalars += blocks[last++].scalars();
+    run_tasks(threads, last - first, [&](std::size_t t) {
+      Block& b = blocks[first + t];
+      b.prepared.emplace(f, std::move(b.coeffs), b.src.size());
+    });
+    run_tasks(threads, (last - first) * strips, [&](std::size_t t) {
+      const Block& b = blocks[first + t / strips];
+      const std::size_t begin = t % strips * kStripBytes;
+      f.row_block_product(*b.prepared, b.dst.data(), b.src.data(), begin,
+                          std::min(begin + kStripBytes, chunk_bytes_));
+    });
+    for (; first < last; ++first) blocks[first].prepared.reset();
+  }
 
-  // The owner's digest table: the whole batch in one multi-lane MD5 pass.
-  std::vector<EncodedMessageView> views;
-  views.reserve(count);
-  for (const EncodedMessage& msg : out) views.push_back(msg.view());
-  const std::vector<crypto::Md5Digest> digests = digest_many(views);
+  // The owner's digest table: the batch in multi-lane MD5 passes.
+  std::vector<crypto::Md5Digest> digests(count);
+  run_tasks(threads, (count + kDigestGroup - 1) / kDigestGroup,
+            [&](std::size_t t) {
+              const std::size_t first = t * kDigestGroup;
+              const std::size_t last = std::min(count, first + kDigestGroup);
+              std::vector<EncodedMessageView> views;
+              for (std::size_t i = first; i < last; ++i)
+                views.push_back(out[i].view());
+              const std::vector<crypto::Md5Digest> group = digest_many(views);
+              std::copy(group.begin(), group.end(), digests.begin() + first);
+            });
   for (std::size_t i = 0; i < count; ++i)
     info_.message_digests.emplace(out[i].message_id, digests[i]);
   generated_ += count;

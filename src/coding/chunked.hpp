@@ -126,11 +126,14 @@ class Encoder {
   EncodedMessage next_message();
 
   /// Generate the next `count` messages.  The paper uploads n*k messages
-  /// total, k per peer.  Ids are screened one at a time, exactly as
-  /// next_message() would; then each class's new payloads come from one
-  /// row-block product over the class's chunks (gf/row_ops.hpp), and the
-  /// batch's digests from one crypto::md5_many call (equal to each
-  /// message's digest()).  next_message() is the one-message case.
+  /// total, k per peer.  Ids are screened one at a time on the calling
+  /// thread, exactly as next_message() would, and every payload is
+  /// allocated there; then each class's new payloads come from row-block
+  /// products over the class's chunks (gf/row_ops.hpp), and the batch's
+  /// digests from crypto::md5_many passes (equal to each message's
+  /// digest()).  That payload work runs on one thread per 8 MiB of product,
+  /// at most one per core; the output is the same for any thread count.
+  /// next_message() is the one-message case.
   std::vector<EncodedMessage> generate(std::size_t count);
 
   /// Message ids examined so far (accepted + skipped); the skip rate is

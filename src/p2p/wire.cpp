@@ -1,7 +1,5 @@
 #include "p2p/wire.hpp"
 
-#include <algorithm>
-
 #include "util/bytes.hpp"
 
 namespace fairshare::p2p::wire {
@@ -31,7 +29,7 @@ bool expect_type(ByteReader& r, MessageType type) {
 /// its size_t arithmetic (8 * bytes + m * bits) cannot wrap.  A message
 /// must also fit in a coded_message frame (kMaxCodedFrameBytes): a decoder
 /// allocates k slots of message_bytes() when it is built.  k must stay
-/// within kMaxChunks; the class width is checked once the trailer is read.
+/// within kMaxChunks; the class state is checked once the trailer is read.
 bool encoder_geometry(const coding::FileInfo& info) {
   constexpr std::uint64_t kLimit = std::uint64_t{1} << 56;
   const std::uint64_t m = info.params.m;
@@ -43,6 +41,21 @@ bool encoder_geometry(const coding::FileInfo& info) {
       kMaxCodedFrameBytes - kCodedMessageHeaderBytes)
     return false;
   return info.k == coding::chunks_for_bytes(info.original_bytes, info.params);
+}
+
+/// The sum over classes of the squared class width, in closed form for
+/// the classes chunked::ClassMap builds: a dense file, or a chunked one no
+/// longer than a class, is one class of width k; any other is n - 1
+/// classes of class_size and a last one of k - (n - 1) * stride.  Nothing
+/// wraps: encoder_geometry has bounded k by kMaxChunks.
+std::uint64_t class_state(const coding::FileInfo& info) {
+  const std::uint64_t k = info.k;
+  const std::uint64_t size = info.schedule.class_size;
+  if (info.codec == coding::CodecKind::dense || k <= size) return k * k;
+  const std::uint64_t stride = size - info.schedule.overlap;
+  const std::uint64_t n = (k - size + stride - 1) / stride + 1;
+  const std::uint64_t last = k - (n - 1) * stride;
+  return (n - 1) * size * size + last * last;
 }
 
 }  // namespace
@@ -248,11 +261,7 @@ std::optional<coding::FileInfo> decode_file_info(
     info.schedule.seed = r.get_u64();
     if (!r.ok() || !r.at_end() || !info.schedule.valid()) return std::nullopt;
   }
-  const std::uint64_t widest =
-      info.codec == coding::CodecKind::dense
-          ? info.k
-          : std::min<std::uint64_t>(info.k, info.schedule.class_size);
-  if (widest > kMaxClassWidth) return std::nullopt;
+  if (class_state(info) > kMaxClassState) return std::nullopt;
   return info;
 }
 

@@ -69,13 +69,22 @@ inline constexpr std::size_t kMaxCodedFrameBytes = std::size_t{64} << 20;
 /// The most chunks (k), and the widest class, a FileInfo may describe.  A
 /// decoder keeps state for every row of every class, and a class's
 /// coefficient matrix grows with the square of its width, so
-/// decode_file_info rejects metadata past either cap before any decoder
+/// decode_file_info rejects metadata past these caps before any decoder
 /// is sized by it.  The widest class is k for a dense file and
 /// min(k, class_size) for a chunked one.  At the paper's defaults
 /// (GF(2^32), m = 2^15, 128 KiB messages) a 1 GiB dense file is exactly
 /// kMaxClassWidth chunks, and a chunked file may reach 16 GiB.
 inline constexpr std::uint64_t kMaxChunks = std::uint64_t{1} << 17;
 inline constexpr std::uint64_t kMaxClassWidth = std::uint64_t{1} << 13;
+/// The most decoder state a FileInfo may describe: the sum over its
+/// classes of the squared class width, capped at the state of the widest
+/// admitted class (a dense file is one class of width k).  This bounds a
+/// chunked schedule's overlap, which the other caps do not: classes of 64
+/// at stride 1 over kMaxChunks chunks are 131009 classes and about 4 GiB
+/// of solver rows.  A 1 GiB chunked file at the default 64/8 schedule
+/// needs under 1% of the cap.  The cap implies the kMaxClassWidth one.
+inline constexpr std::uint64_t kMaxClassState =
+    kMaxClassWidth * kMaxClassWidth;
 
 /// Bytes of a coded_message frame ahead of its payload length: the type
 /// tag and both u64 ids.

@@ -647,5 +647,50 @@ TEST(CodecDecoder, ConcurrentFeedersAgreeOnDenseFile) {
     check_concurrent_feed(CodecKind::dense, seed);
 }
 
+// ------------------------------------------------------------- encoder
+
+// generate() splits a batch's payload work across threads once it passes a
+// few grains of row-block product, while next_message() runs on the
+// calling thread alone, so a batch and the same messages one at a time
+// must agree in ids, payloads and digests.  The chunked file is large
+// enough that the constructor hashes its content digest beside the chunk
+// layout, and its messages span two product strips; the dense batch
+// prepares its blocks in more than one wave.
+void check_threaded_encode(chunked::Encoder& batch, chunked::Encoder& single,
+                           std::span<const std::byte> data,
+                           std::size_t count) {
+  EXPECT_EQ(batch.info().content_digest, crypto::Md5::hash(data));
+  const std::vector<EncodedMessage> messages = batch.generate(count);
+  ASSERT_EQ(messages.size(), count);
+  for (const EncodedMessage& want : messages) {
+    const EncodedMessage got = single.next_message();
+    ASSERT_EQ(got.message_id, want.message_id);
+    EXPECT_EQ(got.payload, want.payload);
+    EXPECT_EQ(batch.info().message_digests.at(want.message_id),
+              want.digest());
+  }
+  EXPECT_EQ(batch.info().message_digests, single.info().message_digests);
+}
+
+TEST(Chunked, ThreadedEncodeMatchesOneMessageAtATime) {
+  const SecretKey key = secret(21);
+  {
+    SCOPED_TRACE("chunked");
+    const auto data = random_data(8u << 20, 31);
+    const CodingParams params{gf::FieldId::gf2_32, 4096};
+    chunked::Encoder batch(key, 1, data, params, schedule(16, 4));
+    chunked::Encoder single(key, 1, data, params, schedule(16, 4));
+    check_threaded_encode(batch, single, data, batch.k());
+  }
+  {
+    SCOPED_TRACE("dense");
+    const auto data = random_data(256u << 10, 32);
+    const CodingParams params{gf::FieldId::gf2_32, 256};
+    FileEncoder batch(key, 2, data, params);
+    FileEncoder single(key, 2, data, params);
+    check_threaded_encode(batch, single, data, 2 * batch.k());
+  }
+}
+
 }  // namespace
 }  // namespace fairshare::coding

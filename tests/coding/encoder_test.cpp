@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "coding/codec.hpp"
 #include "coding/encoder.hpp"
 #include "crypto/md5.hpp"
 #include "sim/rng.hpp"
@@ -127,6 +128,50 @@ TEST(Encoder, GoldenChunkedStreams) {
     EXPECT_EQ(ids, want_ids);
     EXPECT_EQ(crypto::to_hex(md5.finish()), g.md5);
   }
+}
+
+// A batch many times the encoder's per-thread grain: a 4 MiB file of
+// GF(2^32) messages at m = 8192 (four 8 KiB product strips each) in classes
+// of 64 sharing 8, so three classes (the last 16 wide) take one peer's
+// share, generate(k): about 244 MiB of product.  Recorded from the
+// single-threaded encoder.  The content digest, the digest table and a
+// full decode are checked on the same encoder.
+TEST(Encoder, GoldenMultiGrainChunkedStream) {
+  SecretKey key{};
+  key[0] = 0x62;
+  key[31] = 0x3e;
+  const GoldenStream g{gf::FieldId::gf2_32, 8192, 4u << 20, 47, 0x603E32,
+                       128, {{0, 128}}, "330bd50384f767d91b4e9fb830299bc0"};
+  const auto data = blob(g.bytes, g.data_seed);
+  chunked::Encoder enc(key, g.file_id, data, CodingParams{g.field, g.m},
+                       ChunkedSchedule{64, 8, 11});
+  ASSERT_EQ(enc.k(), g.k);
+  ASSERT_EQ(enc.class_map().classes(), 3u);
+  std::vector<std::uint64_t> want_ids;
+  for (const auto& [first, last] : g.id_runs)
+    for (std::uint64_t id = first; id < last; ++id) want_ids.push_back(id);
+
+  const std::vector<EncodedMessage> messages = enc.generate(g.k);
+  std::vector<std::uint64_t> ids;
+  crypto::Md5 md5;
+  for (const EncodedMessage& msg : messages) {
+    ids.push_back(msg.message_id);
+    md5.update(std::span<const std::byte>(msg.serialize()));
+  }
+  EXPECT_EQ(ids, want_ids);
+  EXPECT_EQ(crypto::to_hex(md5.finish()), g.md5);
+
+  EXPECT_EQ(enc.info().content_digest,
+            crypto::Md5::hash(std::span<const std::byte>(data)));
+  ASSERT_EQ(enc.info().message_digests.size(), messages.size());
+  for (const EncodedMessage& msg : messages)
+    EXPECT_EQ(enc.info().message_digests.at(msg.message_id), msg.digest());
+
+  CodecDecoder dec(key, enc.info());
+  for (const EncodedMessage& msg : messages)
+    EXPECT_EQ(dec.add(msg), AddResult::accepted);
+  ASSERT_TRUE(dec.complete());
+  EXPECT_EQ(dec.reconstruct(), data);
 }
 
 TEST(Encoder, PayloadDependsOnData) {

@@ -337,13 +337,47 @@ TEST(Wire, FileInfoPastTheDecoderStateCapsIsRejected) {
   resize(chunked, kMaxChunks * chunk + 1);
   EXPECT_FALSE(decodes(chunked)) << "k = kMaxChunks + 1";
 
-  resize(chunked, kMaxChunks * chunk);
+  // The decoder state, the sum over classes of the squared width, is
+  // capped at one class of kMaxClassWidth: a wide class_size over a narrow
+  // file is that one class, and one chunk more opens a second class.
   chunked.schedule.class_size = kMaxClassWidth;
-  EXPECT_TRUE(decodes(chunked));
-  chunked.schedule.class_size = kMaxClassWidth + 1;
-  EXPECT_FALSE(decodes(chunked)) << "class_size = kMaxClassWidth + 1";
   resize(chunked, kMaxClassWidth * chunk);
   EXPECT_TRUE(decodes(chunked)) << "a wide class_size over a narrow file";
+  resize(chunked, kMaxClassWidth * chunk + 1);
+  EXPECT_FALSE(decodes(chunked)) << "a second class past the state cap";
+  resize(chunked, kMaxChunks * chunk);
+  EXPECT_FALSE(decodes(chunked)) << "17 classes of kMaxClassWidth";
+  chunked.schedule.class_size = kMaxClassWidth + 1;
+  EXPECT_FALSE(decodes(chunked)) << "class_size = kMaxClassWidth + 1";
+}
+
+TEST(Wire, FileInfoOverlapPastTheDecoderStateCapIsRejected) {
+  // Crafted chunked geometry inside the k and class-width caps: kMaxChunks
+  // one-symbol GF(2^32) messages in classes of 64 at stride 1 (overlap
+  // 63), so 131009 classes and about 4 GiB of solver rows.
+  const std::vector<std::byte> hostile = from_hex(
+      "08070000000000000000000800000000002001000000000000000000020000000000"
+      "000000000000000000000000000000000000000001400000003f0000000000000000"
+      "000000");
+  EXPECT_FALSE(decode_file_info(hostile).has_value());
+
+  coding::FileInfo info;
+  info.file_id = 7;
+  info.params = {gf::FieldId::gf2_32, 1};
+  info.original_bytes = kMaxChunks * 4;
+  info.k = kMaxChunks;
+  info.codec = coding::CodecKind::chunked;
+  info.schedule = {64, 63, 0};
+  EXPECT_EQ(encode(info), hostile);
+
+  // At stride 1, k chunks make k - 63 classes of 64, so 16447 chunks hold
+  // exactly the cap (16384 classes of 64) and one more chunk is past it.
+  info.original_bytes = 16447 * 4;
+  info.k = 16447;
+  EXPECT_TRUE(decode_file_info(encode(info)).has_value());
+  info.original_bytes = 16448 * 4;
+  info.k = 16448;
+  EXPECT_FALSE(decode_file_info(encode(info)).has_value());
 }
 
 TEST(Wire, ChunkedFileInfoTruncationsRejectedOrDense) {

@@ -32,6 +32,10 @@ the matching baseline section — a section the committed baseline does not
 have yet is reported and skipped, so introducing a new suite does not fail
 CI before its first baseline refresh.
 
+A benchmark run with repetitions is committed as one row, its median,
+named by its run name (e.g. BM_ChunkedDecode/10/min_time:0.500/repeats:5);
+its other aggregates and its single repetitions are dropped.
+
 Baselines are only written from release builds of the benchmark binary
 (the binary self-reports via the fairshare_build_type context);
 --allow-debug overrides for local experiments.
@@ -50,10 +54,18 @@ def load_run(path):
 def condense_entries(doc):
     out = []
     for b in doc.get("benchmarks", []):
+        # A repeated benchmark is committed as its median, under its run
+        # name; its other aggregates and single repetitions are dropped.
         if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") != "median":
+                continue
+            name = b["run_name"]
+        elif b.get("repetitions", 1) > 1:
             continue
+        else:
+            name = b["name"]
         entry = {
-            "name": b["name"],
+            "name": name,
             "iterations": b.get("iterations"),
             "real_time_ns": round(to_ns(b.get("real_time", 0.0),
                                         b.get("time_unit", "ns")), 1),
