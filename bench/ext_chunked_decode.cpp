@@ -27,13 +27,14 @@
 // The encoder splits its payload work across cores, so its rows depend on
 // the host's core count (recorded in the baseline's host block).
 //
-// The chunked decode and encode points run five repetitions of at least
-// half a second of iterations each and report the median, which
-// tools/bench_to_json.py commits: one sample of a 30-50 ms decode swung
-// past the compare threshold on noise alone, and the encode's first
-// iterations after a single-threaded stretch ran up to twice as long on
-// a 4-vCPU VM whose idle vCPUs were slow to pick up its threads.  The
-// dense points stay single-shot: the 100 MB one takes seconds.
+// The chunked decode and encode points and the 10 MB dense decode run
+// five repetitions of at least half a second of iterations each and
+// report the median, which tools/bench_to_json.py commits: one sample of
+// a 25-55 ms decode swung past the compare threshold on noise alone, and
+// the encode's first iterations after a single-threaded stretch ran up to
+// twice as long on a 4-vCPU VM whose idle vCPUs were slow to pick up its
+// threads.  The larger dense points stay single-shot: the 100 MB one
+// takes seconds.
 //
 // Wired into BENCH_kernels.json by the bench_baseline target as two
 // sections: runs.chunked_decode (10/100 MB, refreshed and compared in
@@ -156,20 +157,17 @@ void BM_ChunkedEncode(benchmark::State& state) {
   state.counters["classes"] = static_cast<double>(classes);
 }
 
-void configure(benchmark::internal::Benchmark* b, bool huge_points,
-               bool repeated) {
+// Registers `fn` under `name` at each file size (MB) in `sizes`, as
+// repeated medians or single-shot.
+void register_points(const char* name, void (*fn)(benchmark::State&),
+                     bool repeated, const std::vector<std::int64_t>& sizes) {
+  auto* b = benchmark::RegisterBenchmark(name, fn);
   b->Unit(benchmark::kMillisecond);
   if (repeated)
     b->MinTime(0.5)->Repetitions(5)->ReportAggregatesOnly();
   else
     b->Iterations(1);
-  b->Arg(10)->Arg(100);
-  if (huge_points) {
-    b->Arg(1024);
-    // The 10 GB point needs ~25 GB of RAM and the better part of an hour
-    // for the dense side; strictly opt-in.
-    if (std::getenv("FAIRSHARE_BENCH_10G")) b->Arg(10240);
-  }
+  for (const std::int64_t mb : sizes) b->Arg(mb);
 }
 
 }  // namespace
@@ -183,14 +181,22 @@ int main(int argc, char** argv) {
   // The 1 GB+ args only exist when the caller asks for them, so CI's
   // bench-smoke filter never has to know they exist and --compare's
   // missing-name check stays meaningful per section.
-  const bool huge = std::getenv("FAIRSHARE_BENCH_HUGE") != nullptr ||
-                    std::getenv("FAIRSHARE_BENCH_10G") != nullptr;
-  configure(benchmark::RegisterBenchmark("BM_ChunkedDecode", BM_ChunkedDecode),
-            huge, true);
-  configure(benchmark::RegisterBenchmark("BM_DenseDecode", BM_DenseDecode),
-            huge, false);
-  configure(benchmark::RegisterBenchmark("BM_ChunkedEncode", BM_ChunkedEncode),
-            false, true);
+  std::vector<std::int64_t> chunked{10, 100}, dense_once{100};
+  const bool ten_gb = std::getenv("FAIRSHARE_BENCH_10G") != nullptr;
+  if (ten_gb || std::getenv("FAIRSHARE_BENCH_HUGE") != nullptr) {
+    chunked.push_back(1024);
+    dense_once.push_back(1024);
+  }
+  // The 10 GB point needs ~25 GB of RAM and the better part of an hour
+  // for the dense side; strictly opt-in.
+  if (ten_gb) {
+    chunked.push_back(10240);
+    dense_once.push_back(10240);
+  }
+  register_points("BM_ChunkedDecode", BM_ChunkedDecode, true, chunked);
+  register_points("BM_DenseDecode", BM_DenseDecode, true, {10});
+  register_points("BM_DenseDecode", BM_DenseDecode, false, dense_once);
+  register_points("BM_ChunkedEncode", BM_ChunkedEncode, true, {10, 100});
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

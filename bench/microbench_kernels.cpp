@@ -100,24 +100,6 @@ BENCHMARK(BM_RowBlockProduct)
     ->ArgNames({"sources", "m", "simd"})
     ->Unit(benchmark::kMillisecond);
 
-void BM_RowScale(benchmark::State& state) {
-  const auto field = static_cast<gf::FieldId>(state.range(0));
-  const std::size_t m = static_cast<std::size_t>(state.range(1));
-  const auto& f = view_for(state.range(2), field);
-  auto row = bench::random_row(f, m, 3);
-  const std::uint64_t c = 0x1234567 & (f.order - 1);
-  for (auto _ : state) {
-    f.scale(row.data(), c, m);
-    benchmark::DoNotOptimize(row.data());
-  }
-  state.SetLabel(f.kernel);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.row_bytes(m)));
-}
-BENCHMARK(BM_RowScale)
-    ->ArgsProduct({{0, 1, 2, 3}, {1 << 15}, {0, 1}})
-    ->ArgNames({"field", "m", "simd"});
-
 // Full decode pipeline at Table II parameters: decode 1 MB from k fresh
 // coded messages through the real coding::CodecDecoder (coefficient
 // regeneration, digest checks, elimination) and rebuild the file.  The

@@ -1,6 +1,7 @@
 #include "coding/batch_decoder.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "linalg/matrix.hpp"
@@ -10,9 +11,10 @@ namespace fairshare::coding {
 BatchDecoder::BatchDecoder(const SecretKey& secret, const FileInfo& info,
                            bool require_digests)
     : info_(info),
-      secret_(secret),
       require_digests_(require_digests),
-      coeffs_(secret, info.file_id, info.params, info.k) {}
+      coeffs_(secret, info.file_id, info.params, info.k) {
+  assert(info.codec == CodecKind::dense);
+}
 
 AddResult BatchDecoder::add(const EncodedMessage& message) {
   const EncodedMessageView view = message.view();
@@ -44,24 +46,6 @@ std::optional<std::vector<std::byte>> BatchDecoder::decode() {
   if (!ready()) return std::nullopt;
   obs::TraceSpan span(span_ring_, "batch.decode");
   const std::uint64_t t0 = decode_ns_ ? obs::monotonic_ns() : 0;
-
-  if (info_.codec == CodecKind::chunked) {
-    // add() already authenticated the buffer, so the inner decoder runs
-    // with the relaxed digest policy (known ids are still verified, but
-    // ids past the FileInfo snapshot are not rejected outright).
-    CodecDecoder decoder(secret_, info_, /*require_digests=*/false);
-    for (const EncodedMessage& msg : messages_) decoder.add(msg);
-    if (!decoder.complete()) {
-      // Some class is short on rows; age out the oldest buffered message
-      // so retries make progress, mirroring the singular-matrix path.
-      if (!messages_.empty()) messages_.erase(messages_.begin());
-      if (decode_ns_) decode_ns_->record(obs::monotonic_ns() - t0);
-      return std::nullopt;
-    }
-    auto out = decoder.reconstruct();
-    if (decode_ns_) decode_ns_->record(obs::monotonic_ns() - t0);
-    return out;
-  }
 
   const std::size_t k = info_.k;
   const std::size_t m = info_.params.m;

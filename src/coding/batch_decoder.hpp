@@ -11,6 +11,8 @@
 // Both produce identical bytes; bench/ablation_decoder_strategy compares
 // their costs and their latency profiles (batch cannot start work until
 // the k-th message lands; progressive has already absorbed k-1 of them).
+// The k x k system exists only for the dense codec, so a BatchDecoder
+// takes a dense FileInfo.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,7 @@ namespace fairshare::coding {
 
 class BatchDecoder {
  public:
+  /// Precondition: info.codec == CodecKind::dense.
   BatchDecoder(const SecretKey& secret, const FileInfo& info,
                bool require_digests = true);
 
@@ -41,11 +44,6 @@ class BatchDecoder {
   /// Run the inversion + multiply.  Returns the file bytes, or nullopt if
   /// the buffered coefficient sub-matrix is singular (caller should fetch
   /// more messages and retry; over large q this is vanishingly rare).
-  ///
-  /// Chunked files (FileInfo::codec == CodecKind::chunked) have no global
-  /// k x k system to invert; decode() instead feeds the buffer through a
-  /// CodecDecoder's per-class elimination, with the same
-  /// nullopt-means-fetch-more contract when some class is still short.
   std::optional<std::vector<std::byte>> decode();
 
   /// Report into `registry`: a buffered-message gauge
@@ -56,7 +54,6 @@ class BatchDecoder {
 
  private:
   FileInfo info_;
-  SecretKey secret_;  // chunked decode builds its decoder lazily
   bool require_digests_;
   CoefficientGenerator coeffs_;
   std::vector<EncodedMessage> messages_;

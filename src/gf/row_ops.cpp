@@ -67,14 +67,6 @@ void gf4_axpy(std::byte* dst, const std::byte* src, std::uint64_t c,
     dst[i] ^= std::byte{tab[std::to_integer<std::uint8_t>(src[i])]};
 }
 
-void gf4_scale(std::byte* row, std::uint64_t c, std::size_t n) {
-  if (c == 1) return;
-  const auto& tab = gf4_table().t[c & 0xF];
-  const std::size_t nb = gf4_row_bytes(n);
-  for (std::size_t i = 0; i < nb; ++i)
-    row[i] = std::byte{tab[std::to_integer<std::uint8_t>(row[i])]};
-}
-
 // ---------------------------------------------------------------- GF(2^8)
 
 // Full 256x256 product table; row c is the premultiplied lookup for axpy.
@@ -114,13 +106,6 @@ void gf8_axpy(std::byte* dst, const std::byte* src, std::uint64_t c,
   const std::uint8_t* tab = gf8_table().t.data() + (c & 0xFF) * 256;
   for (std::size_t i = 0; i < n; ++i)
     dst[i] ^= std::byte{tab[std::to_integer<std::uint8_t>(src[i])]};
-}
-
-void gf8_scale(std::byte* row, std::uint64_t c, std::size_t n) {
-  if (c == 1) return;
-  const std::uint8_t* tab = gf8_table().t.data() + (c & 0xFF) * 256;
-  for (std::size_t i = 0; i < n; ++i)
-    row[i] = std::byte{tab[std::to_integer<std::uint8_t>(row[i])]};
 }
 
 // --------------------------------------------- GF(2^16) / GF(2^32) window
@@ -168,24 +153,6 @@ void wide_axpy(std::byte* dst, const std::byte* src, std::uint64_t c,
   }
 }
 
-template <unsigned Bits>
-void wide_scale(std::byte* row, std::uint64_t c, std::size_t n) {
-  using Elem = typename GF<Bits>::Elem;
-  if (c == 1) return;
-  if (c == 0) {
-    // Annihilation; no table needed (row elimination to zero).
-    std::memset(row, 0, n * sizeof(Elem));
-    return;
-  }
-  const WindowTables<Bits> tab(static_cast<Elem>(c));
-  for (std::size_t i = 0; i < n; ++i) {
-    Elem x;
-    std::memcpy(&x, row + i * sizeof(Elem), sizeof(Elem));
-    x = tab.mul(x);
-    std::memcpy(row + i * sizeof(Elem), &x, sizeof(Elem));
-  }
-}
-
 // ------------------------------------------------------ scalar adapters
 
 template <unsigned Bits>
@@ -197,11 +164,6 @@ std::uint64_t scalar_mul(std::uint64_t a, std::uint64_t b) {
 template <unsigned Bits>
 std::uint64_t scalar_inv(std::uint64_t a) {
   return GF<Bits>::inv(static_cast<typename GF<Bits>::Elem>(a));
-}
-
-template <unsigned Bits>
-std::uint64_t scalar_pow(std::uint64_t a, std::uint64_t e) {
-  return GF<Bits>::pow(static_cast<typename GF<Bits>::Elem>(a), e);
 }
 
 }  // namespace
@@ -232,18 +194,17 @@ std::span<const FieldView> kernel_tiers(FieldId id) {
   static const std::array<std::vector<FieldView>, 4> tiers = [] {
     std::array<std::vector<FieldView>, 4> t{{
         {{FieldId::gf2_4, 4, 16, &scalar_mul<4>, &scalar_inv<4>,
-          &scalar_pow<4>, &gf4_row_bytes, &gf4_get, &gf4_set, &gf4_axpy,
-          &gf4_scale, &axpy_row_block<4, &gf4_axpy>, false, "scalar"}},
+          &gf4_row_bytes, &gf4_get, &gf4_set, &gf4_axpy,
+          &axpy_row_block<4, &gf4_axpy>, false, "scalar"}},
         {{FieldId::gf2_8, 8, 256, &scalar_mul<8>, &scalar_inv<8>,
-          &scalar_pow<8>, &gf8_row_bytes, &gf8_get, &gf8_set, &gf8_axpy,
-          &gf8_scale, &axpy_row_block<8, &gf8_axpy>, false, "scalar"}},
+          &gf8_row_bytes, &gf8_get, &gf8_set, &gf8_axpy,
+          &axpy_row_block<8, &gf8_axpy>, false, "scalar"}},
         {{FieldId::gf2_16, 16, 65536, &scalar_mul<16>, &scalar_inv<16>,
-          &scalar_pow<16>, &wide_row_bytes<16>, &wide_get<16>,
-          &wide_set<16>, &wide_axpy<16>, &wide_scale<16>,
+          &wide_row_bytes<16>, &wide_get<16>, &wide_set<16>, &wide_axpy<16>,
           &axpy_row_block<16, &wide_axpy<16>>, false, "scalar"}},
         {{FieldId::gf2_32, 32, std::uint64_t{1} << 32, &scalar_mul<32>,
-          &scalar_inv<32>, &scalar_pow<32>, &wide_row_bytes<32>,
-          &wide_get<32>, &wide_set<32>, &wide_axpy<32>, &wide_scale<32>,
+          &scalar_inv<32>, &wide_row_bytes<32>, &wide_get<32>,
+          &wide_set<32>, &wide_axpy<32>,
           &axpy_row_block<32, &wide_axpy<32>>, false, "scalar"}},
     }};
     for (auto& views : t) {
@@ -251,7 +212,6 @@ std::span<const FieldView> kernel_tiers(FieldId id) {
            detail::accelerated_row_kernels(views.front().id, cpu_features())) {
         FieldView v = views.front();
         v.axpy = k.axpy;
-        v.scale = k.scale;
         v.row_block_product = k.row_block_product;
         v.row_block_matrices = k.row_block_matrices;
         v.kernel = k.name;

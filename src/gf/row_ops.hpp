@@ -14,8 +14,8 @@
 //
 // Row operations are where virtually all decode time is spent (the paper's
 // Table II cost O(m k^2) dominates the O(k^3) coefficient inversion), so
-// each field's axpy/scale runs on the fastest kernel tier the host
-// supports, selected once at first use:
+// each field's axpy runs on the fastest kernel tier the host supports,
+// selected once at first use:
 //   * GF(2^4)/GF(2^8): SSSE3/AVX2 split-nibble shuffle kernels (two
 //     16-entry pshufb tables per scalar, 16/32 bytes per step) on x86,
 //     falling back to premultiplied byte tables (one lookup+xor/byte);
@@ -61,7 +61,6 @@ struct FieldView {
 
   std::uint64_t (*mul)(std::uint64_t a, std::uint64_t b);
   std::uint64_t (*inv)(std::uint64_t a);  ///< precondition: a != 0
-  std::uint64_t (*pow)(std::uint64_t a, std::uint64_t e);
 
   /// Bytes needed to store a row of n symbols.
   std::size_t (*row_bytes)(std::size_t n);
@@ -71,11 +70,10 @@ struct FieldView {
   void (*set)(std::byte* row, std::size_t i, std::uint64_t v);
 
   /// dst ^= c * src over n symbols (the Gaussian-elimination kernel).
-  /// dst and src must not overlap unless dst == src.
+  /// dst and src must not overlap unless dst == src; in characteristic 2
+  /// the aliased axpy(row, row, c ^ 1, n) scales the row by c.
   void (*axpy)(std::byte* dst, const std::byte* src, std::uint64_t c,
                std::size_t n);
-  /// row *= c over n symbols.
-  void (*scale)(std::byte* row, std::uint64_t c, std::size_t n);
   /// Row-block product over the byte range [begin, end) of every row:
   /// dst[i] = sum_j block.scalar(i, j) * src[j] for i < block.outputs(),
   /// j < block.inputs().  Both bounds are multiples of the symbol size (any
@@ -90,7 +88,7 @@ struct FieldView {
   /// them.
   bool row_block_matrices;
 
-  /// Name of the row-kernel tier axpy/scale/row_block_product run on:
+  /// Name of the row-kernel tier axpy/row_block_product run on:
   /// "scalar", "ssse3", "avx2", "window64", or "gfni512".  Diagnostic only
   /// — perf reports use it to attribute numbers to a code path.
   const char* kernel;
@@ -155,8 +153,8 @@ CpuFeatures cpu_features();
 /// duration.
 std::span<const FieldView> kernel_tiers(FieldId id);
 
-/// The shared FieldView for `id` with axpy/scale dispatched to the fastest
-/// supported kernel: kernel_tiers(id).back().
+/// The shared FieldView for `id` with its row kernels dispatched to the
+/// fastest supported tier: kernel_tiers(id).back().
 const FieldView& field_view(FieldId id);
 
 /// The portable scalar FieldView for `id`: kernel_tiers(id).front().

@@ -148,27 +148,6 @@ void gf4_axpy_ssse3(std::byte* dst, const std::byte* src, std::uint64_t c,
 }
 
 FAIRSHARE_TARGET("ssse3")
-void gf4_scale_ssse3(std::byte* row, std::uint64_t c, std::size_t n) {
-  if (c == 1) return;
-  const std::size_t nb = (n + 1) / 2;
-  const std::uint8_t* nib = gf4_nibble_table().t[c & 0xF];
-  const __m128i tab = _mm_load_si128(reinterpret_cast<const __m128i*>(nib));
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 16 <= nb; i += 16) {
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + i));
-    const __m128i lo = _mm_and_si128(s, mask);
-    const __m128i hi = _mm_and_si128(_mm_srli_epi64(s, 4), mask);
-    const __m128i p = _mm_or_si128(_mm_shuffle_epi8(tab, lo),
-                                   _mm_slli_epi64(_mm_shuffle_epi8(tab, hi), 4));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(row + i), p);
-  }
-  for (; i < nb; ++i)
-    row[i] = std::byte{gf4_byte_product(nib, std::to_integer<std::uint8_t>(row[i]))};
-}
-
-FAIRSHARE_TARGET("ssse3")
 void gf8_axpy_ssse3(std::byte* dst, const std::byte* src, std::uint64_t c,
                     std::size_t n) {
   if (c == 0) return;
@@ -204,30 +183,6 @@ void gf8_axpy_ssse3(std::byte* dst, const std::byte* src, std::uint64_t c,
   for (; i < n; ++i)
     dst[i] ^= std::byte{
         gf8_byte_product(lo8, hi8, std::to_integer<std::uint8_t>(src[i]))};
-}
-
-FAIRSHARE_TARGET("ssse3")
-void gf8_scale_ssse3(std::byte* row, std::uint64_t c, std::size_t n) {
-  if (c == 1) return;
-  const auto& tabs = gf8_nibble_tables();
-  const std::uint8_t* lo8 = tabs.lo[c & 0xFF];
-  const std::uint8_t* hi8 = tabs.hi[c & 0xFF];
-  const __m128i tlo = _mm_load_si128(reinterpret_cast<const __m128i*>(lo8));
-  const __m128i thi = _mm_load_si128(reinterpret_cast<const __m128i*>(hi8));
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + i));
-    const __m128i lo = _mm_and_si128(s, mask);
-    const __m128i hi = _mm_and_si128(_mm_srli_epi64(s, 4), mask);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(row + i),
-                     _mm_xor_si128(_mm_shuffle_epi8(tlo, lo),
-                                   _mm_shuffle_epi8(thi, hi)));
-  }
-  for (; i < n; ++i)
-    row[i] = std::byte{
-        gf8_byte_product(lo8, hi8, std::to_integer<std::uint8_t>(row[i]))};
 }
 
 // ------------------------------------------------------------ AVX2 kernels
@@ -272,29 +227,6 @@ void gf4_axpy_avx2(std::byte* dst, const std::byte* src, std::uint64_t c,
 }
 
 FAIRSHARE_TARGET("avx2")
-void gf4_scale_avx2(std::byte* row, std::uint64_t c, std::size_t n) {
-  if (c == 1) return;
-  const std::size_t nb = (n + 1) / 2;
-  const std::uint8_t* nib = gf4_nibble_table().t[c & 0xF];
-  const __m256i tab = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(nib)));
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 32 <= nb; i += 32) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    const __m256i lo = _mm256_and_si256(s, mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi64(s, 4), mask);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(row + i),
-        _mm256_or_si256(_mm256_shuffle_epi8(tab, lo),
-                        _mm256_slli_epi64(_mm256_shuffle_epi8(tab, hi), 4)));
-  }
-  for (; i < nb; ++i)
-    row[i] = std::byte{gf4_byte_product(nib, std::to_integer<std::uint8_t>(row[i]))};
-}
-
-FAIRSHARE_TARGET("avx2")
 void gf8_axpy_avx2(std::byte* dst, const std::byte* src, std::uint64_t c,
                    std::size_t n) {
   if (c == 0) return;
@@ -334,32 +266,6 @@ void gf8_axpy_avx2(std::byte* dst, const std::byte* src, std::uint64_t c,
   for (; i < n; ++i)
     dst[i] ^= std::byte{
         gf8_byte_product(lo8, hi8, std::to_integer<std::uint8_t>(src[i]))};
-}
-
-FAIRSHARE_TARGET("avx2")
-void gf8_scale_avx2(std::byte* row, std::uint64_t c, std::size_t n) {
-  if (c == 1) return;
-  const auto& tabs = gf8_nibble_tables();
-  const std::uint8_t* lo8 = tabs.lo[c & 0xFF];
-  const std::uint8_t* hi8 = tabs.hi[c & 0xFF];
-  const __m256i tlo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(lo8)));
-  const __m256i thi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(hi8)));
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    const __m256i lo = _mm256_and_si256(s, mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi64(s, 4), mask);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + i),
-                        _mm256_xor_si256(_mm256_shuffle_epi8(tlo, lo),
-                                         _mm256_shuffle_epi8(thi, hi)));
-  }
-  for (; i < n; ++i)
-    row[i] = std::byte{
-        gf8_byte_product(lo8, hi8, std::to_integer<std::uint8_t>(row[i]))};
 }
 
 // ------------------------------- GF(2^16)/GF(2^32) AVX2 split-table
@@ -440,58 +346,6 @@ void gf16_axpy_avx2(std::byte* dst, const std::byte* src, std::uint64_t c,
 }
 
 FAIRSHARE_TARGET("avx2")
-void gf16_scale_avx2(std::byte* row, std::uint64_t c, std::size_t n) {
-  if (c == 1) return;
-  if (c == 0) {
-    std::memset(row, 0, n * 2);
-    return;
-  }
-  const NibbleTables<16> nt(static_cast<std::uint16_t>(c));
-  __m256i T[4][2];
-  for (int j = 0; j < 4; ++j)
-    for (int o = 0; o < 2; ++o)
-      T[j][o] = _mm256_broadcastsi128_si256(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(nt.t[j][o])));
-  const __m256i deint = _mm256_broadcastsi128_si256(
-      _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15));
-  const __m256i maskf = _mm256_set1_epi8(0x0F);
-  const std::size_t nb = n * 2;
-  std::size_t i = 0;
-  for (; i + 64 <= nb; i += 64) {
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i + 32));
-    const __m256i t0 = _mm256_shuffle_epi8(v0, deint);
-    const __m256i t1 = _mm256_shuffle_epi8(v1, deint);
-    const __m256i lo = _mm256_unpacklo_epi64(t0, t1);
-    const __m256i hi = _mm256_unpackhi_epi64(t0, t1);
-    const __m256i ll = _mm256_and_si256(lo, maskf);
-    const __m256i lh = _mm256_and_si256(_mm256_srli_epi64(lo, 4), maskf);
-    const __m256i hl = _mm256_and_si256(hi, maskf);
-    const __m256i hh = _mm256_and_si256(_mm256_srli_epi64(hi, 4), maskf);
-    __m256i p0 = _mm256_xor_si256(_mm256_shuffle_epi8(T[0][0], ll),
-                                  _mm256_shuffle_epi8(T[1][0], lh));
-    p0 = _mm256_xor_si256(p0, _mm256_shuffle_epi8(T[2][0], hl));
-    p0 = _mm256_xor_si256(p0, _mm256_shuffle_epi8(T[3][0], hh));
-    __m256i p1 = _mm256_xor_si256(_mm256_shuffle_epi8(T[0][1], ll),
-                                  _mm256_shuffle_epi8(T[1][1], lh));
-    p1 = _mm256_xor_si256(p1, _mm256_shuffle_epi8(T[2][1], hl));
-    p1 = _mm256_xor_si256(p1, _mm256_shuffle_epi8(T[3][1], hh));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + i),
-                        _mm256_unpacklo_epi8(p0, p1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + i + 32),
-                        _mm256_unpackhi_epi8(p0, p1));
-  }
-  for (; i < nb; i += 2) {
-    std::uint16_t x;
-    std::memcpy(&x, row + i, 2);
-    x = nt.mul(x);
-    std::memcpy(row + i, &x, 2);
-  }
-}
-
-FAIRSHARE_TARGET("avx2")
 void gf32_axpy_avx2(std::byte* dst, const std::byte* src, std::uint64_t c,
                     std::size_t n) {
   if (c == 0) return;
@@ -564,70 +418,6 @@ void gf32_axpy_avx2(std::byte* dst, const std::byte* src, std::uint64_t c,
     std::memcpy(&y, dst + i, 4);
     y ^= nt.mul(x);
     std::memcpy(dst + i, &y, 4);
-  }
-}
-
-FAIRSHARE_TARGET("avx2")
-void gf32_scale_avx2(std::byte* row, std::uint64_t c, std::size_t n) {
-  if (c == 1) return;
-  if (c == 0) {
-    std::memset(row, 0, n * 4);
-    return;
-  }
-  const NibbleTables<32> nt(static_cast<std::uint32_t>(c));
-  __m256i T[8][4];
-  for (int j = 0; j < 8; ++j)
-    for (int o = 0; o < 4; ++o)
-      T[j][o] = _mm256_broadcastsi128_si256(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(nt.t[j][o])));
-  const __m256i deint = _mm256_broadcastsi128_si256(
-      _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
-  const __m256i maskf = _mm256_set1_epi8(0x0F);
-  const std::size_t nb = n * 4;
-  std::size_t i = 0;
-  for (; i + 128 <= nb; i += 128) {
-    __m256i t[4];
-    for (int r = 0; r < 4; ++r)
-      t[r] = _mm256_shuffle_epi8(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                                     row + i + 32 * static_cast<std::size_t>(r))),
-                                 deint);
-    const __m256i u0 = _mm256_unpacklo_epi32(t[0], t[1]);
-    const __m256i u1 = _mm256_unpackhi_epi32(t[0], t[1]);
-    const __m256i u2 = _mm256_unpacklo_epi32(t[2], t[3]);
-    const __m256i u3 = _mm256_unpackhi_epi32(t[2], t[3]);
-    const __m256i pl[4] = {_mm256_unpacklo_epi64(u0, u2),
-                           _mm256_unpackhi_epi64(u0, u2),
-                           _mm256_unpacklo_epi64(u1, u3),
-                           _mm256_unpackhi_epi64(u1, u3)};
-    __m256i q[4];
-    for (int o = 0; o < 4; ++o) {
-      __m256i acc = _mm256_setzero_si256();
-      for (int k = 0; k < 4; ++k) {
-        const __m256i lo = _mm256_and_si256(pl[k], maskf);
-        const __m256i hi = _mm256_and_si256(_mm256_srli_epi64(pl[k], 4), maskf);
-        acc = _mm256_xor_si256(acc, _mm256_shuffle_epi8(T[2 * k][o], lo));
-        acc = _mm256_xor_si256(acc, _mm256_shuffle_epi8(T[2 * k + 1][o], hi));
-      }
-      q[o] = acc;
-    }
-    const __m256i w0 = _mm256_unpacklo_epi8(q[0], q[1]);
-    const __m256i w1 = _mm256_unpacklo_epi8(q[2], q[3]);
-    const __m256i w2 = _mm256_unpackhi_epi8(q[0], q[1]);
-    const __m256i w3 = _mm256_unpackhi_epi8(q[2], q[3]);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + i),
-                        _mm256_unpacklo_epi16(w0, w1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + i + 32),
-                        _mm256_unpackhi_epi16(w0, w1));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + i + 64),
-                        _mm256_unpacklo_epi16(w2, w3));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + i + 96),
-                        _mm256_unpackhi_epi16(w2, w3));
-  }
-  for (; i < nb; i += 4) {
-    std::uint32_t x;
-    std::memcpy(&x, row + i, 4);
-    x = nt.mul(x);
-    std::memcpy(row + i, &x, 4);
   }
 }
 
@@ -791,26 +581,6 @@ void wide_axpy_gfni512(std::byte* dst, const std::byte* src, std::uint64_t c,
     P::load(src + i, len, pl);
     k.apply(pl, q);
     P::store(q, dst + i, len, /*overwrite=*/false);
-  }
-}
-
-template <unsigned Bits>
-FAIRSHARE_TARGET("gfni,avx512f,avx512bw")
-void wide_scale_gfni512(std::byte* row, std::uint64_t c, std::size_t n) {
-  using P = GfniPlanes<Bits>;
-  if (c == 1) return;
-  const std::size_t nb = n * P::kBytes;
-  if (c == 0) {
-    std::memset(row, 0, nb);
-    return;
-  }
-  const GfniScalar<Bits> k(c);
-  for (std::size_t i = 0; i < nb; i += P::kBlock) {
-    const std::size_t len = std::min(P::kBlock, nb - i);
-    __m512i pl[P::kBytes], q[P::kBytes];
-    P::load(row + i, len, pl);
-    k.apply(pl, q);
-    P::store(q, row + i, len, /*overwrite=*/true);
   }
 }
 
@@ -1001,54 +771,6 @@ void wide_axpy_win64(std::byte* dst, const std::byte* src, std::uint64_t c,
   }
 }
 
-template <unsigned Bits>
-void wide_scale_win64(std::byte* row, std::uint64_t c, std::size_t n) {
-  using Elem = typename GF<Bits>::Elem;
-  if (c == 1) return;
-  if (c == 0) {
-    std::memset(row, 0, n * sizeof(Elem));
-    return;
-  }
-  const WindowTables<Bits> tab(static_cast<Elem>(c));
-  constexpr std::size_t kSyms = 64 / Bits;
-  const std::size_t words = n / kSyms;
-  std::byte* p = row;
-  for (std::size_t w = 0; w < words; ++w, p += 8) {
-    std::uint64_t x;
-    std::memcpy(&x, p, 8);
-    std::uint64_t r;
-    if constexpr (Bits == 16) {
-      r = static_cast<std::uint64_t>(static_cast<std::uint16_t>(
-          tab.w[0][x & 0xFF] ^ tab.w[1][(x >> 8) & 0xFF]));
-      r |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(
-               tab.w[0][(x >> 16) & 0xFF] ^ tab.w[1][(x >> 24) & 0xFF]))
-           << 16;
-      r |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(
-               tab.w[0][(x >> 32) & 0xFF] ^ tab.w[1][(x >> 40) & 0xFF]))
-           << 32;
-      r |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(
-               tab.w[0][(x >> 48) & 0xFF] ^ tab.w[1][(x >> 56) & 0xFF]))
-           << 48;
-    } else {
-      static_assert(Bits == 32);
-      r = static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-          tab.w[0][x & 0xFF] ^ tab.w[1][(x >> 8) & 0xFF] ^
-          tab.w[2][(x >> 16) & 0xFF] ^ tab.w[3][(x >> 24) & 0xFF]));
-      r |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-               tab.w[0][(x >> 32) & 0xFF] ^ tab.w[1][(x >> 40) & 0xFF] ^
-               tab.w[2][(x >> 48) & 0xFF] ^ tab.w[3][(x >> 56) & 0xFF]))
-           << 32;
-    }
-    std::memcpy(p, &r, 8);
-  }
-  for (std::size_t i = words * kSyms; i < n; ++i) {
-    Elem x;
-    std::memcpy(&x, row + i * sizeof(Elem), sizeof(Elem));
-    x = tab.mul(x);
-    std::memcpy(row + i * sizeof(Elem), &x, sizeof(Elem));
-  }
-}
-
 }  // namespace
 
 std::vector<RowKernels> accelerated_row_kernels(FieldId id,
@@ -1058,48 +780,34 @@ std::vector<RowKernels> accelerated_row_kernels(FieldId id,
   switch (id) {
     case FieldId::gf2_4:
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.ssse3)
-        tiers.push_back(
-            axpy_tier<4, &gf4_axpy_ssse3, &gf4_scale_ssse3>("ssse3"));
-      if (feat.avx2)
-        tiers.push_back(axpy_tier<4, &gf4_axpy_avx2, &gf4_scale_avx2>("avx2"));
+      if (feat.ssse3) tiers.push_back(axpy_tier<4, &gf4_axpy_ssse3>("ssse3"));
+      if (feat.avx2) tiers.push_back(axpy_tier<4, &gf4_axpy_avx2>("avx2"));
 #endif
       break;
     case FieldId::gf2_8:
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.ssse3)
-        tiers.push_back(
-            axpy_tier<8, &gf8_axpy_ssse3, &gf8_scale_ssse3>("ssse3"));
-      if (feat.avx2)
-        tiers.push_back(axpy_tier<8, &gf8_axpy_avx2, &gf8_scale_avx2>("avx2"));
+      if (feat.ssse3) tiers.push_back(axpy_tier<8, &gf8_axpy_ssse3>("ssse3"));
+      if (feat.avx2) tiers.push_back(axpy_tier<8, &gf8_axpy_avx2>("avx2"));
 #endif
       break;
     case FieldId::gf2_16:
       if constexpr (little)
-        tiers.push_back(
-            axpy_tier<16, &wide_axpy_win64<16>, &wide_scale_win64<16>>(
-                "window64"));
+        tiers.push_back(axpy_tier<16, &wide_axpy_win64<16>>("window64"));
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.avx2)
-        tiers.push_back(
-            axpy_tier<16, &gf16_axpy_avx2, &gf16_scale_avx2>("avx2"));
+      if (feat.avx2) tiers.push_back(axpy_tier<16, &gf16_axpy_avx2>("avx2"));
       if (feat.gfni && feat.avx512f && feat.avx512bw)
-        tiers.push_back({&wide_axpy_gfni512<16>, &wide_scale_gfni512<16>,
-                         &wide_row_block_gfni512<16>, true, "gfni512"});
+        tiers.push_back({&wide_axpy_gfni512<16>, &wide_row_block_gfni512<16>,
+                         true, "gfni512"});
 #endif
       break;
     case FieldId::gf2_32:
       if constexpr (little)
-        tiers.push_back(
-            axpy_tier<32, &wide_axpy_win64<32>, &wide_scale_win64<32>>(
-                "window64"));
+        tiers.push_back(axpy_tier<32, &wide_axpy_win64<32>>("window64"));
 #if FAIRSHARE_HAVE_X86_KERNELS
-      if (feat.avx2)
-        tiers.push_back(
-            axpy_tier<32, &gf32_axpy_avx2, &gf32_scale_avx2>("avx2"));
+      if (feat.avx2) tiers.push_back(axpy_tier<32, &gf32_axpy_avx2>("avx2"));
       if (feat.gfni && feat.avx512f && feat.avx512bw)
-        tiers.push_back({&wide_axpy_gfni512<32>, &wide_scale_gfni512<32>,
-                         &wide_row_block_gfni512<32>, true, "gfni512"});
+        tiers.push_back({&wide_axpy_gfni512<32>, &wide_row_block_gfni512<32>,
+                         true, "gfni512"});
 #endif
       break;
   }

@@ -17,16 +17,14 @@ namespace fairshare::gf::detail {
 
 using AxpyFn = void (*)(std::byte* dst, const std::byte* src, std::uint64_t c,
                         std::size_t n);
-using ScaleFn = void (*)(std::byte* row, std::uint64_t c, std::size_t n);
 using RowBlockFn = void (*)(const RowBlock& block, std::byte* const* dst,
                             const std::byte* const* src, std::size_t begin,
                             std::size_t end);
 
-/// One tier's axpy/scale/row-block kernels plus the name reported through
+/// One tier's axpy and row-block kernels plus the name reported through
 /// FieldView::kernel.
 struct RowKernels {
   AxpyFn axpy = nullptr;
-  ScaleFn scale = nullptr;
   RowBlockFn row_block_product = nullptr;
   bool row_block_matrices = false;  ///< see FieldView::row_block_matrices
   const char* name = nullptr;
@@ -48,9 +46,9 @@ void axpy_row_block(const RowBlock& block, std::byte* const* dst,
   }
 }
 
-template <unsigned Bits, AxpyFn Axpy, ScaleFn Scale>
+template <unsigned Bits, AxpyFn Axpy>
 constexpr RowKernels axpy_tier(const char* name) {
-  return {Axpy, Scale, &axpy_row_block<Bits, Axpy>, false, name};
+  return {Axpy, &axpy_row_block<Bits, Axpy>, false, name};
 }
 
 /// Every accelerated tier for `id` that the detected `feat` (and the host's

@@ -69,9 +69,13 @@ std::size_t forward_eliminate(Matrix& m, Matrix* companion) {
     m.swap_rows(pivot_row, p);
     if (companion) companion->swap_rows(pivot_row, p);
 
+    // Normalize the pivot to 1 with the aliased axpy: in characteristic 2,
+    // row + (c + 1) * row = c * row, and c + 1 is c ^ 1.
     const std::uint64_t inv = f.inv(m.at(pivot_row, col));
-    f.scale(m.row(pivot_row), inv, m.cols());
-    if (companion) f.scale(companion->row(pivot_row), inv, companion->cols());
+    f.axpy(m.row(pivot_row), m.row(pivot_row), inv ^ 1, m.cols());
+    if (companion)
+      f.axpy(companion->row(pivot_row), companion->row(pivot_row), inv ^ 1,
+             companion->cols());
 
     for (std::size_t r = 0; r < m.rows(); ++r) {
       if (r == pivot_row) continue;

@@ -46,8 +46,10 @@ bool ProgressiveSolver::add_row(const std::byte* coeffs,
   }
   if (pivot == k_) return false;  // non-innovative
 
-  f.scale(scratch_.data(), f.inv(f.get(scratch_.data(), pivot)),
-          row_symbols_);
+  // Normalize the pivot to 1 with the aliased axpy: in characteristic 2,
+  // row + (c + 1) * row = c * row, and c + 1 is c ^ 1.
+  f.axpy(scratch_.data(), scratch_.data(),
+         f.inv(f.get(scratch_.data(), pivot)) ^ 1, row_symbols_);
 
   // Back-eliminate the new pivot column from all stored rows so the basis
   // stays in *reduced* echelon form (payloads become plain chunks at rank k).

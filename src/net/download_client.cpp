@@ -236,8 +236,10 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
     PeerDownloadStats& ps = report.per_peer[index];
     ps.peer_id = peer.peer_id;
     const int max_attempts = std::max(1, options.retry.max_attempts);
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (done.load()) break;
+    // The loop condition reads `done` before the first dial only.  After a
+    // failure, the completion gate below is the one place that decides
+    // whether it was retried or the peer's last, and a retry always dials.
+    for (int attempt = 1; attempt > 1 || !done.load(); ++attempt) {
       ++ps.attempts;
       const std::uint64_t salt =
           static_cast<std::uint64_t>(index + 1) |
@@ -247,17 +249,17 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
       // Counter partition (see download_client.hpp): this failed attempt
       // is counted below either as retried (another attempt follows) or,
       // exactly once per peer, as the terminal failure.
-      if (outcome == Outcome::failed_permanent || attempt == max_attempts ||
-          done.load()) {
+      if (outcome == Outcome::failed_permanent || attempt == max_attempts) {
         ps.gave_up = true;
         break;
       }
       const int delay = options.retry.delay_ms(
           attempt, options.rng_seed ^ (0xC0FFEEull * (index + 1)));
-      // Completion gate before dialing again: wait out the backoff AND
-      // re-check under the same mutex mark_done() holds, so a decode that
-      // finishes between the timed wait and the next connect cannot slip
-      // an extra (instantly-doomed) session onto the wire.
+      // Completion gate before dialing again: wait out the backoff (or
+      // less, if the decode completes) and re-check under the same mutex
+      // mark_done() holds.  A completed decode makes this failure the
+      // peer's last; otherwise it is counted as retried, and the next pass
+      // dials without reading `done` again, so every counted retry dials.
       bool finished;
       {
         std::unique_lock<std::mutex> lock(done_mutex);

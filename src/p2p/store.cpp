@@ -6,7 +6,6 @@
 namespace fairshare::p2p {
 
 bool MessageStore::store(coding::EncodedMessage message) {
-  if (sources_.count(message.file_id) != 0) return false;
   auto& list = files_[message.file_id];
   if (list.size() >= per_file_limit_) return false;
   const auto dup = std::find_if(
@@ -19,46 +18,25 @@ bool MessageStore::store(coding::EncodedMessage message) {
   return true;
 }
 
-void MessageStore::attach_source(std::uint64_t file_id, std::size_t budget,
-                                 MessageGenerator next) {
-  auto source = std::make_unique<Source>();
-  source->budget = budget;
-  source->next = std::move(next);
-  sources_[file_id] = std::move(source);
-}
-
 std::vector<std::uint64_t> MessageStore::file_ids() const {
   std::vector<std::uint64_t> ids;
-  ids.reserve(files_.size() + sources_.size());
+  ids.reserve(files_.size());
   for (const auto& [fid, list] : files_)
     if (!list.empty()) ids.push_back(fid);
-  for (const auto& [fid, src] : sources_)
-    if (src->budget > 0 && files_.count(fid) == 0) ids.push_back(fid);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 std::size_t MessageStore::count(std::uint64_t file_id) const {
   const auto it = files_.find(file_id);
-  const std::size_t stored = it == files_.end() ? 0 : it->second.size();
-  const auto sit = sources_.find(file_id);
-  return stored + (sit == sources_.end() ? 0 : sit->second->budget);
+  return it == files_.end() ? 0 : it->second.size();
 }
 
 const coding::EncodedMessage& MessageStore::at(std::uint64_t file_id,
                                                std::size_t index) const {
   const auto it = files_.find(file_id);
-  const std::size_t stored = it == files_.end() ? 0 : it->second.size();
-  if (index < stored) return it->second[index];
-
-  const auto sit = sources_.find(file_id);
-  assert(sit != sources_.end() && "index past stored messages, no source");
-  const Source& src = *sit->second;
-  const std::size_t want = index - stored;
-  assert(want < src.budget);
-  std::lock_guard<std::mutex> lock(src.mutex);
-  while (src.cache.size() <= want) src.cache.push_back(src.next());
-  return src.cache[want];
+  assert(it != files_.end() && index < it->second.size());
+  return it->second[index];
 }
 
 }  // namespace fairshare::p2p

@@ -56,14 +56,26 @@ class SimdDispatchTest : public ::testing::TestWithParam<FieldId> {
                          << " dst_off=" << dst_off << " src_off=" << src_off;
   }
 
-  void diff_scale(const FieldView& tier, std::size_t n, std::uint64_t c,
-                  std::size_t off, sim::SplitMix64& rng) {
+  // The aliased axpy(row, row, c ^ 1, n) must scale the row by c: in
+  // characteristic 2, row + (c + 1) * row = c * row.  The tier must match
+  // scalar on the whole buffer, and every symbol the row's bytes hold must
+  // be c times what it was, by mul; for an odd GF(2^4) length that
+  // includes the padding nibble, which the kernels multiply like any other.
+  void diff_aliased(const FieldView& tier, std::size_t n, std::uint64_t c,
+                    std::size_t off, sim::SplitMix64& rng) {
     const std::size_t nb = scalar().row_bytes(n);
-    auto want = random_bytes(nb + off, rng);
-    auto got = want;
-    scalar().scale(want.data() + off, c, n);
-    tier.scale(got.data() + off, c, n);
-    ASSERT_EQ(want, got) << "scale n=" << n << " c=" << c << " off=" << off;
+    const auto before = random_bytes(nb + off, rng);
+    auto want = before;
+    auto got = before;
+    scalar().axpy(want.data() + off, want.data() + off, c ^ 1, n);
+    tier.axpy(got.data() + off, got.data() + off, c ^ 1, n);
+    ASSERT_EQ(want, got) << "aliased axpy n=" << n << " c^1=" << (c ^ 1)
+                         << " off=" << off;
+    for (std::size_t i = 0; i < nb * 8 / scalar().bits; ++i)
+      ASSERT_EQ(scalar().get(got.data() + off, i),
+                scalar().mul(c, scalar().get(before.data() + off, i)))
+          << "aliased axpy n=" << n << " c^1=" << (c ^ 1) << " off=" << off
+          << " symbol " << i;
   }
 
   std::uint64_t random_scalar(sim::SplitMix64& rng) const {
@@ -199,35 +211,34 @@ TEST_P(SimdDispatchTest, AxpyMatchesScalarUnaligned) {
 }
 
 TEST_P(SimdDispatchTest, ScaleMatchesScalarAcrossLengths) {
+  // Pivot normalization scales a row in place with the aliased axpy
+  // (diff_aliased); sweep every length and offset.  c = 0 and c = 1 hit
+  // the xor and no-op fast paths.
   for (const FieldView& tier : tiers()) {
     SCOPED_TRACE(tier.kernel);
     sim::SplitMix64 rng(0x5CA1E + static_cast<std::uint64_t>(GetParam()));
     for (const std::size_t n : kLengths) {
-      diff_scale(tier, n, 0, 0, rng);  // annihilation fast path
-      diff_scale(tier, n, 1, 0, rng);
+      diff_aliased(tier, n, 0, 0, rng);
+      diff_aliased(tier, n, 1, 0, rng);
       for (int t = 0; t < 4; ++t)
-        diff_scale(tier, n, random_scalar(rng), 0, rng);
+        diff_aliased(tier, n, random_scalar(rng), 0, rng);
       for (const std::size_t off : kOffsets)
-        diff_scale(tier, n, random_scalar(rng), off, rng);
+        diff_aliased(tier, n, random_scalar(rng), off, rng);
     }
   }
 }
 
 TEST_P(SimdDispatchTest, AxpyAllowsAliasedDstSrc) {
   // The FieldView contract allows dst == src; every tier must agree with
-  // scalar there too (the row doubles, i.e. scales by c+1 ... in
-  // characteristic 2, dst = dst ^ c*dst = (1^c)*dst).
+  // scalar there, and the row must come out as c times itself, for
+  // c = 0, 1 and random (33 is an odd GF(2^4) length).
   for (const FieldView& tier : tiers()) {
     SCOPED_TRACE(tier.kernel);
     sim::SplitMix64 rng(0xA1A5 + static_cast<std::uint64_t>(GetParam()));
     for (const std::size_t n : {33u, 257u, 4099u}) {
-      const std::size_t nb = scalar().row_bytes(n);
-      auto want = random_bytes(nb, rng);
-      auto got = want;
-      const std::uint64_t c = random_scalar(rng);
-      scalar().axpy(want.data(), want.data(), c, n);
-      tier.axpy(got.data(), got.data(), c, n);
-      ASSERT_EQ(want, got) << "aliased axpy n=" << n << " c=" << c;
+      diff_aliased(tier, n, 0, 0, rng);
+      diff_aliased(tier, n, 1, 0, rng);
+      diff_aliased(tier, n, random_scalar(rng), 0, rng);
     }
   }
 }
@@ -243,7 +254,7 @@ TEST_P(SimdDispatchTest, Gf4TrailingNibbleMatches) {
     for (const std::size_t n : {1u, 3u, 31u, 33u, 255u, 4097u}) {
       ASSERT_EQ(n % 2, 1u);
       diff_axpy(tier, n, random_scalar(rng), 0, 0, rng);
-      diff_scale(tier, n, random_scalar(rng), 0, rng);
+      diff_aliased(tier, n, random_scalar(rng), 0, rng);
     }
   }
 }

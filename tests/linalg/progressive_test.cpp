@@ -227,9 +227,8 @@ TEST_P(ProgressiveSolverTest, KEqualsOne) {
   // Scaled copy: payload = c * chunk, coefficient = c.
   std::uint64_t c = 0;
   while (c == 0) c = rng.next() & (f().order - 1);
-  std::vector<std::byte> payload(f().row_bytes(m));
-  std::memcpy(payload.data(), chunk.row(0), payload.size());
-  f().scale(payload.data(), c, m);
+  std::vector<std::byte> payload(f().row_bytes(m));  // zeroed: 0 ^ c * chunk
+  f().axpy(payload.data(), chunk.row(0), c, m);
   std::vector<std::byte> coeff(f().row_bytes(1));
   f().set(coeff.data(), 0, c);
   EXPECT_TRUE(solver.add_row(coeff.data(), payload.data()));

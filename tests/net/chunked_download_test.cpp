@@ -1,8 +1,8 @@
 // End-to-end chunked downloads: a chunked FileInfo selects the
 // overlapping-class decoder inside download_file, and the file arrives
 // intact over the reactor's zero-copy scatter-gather serve path, from a
-// verbatim store, from an encode-on-demand MessageStore source, and from
-// three servers whose sessions feed the one decoder at once.
+// verbatim store and from three servers whose sessions feed the one
+// decoder at once.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -101,41 +101,6 @@ TEST(ChunkedDownload, VerbatimStoreDecodesWithZeroOverhead) {
     EXPECT_GE(g.value, static_cast<double>(fx.encoder->k()));
   }
   EXPECT_TRUE(saw_chunked_rank);
-}
-
-TEST(ChunkedDownload, EncodeOnDemandSourceServesChunkedSymbols) {
-  // The owner-side serving path: no verbatim store, the MessageStore pulls
-  // coded symbols straight out of the encoder as sessions consume them,
-  // and the zero-copy frame path serves the cached references.
-  Fixture fx;
-  const std::size_t budget = 2 * fx.encoder->k();
-  // The owner publishes digests for everything it may serve: prime the
-  // metadata by walking one encoder through the whole budget, then let
-  // each server regenerate the identical (deterministic) stream.
-  (void)fx.encoder->generate(budget);
-  const coding::FileInfo info = fx.encoder->info();
-
-  auto source = std::make_shared<coding::chunked::Encoder>(
-      fx.secret, kFileId, fx.data, fx.params, small_classes());
-  p2p::MessageStore store;
-  store.attach_source(kFileId, budget,
-                      [source] { return source->next_message(); });
-  coding::EncodedMessage verbatim;
-  verbatim.file_id = kFileId;
-  EXPECT_FALSE(store.store(std::move(verbatim)))
-      << "verbatim writes must not mix into a sourced file";
-  PeerServer::Config config;
-  config.require_auth = false;
-  PeerServer server(config, std::move(store));
-  ASSERT_TRUE(server.start());
-
-  const DownloadReport report =
-      download_from(server, fx.secret, info, nullptr);
-  server.stop();
-
-  ASSERT_TRUE(report.success);
-  EXPECT_EQ(report.data, fx.data);
-  EXPECT_GE(report.messages_accepted, fx.encoder->k());
 }
 
 TEST(ChunkedDownload, ThreeServersFeedOneDecoderConcurrently) {

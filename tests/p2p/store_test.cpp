@@ -60,61 +60,5 @@ TEST(MessageStore, TracksBytesUsed) {
   EXPECT_EQ(store.bytes_used(), 150u);
 }
 
-// --------------------------------------------------- encode-on-demand
-// attach_source: the owner-side serving mode where messages are pulled
-// from a generator (an encoder) as sessions consume them, instead of
-// being stored verbatim.
-
-TEST(MessageStore, SourceGeneratesLazilyAndCachesStably) {
-  MessageStore store;
-  std::size_t calls = 0;
-  store.attach_source(7, /*budget=*/5, [&calls] {
-    const std::size_t n = calls++;
-    return msg(7, 100 + n, 10 + n);
-  });
-  EXPECT_EQ(store.count(7), 5u);
-  EXPECT_EQ(calls, 0u) << "attach alone must not generate";
-
-  // at() generates exactly up to the requested index, and repeated access
-  // is served from the cache.
-  EXPECT_EQ(store.at(7, 2).message_id, 102u);
-  EXPECT_EQ(calls, 3u);
-  EXPECT_EQ(store.at(7, 0).message_id, 100u);
-  EXPECT_EQ(calls, 3u);
-
-  // Reference stability: the zero-copy serve path keeps pointers into
-  // returned messages across later generation, so growing the cache must
-  // not move earlier entries.
-  const coding::EncodedMessage* early = &store.at(7, 0);
-  const std::byte* payload = early->payload.data();
-  EXPECT_EQ(store.at(7, 4).message_id, 104u);
-  EXPECT_EQ(calls, 5u);
-  EXPECT_EQ(&store.at(7, 0), early);
-  EXPECT_EQ(store.at(7, 0).payload.data(), payload);
-}
-
-TEST(MessageStore, SourceRejectsVerbatimWritesAndListsFile) {
-  MessageStore store;
-  store.attach_source(7, 3, [] { return msg(7, 0); });
-  EXPECT_FALSE(store.store(msg(7, 99)))
-      << "verbatim writes must not shift sourced indices";
-  EXPECT_TRUE(store.store(msg(8, 0)));  // other files unaffected
-
-  const std::vector<std::uint64_t> ids = store.file_ids();
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{7, 8}));
-
-  // Source caches are derived data regenerable from the owner's encoder;
-  // they do not count against the peer's storage-area accounting.
-  (void)store.at(7, 1);
-  EXPECT_EQ(store.bytes_used(), 10u);  // only file 8's verbatim message
-}
-
-TEST(MessageStore, ZeroBudgetSourceIsInvisible) {
-  MessageStore store;
-  store.attach_source(7, 0, [] { return msg(7, 0); });
-  EXPECT_EQ(store.count(7), 0u);
-  EXPECT_TRUE(store.file_ids().empty());
-}
-
 }  // namespace
 }  // namespace fairshare::p2p
